@@ -129,13 +129,7 @@ class ExperimentConfig:
 
     def to_json_dict(self) -> dict:
         d = dataclasses.asdict(self)
-        d["quad"] = {
-            "nodes_per_panel": self.quad.nodes_per_panel,
-            "truncation": list(self.quad.truncation),
-            "freq_grid": list(self.quad.freq_grid),
-            "node_budget": self.quad.node_budget,
-            "refinement": self.quad.refinement,
-        }
+        d["quad"] = {k: list(v) if isinstance(v, tuple) else v for k, v in d["quad"].items()}
         for key, val in list(d.items()):
             if isinstance(val, tuple):
                 d[key] = list(val)
@@ -150,6 +144,9 @@ class ExperimentConfig:
         kwargs = dict(data)
         if "quad" in kwargs:
             qd = dict(kwargs["quad"])
+            unknown = set(qd) - {f.name for f in dataclasses.fields(QuadratureSpec)}
+            if unknown:
+                raise ValueError(f"unknown config keys: {sorted('quad.' + k for k in unknown)}")
             for key in ("truncation", "freq_grid"):
                 if key in qd:
                     qd[key] = tuple(qd[key])

@@ -3,10 +3,12 @@ sweeps, power-law fitting, and the command-line entry point."""
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from hypwhitney import cli
 from hypwhitney.cli import (
     SWEEP_HEADER,
     ExperimentConfig,
@@ -15,7 +17,7 @@ from hypwhitney.cli import (
     run_audits,
     run_scaling_law,
 )
-from hypwhitney.extension import QuadratureSpec
+from hypwhitney.extension import QuadratureSpec, extend_grid, extend_points
 from hypwhitney.reports import fit_power_law
 
 
@@ -41,8 +43,11 @@ class TestConfig:
         assert all(d > 0 for d in cfg.delta_grid)
 
     def test_json_roundtrip(self):
-        cfg = small_config(seed=11, threads=2, negative_controls=True)
+        quad = QuadratureSpec(max_panel_phase=math.pi / 3.0, truncation=(2.0**10,) * 3,
+                              freq_grid=(12, 12, 12), refinement=2)
+        cfg = small_config(seed=11, threads=2, negative_controls=True, quad=quad)
         data = json.loads(json.dumps(cfg.to_json_dict()))
+        assert data["quad"]["max_panel_phase"] == math.pi / 3.0
         back = ExperimentConfig.from_json_dict(data)
         assert back.to_json_dict() == cfg.to_json_dict()
         assert back.quad == cfg.quad
@@ -69,6 +74,8 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_json_dict({"no_such_field": 1})
+        with pytest.raises(ValueError, match="unknown config keys"):
+            ExperimentConfig.from_json_dict({"quad": {"bogus": 1}})
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -198,6 +205,26 @@ class TestRunScalingLaw:
         cfg = small_config()
         assert run_scaling_law(cfg, "prototype") == run_scaling_law(cfg, "prototype")
 
+    def test_grid_kernel_matches_dense_oracle_on_every_job(self, monkeypatch):
+        jobs = []
+        real = cli.bilinear_field
+
+        def recording(owner, f, g, family, quad):
+            jobs.append((f, g, family, quad))
+            return real(owner, f, g, family, quad)
+
+        monkeypatch.setattr(cli, "bilinear_field", recording)
+        for regime in ("prototype", "straight"):
+            run_scaling_law(small_config(), regime)
+        assert len(jobs) == 4 + 2
+        for f, g, family, quad in jobs:
+            for h in (f, g):
+                field = extend_grid(h, family, quad)
+                mesh = np.meshgrid(*field.axes, indexing="ij")
+                xis = np.column_stack([m.ravel() for m in mesh])
+                dense = extend_points(h, family, xis, quad).reshape(field.values.shape)
+                assert np.abs(field.values - dense).max() <= 1e-12 * np.abs(dense).max()
+
 
 class TestMain:
     def write_config(self, tmp_path, **overrides):
@@ -262,6 +289,24 @@ class TestMain:
         j1 = json.loads((out1 / "scaling.json").read_text())
         j2 = json.loads((out2 / "scaling.json").read_text())
         j1["config"]["output_dir"] = j2["config"]["output_dir"] = ""
+        assert j1 == j2
+
+    def test_scaling_law_thread_independent(self, tmp_path):
+        cfgp = self.write_config(tmp_path)
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            main(["scaling-law", "--config", str(cfgp), "--out", str(out),
+                  "--threads", threads])
+            outs.append(out)
+        one, two = outs
+        assert (one / "sweep.csv").read_bytes() == (two / "sweep.csv").read_bytes()
+        j1 = json.loads((one / "scaling.json").read_text())
+        j2 = json.loads((two / "scaling.json").read_text())
+        assert (j1["config"]["threads"], j2["config"]["threads"]) == (1, 2)
+        for j in (j1, j2):
+            j["config"]["threads"] = 1
+            j["config"]["output_dir"] = ""
         assert j1 == j2
 
     def test_flag_overrides(self, tmp_path):

@@ -1,6 +1,5 @@
 """Quadrature oracles, norm plumbing, and sumset audits."""
 
-import io
 import json
 import math
 
@@ -200,6 +199,21 @@ class TestExtendOracles:
         with pytest.raises(UnresolvedOscillation):
             extend(f, BASE, (0.0, 0.0, 2.0**25), QUAD)
 
+    @pytest.mark.parametrize("bad", [
+        {"nodes_per_panel": 0},
+        {"refinement": 0},
+        {"node_budget": 0},
+        {"max_panel_phase": 0.0},
+        {"max_panel_phase": -1.0},
+        {"truncation": (1.0, 1.0)},
+        {"truncation": (1.0, 0.0, 1.0)},
+        {"freq_grid": (8, 8, 8, 8)},
+        {"freq_grid": (8, -8, 8)},
+    ])
+    def test_quadrature_spec_validated(self, bad):
+        with pytest.raises(ValueError):
+            QuadratureSpec(**bad)
+
     def test_flat_slice_plancherel(self):
         # (2 pi)^-2 int |F(xi1, xi2, 0)|^2 over a large box recovers the area
         f = TestFunction.indicator(Carrier.rectangle(0, 1, 0, 1))
@@ -238,17 +252,25 @@ class TestGridAndNorms:
         assert est.refinement_delta <= 1e-12
         assert est.cells == 512
 
-    def test_csv_roundtrip(self):
-        quad = QuadratureSpec(truncation=(2.0, 2.0, 2.0), freq_grid=(3, 3, 3))
-        field = extend_grid(TestFunction.indicator(Carrier.rectangle(0, 1, 0, 1)), BASE, quad)
-        buf = io.StringIO()
-        rows = field.to_csv(buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "xi1,xi2,xi3,re,im"
-        assert rows == 27 and len(lines) == 28
-        first = [float(t) for t in lines[1].split(",")]
-        assert first[0] == field.axes[0][0]
-        assert first[3] == field.values[0, 0, 0].real
+    def test_lp_norm_of_flat_field_on_odd_grid(self):
+        shape = (3, 5, 1)
+        axes = tuple(np.linspace(-1, 1, n) for n in shape)
+        field = FrequencyField(axes, np.full(shape, 2.0 + 0j), (1.0, 1.0, 1.0))
+        est = lp_norm(field, 2.0)
+        assert est.value == pytest.approx((4.0 * 8.0) ** 0.5)
+        assert est.refinement_delta <= 1e-12
+        assert est.cells == 15
+
+    def test_grid_matches_dense_oracle_for_sheared_modulated_function(self):
+        pair = sample_pair()
+        quad = QuadratureSpec(truncation=(96.0, 48.0, 64.0), freq_grid=(5, 7, 4))
+        for slot in (1, 2):
+            f = TestFunction(Carrier.from_pair(pair, slot), (3.0, -21.0), 2.0 - 1.0j)
+            field = extend_grid(f, BASE, quad)
+            g = np.meshgrid(*field.axes, indexing="ij")
+            dense = extend_points(f, BASE, np.column_stack([a.ravel() for a in g]), quad)
+            dense = dense.reshape(field.values.shape)
+            assert np.abs(field.values - dense).max() <= 1e-12 * np.abs(dense).max()
 
     def test_bilinear_field_checks_carriers(self):
         pair = sample_pair()
