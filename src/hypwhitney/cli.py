@@ -33,6 +33,7 @@ from .geometry import (
     DyadicInterval,
     Strip,
     audit_tau_bounds,
+    is_dyadic,
     make_type1_pair,
     pair_sample,
     sample_members,
@@ -59,12 +60,6 @@ __all__ = [
 
 SCHEMA = "hypwhitney/1"
 SWEEP_HEADER = "delta,rho,p,q,ratio,truncation,refinement_delta"
-
-
-def _is_pow2(x: float) -> bool:
-    if not (x > 0 and math.isfinite(x)):
-        return False
-    return math.frexp(x)[0] == 0.5
 
 
 def _dyadic_label(x: float) -> str:
@@ -99,9 +94,6 @@ class ExperimentConfig:
     exponent_tolerance: float = 0.15
     straight_band: tuple = (-0.15, 0.3)
     whitney_cap: int = 4096
-    # Reserved regime flag: the linear estimate needs the conjugate-exponent
-    # gap 1 - 1/q > 1/p on top of the base window.
-    linear_regime: bool = False
 
     def __post_init__(self):
         self.rho_grid = tuple(float(v) for v in self.rho_grid)
@@ -113,16 +105,13 @@ class ExperimentConfig:
             raise ValueError(f"p={self.p} must exceed 5/3")
         if not self.q >= 2.0:
             raise ValueError(f"q={self.q} must be at least 2")
-        if self.linear_regime and not (1.0 - 1.0 / self.q > 1.0 / self.p):
-            raise ValueError(
-                f"linear regime needs 1 - 1/q > 1/p; got p={self.p}, q={self.q}")
         for name in ("C0", "c0", "straight_rho", "straight_truncation"):
-            if not _is_pow2(getattr(self, name)):
+            if not is_dyadic(getattr(self, name)):
                 raise ValueError(f"{name} must be a positive power of two")
         for name in ("rho_grid", "delta_grid", "scaling_delta_grid",
                      "straight_delta_grid", "tv_delta_grid"):
             grid = getattr(self, name)
-            if any(not _is_pow2(v) for v in grid):
+            if any(not is_dyadic(v) for v in grid):
                 raise ValueError(f"every entry of {name} must be a power of two")
         if self.samples < 1 or self.threads < 1:
             raise ValueError("samples and threads must be positive")
@@ -314,14 +303,13 @@ def run_audits(config: ExperimentConfig) -> dict:
                 tasks.append((
                     f"sumset_x:rho={_dyadic_label(rho)},delta={_dyadic_label(delta)}",
                     False,
-                    lambda s, v1=V1, v2=V2, r=rho, d=delta:
-                        audit_sumset_x(v1, v2, C0, r, d, n, s),
+                    lambda s, v1=V1, v2=V2, d=delta: audit_sumset_x(v1, v2, C0, d, n, s),
                 ))
         cube_grid = [d for d in config.delta_grid if d <= 0.5]
         if cube_grid:
             tasks.append((f"sumset_cubes_stability:rho={_dyadic_label(rho)}", False,
-                          lambda s, v1=V1, v2=V2, r=rho, cg=tuple(cube_grid):
-                              sumset_cube_stability(v1, v2, C0, r, cg, n, s)))
+                          lambda s, v1=V1, v2=V2, cg=tuple(cube_grid):
+                              sumset_cube_stability(v1, v2, C0, cg, n, s)))
 
     if config.negative_controls and config.rho_grid and config.delta_grid:
         rho0, d0 = config.rho_grid[0], min(config.delta_grid)
@@ -331,7 +319,7 @@ def run_audits(config: ExperimentConfig) -> dict:
                                                  min(n, 1000), s)))
         if d0 <= 0.125:
             tasks.append(("nc:sumset_x_shrunken", True,
-                          lambda s: audit_sumset_x(V1, V2, C0, rho0, d0, n, s,
+                          lambda s: audit_sumset_x(V1, V2, C0, d0, n, s,
                                                    window_shrink=64.0)))
         decomp_nc = decompose(V1, V2, C0, d0, max(config.delta_grid), cap=config.whitney_cap)
         tasks.append(("nc:overlap_kappa_tiny", True,
@@ -431,7 +419,7 @@ def run_scaling_law(config: ExperimentConfig, regime: str = "prototype") -> dict
     def one(job):
         delta, rho, carrier_owner, f, g, family, quad_ = job
         field = bilinear_field(carrier_owner, f, g, family, quad_)
-        est = lp_norm(field, p, quad_)
+        est = lp_norm(field, p)
         ratio = est.value / (f.norm(q) * g.norm(q))
         return {
             "delta": delta,
@@ -604,8 +592,8 @@ def main(argv=None) -> int:
         for delta in config.delta_grid:
             if delta > 0.125:
                 continue
-            rep = audit_sumset_x(V1, V2, config.C0, rho0, delta,
-                                 config.samples, [config.seed, idx])
+            rep = audit_sumset_x(V1, V2, config.C0, delta, config.samples,
+                                 [config.seed, idx])
             idx += 1
             e = rep.to_json_dict()
             e["negative_control"] = False
@@ -613,7 +601,7 @@ def main(argv=None) -> int:
             passed = passed and rep.passed
         cube_grid = tuple(d for d in config.delta_grid if d <= 0.5)
         if cube_grid:
-            rep = sumset_cube_stability(V1, V2, config.C0, rho0, cube_grid,
+            rep = sumset_cube_stability(V1, V2, config.C0, cube_grid,
                                         config.samples, [config.seed, idx])
             idx += 1
             e = rep.to_json_dict()
@@ -621,9 +609,8 @@ def main(argv=None) -> int:
             entries.append(e)
             passed = passed and rep.passed
         if config.negative_controls and config.delta_grid[0] <= 0.125:
-            rep = audit_sumset_x(V1, V2, config.C0, rho0, config.delta_grid[0],
-                                 config.samples, [config.seed, idx],
-                                 window_shrink=64.0)
+            rep = audit_sumset_x(V1, V2, config.C0, config.delta_grid[0],
+                                 config.samples, [config.seed, idx], window_shrink=64.0)
             e = rep.to_json_dict()
             e["negative_control"] = True
             entries.append(e)

@@ -29,9 +29,10 @@ from .geometry import (
     OPEN_SCALE,
     AdmissiblePair,
     Strip,
-    _type1_rows,
-    make_type1_pair,
-    separated_strip_pair,
+    _check_strips,
+    _long_member,
+    _sample_pairs,
+    _small_member,
 )
 from .reports import AuditReport
 from .surface import BASE, PhaseFamily, phase_eval
@@ -48,7 +49,6 @@ __all__ = [
     "extend_grid",
     "lp_norm",
     "bilinear_field",
-    "bilinear_ratio",
     "audit_sumset_x",
     "audit_sumset_cubes",
     "sumset_cube_stability",
@@ -361,7 +361,7 @@ def extend_grid(f: TestFunction, family: PhaseFamily, quad: QuadratureSpec = Qua
     return FrequencyField(axes, f.amplitude * car.du * vals, quad.truncation)
 
 
-def lp_norm(field: FrequencyField, p: float, quad: QuadratureSpec = QuadratureSpec()) -> NormEstimate:
+def lp_norm(field: FrequencyField, p: float) -> NormEstimate:
     """Midpoint quadrature of |field|^p over the truncation box, p-th root.
 
     refinement_delta compares against the 2x-decimated subgrid (a shifted
@@ -403,57 +403,11 @@ def bilinear_field(pair, f: TestFunction, g: TestFunction, family: PhaseFamily,
     return FrequencyField(ef.axes, ef.values * eg.values, ef.truncation)
 
 
-def bilinear_ratio(pair, f: TestFunction, g: TestFunction, p: float, q: float,
-                   family: PhaseFamily, quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """lp norm of the bilinear product over the truncation box, divided by
-    the closed-form ||f||_q ||g||_q."""
-    field = bilinear_field(pair, f, g, family, quad)
-    return lp_norm(field, p, quad).value / (f.norm(q) * g.norm(q))
-
-
 # ---------------------------------------------------------------------------
 # Sumset audits
 
 
-def _sample_pairs(rng, V1: Strip, V2: Strip, C0: float, delta: float, count: int,
-                  x_band: bool = False) -> list:
-    """count admissible pairs drawn from the enumeration index; with x_band,
-    the small-box column is restricted to i in [0, 1/delta] (the N=0 band)."""
-    rows = [r for r in _type1_rows(V1, V2, delta, C0) if r[-1] > 0]
-    if not rows:
-        raise ValueError("no admissible pairs at this scale")
-    rho = V1.rho
-    g = rho * rho * delta
-    y2_0 = V2.j * rho
-    out = []
-    guard = 0
-    while len(out) < count:
-        guard += 1
-        if guard > 200 * count + 1000:
-            raise ValueError("sampling stalled; configuration too sparse")
-        y1_0, d_valid, i_lo, lo, starts, total = rows[int(rng.integers(len(rows)))]
-        ncols = len(starts) - 1
-        if x_band:
-            c_lo = max(0, -i_lo)
-            c_hi = min(ncols - 1, int(math.floor(1.0 / delta)) - i_lo)
-            if c_hi < c_lo:
-                continue
-            col = int(rng.integers(c_lo, c_hi + 1))
-        else:
-            col = int(rng.integers(ncols))
-        c = int(starts[col + 1] - starts[col])
-        if c == 0:
-            continue
-        d = int(d_valid[lo[col] + int(rng.integers(c))])
-        i = i_lo + col
-        pair = make_type1_pair(i * g, y1_0, (i + d) * g, y2_0, rho, delta, C0)
-        if not isinstance(pair, AdmissiblePair):
-            raise RuntimeError(f"indexed candidate failed validation: {pair}")
-        out.append(pair)
-    return out
-
-
-def audit_sumset_x(V1: Strip, V2: Strip, C0, rho, delta, n: int, seed,
+def audit_sumset_x(V1: Strip, V2: Strip, C0, delta, n: int, seed,
                    window_shrink: float = 1.0, members_per_pair: int = 8) -> AuditReport:
     """Coordinate sums of admissible-pair members stay in the stated bands.
 
@@ -462,16 +416,13 @@ def audit_sumset_x(V1: Strip, V2: Strip, C0, rho, delta, n: int, seed,
     x1+x2 must lie in 2N rho^2 +- 10 C0^2 rho^2 and y1+y2 in [0, 2 C0 rho].
     window_shrink divides both window widths (negative-control knob).
     """
-    C0, rho, delta = float(C0), float(rho), float(delta)
-    if V1.rho != rho or V2.rho != rho:
-        raise ValueError("strips must live at the stated scale")
-    separated_strip_pair(V1.j, V2.j, rho, C0)
+    C0, delta = float(C0), float(delta)
+    rho = _check_strips(V1, V2, C0)
     if delta > 0.125:
         raise ValueError("the x-sumset window applies to the curved regime delta <= 1/8")
     rng = np.random.default_rng(seed)
     n_pairs = max(1, n // members_per_pair)
     pairs = _sample_pairs(rng, V1, V2, C0, delta, n_pairs)
-    g = rho * rho * delta
     x_half = 10.0 * C0 * C0 * rho * rho / window_shrink
     y_hi = 2.0 * C0 * rho / window_shrink
     failures = []
@@ -486,7 +437,7 @@ def audit_sumset_x(V1: Strip, V2: Strip, C0, rho, delta, n: int, seed,
             break
         offs = rng.random((4, take)) * OPEN_SCALE
         (x1, y1), (x2, y2) = pair.member_at(offs)
-        i = int(round(pair.cx1 / g))
+        i = int(round(pair.cx1 / pair.g))
         N = math.floor(i * delta)
         x_off = np.abs(x1 + x2 - 2.0 * N * rho * rho)
         y_sum = y1 + y2
@@ -521,7 +472,7 @@ def audit_sumset_x(V1: Strip, V2: Strip, C0, rho, delta, n: int, seed,
     )
 
 
-def audit_sumset_cubes(V1: Strip, V2: Strip, C0, rho, delta, n: int, seed,
+def audit_sumset_cubes(V1: Strip, V2: Strip, C0, delta, n: int, seed,
                        side_factor: float = 4.0, members_per_tuple: int = 4,
                        multiplicity_points: int = 4096) -> AuditReport:
     """Anisotropically rescaled 3d surface sums stay in small cubes.
@@ -534,16 +485,13 @@ def audit_sumset_cubes(V1: Strip, V2: Strip, C0, rho, delta, n: int, seed,
     The overlap multiplicity of these cubes at sampled points is recorded
     along with the smallest enclosing side actually observed.
     """
-    C0, rho, delta = float(C0), float(rho), float(delta)
-    if V1.rho != rho or V2.rho != rho:
-        raise ValueError("strips must live at the stated scale")
-    separated_strip_pair(V1.j, V2.j, rho, C0)
+    C0, delta = float(C0), float(delta)
+    rho = _check_strips(V1, V2, C0)
     if not 0.0 < delta <= 0.5:
         raise ValueError("slab decomposition needs delta <= 1/2")
     rng = np.random.default_rng(seed)
     n_tuples = max(1, n // members_per_tuple)
     pairs = _sample_pairs(rng, V1, V2, C0, delta, n_tuples, x_band=True)
-    g = rho * rho * delta
     slab = rho * delta
     slabs_per_box = int(round(1.0 / delta))
     half = side_factor * delta / 2.0
@@ -559,7 +507,7 @@ def audit_sumset_cubes(V1: Strip, V2: Strip, C0, rho, delta, n: int, seed,
         k0 = int(round(pair.cy2 / slab))
         k = k0 + int(rng.integers(slabs_per_box))
         y2k = k * slab
-        z2k = (pair.ct2 - y2k * (y2k - pair.cy1), y2k)
+        z2k = _long_member(pair.ct2, pair.cy1, y2k, slab, pair.g, 0.0, 0.0)
         base_sum = (
             pair.cx1 + z2k[0],
             pair.cy1 + y2k,
@@ -575,10 +523,8 @@ def audit_sumset_cubes(V1: Strip, V2: Strip, C0, rho, delta, n: int, seed,
         if take <= 0:
             break
         offs = rng.random((4, take)) * OPEN_SCALE
-        y1 = pair.cy1 + offs[1] * pair.h
-        x1 = pair.cx1 - pair.cy1 * (y1 - pair.cy1) + offs[0] * pair.g
-        y2 = y2k + offs[3] * slab
-        x2 = pair.ct2 - y2 * (y2 - pair.cy1) + offs[2] * pair.g
+        x1, y1 = _small_member(pair.cx1, pair.cy1, pair.h, pair.g, offs[0], offs[1])
+        x2, y2 = _long_member(pair.ct2, pair.cy1, y2k, slab, pair.g, offs[2], offs[3])
         wx = (x1 + x2) / rho**2
         wy = (y1 + y2) / rho
         wz = (phase_eval(BASE, (x1, y1)) + phase_eval(BASE, (x2, y2))) / rho**3
@@ -626,12 +572,12 @@ def audit_sumset_cubes(V1: Strip, V2: Strip, C0, rho, delta, n: int, seed,
     )
 
 
-def sumset_cube_stability(V1: Strip, V2: Strip, C0, rho, deltas, n: int, seed,
+def sumset_cube_stability(V1: Strip, V2: Strip, C0, deltas, n: int, seed,
                           side_factor: float = 4.0) -> AuditReport:
     """Cube audit across a scale grid: containment everywhere and overlap
     multiplicity varying by at most a factor 2 across the grid."""
     reports = [
-        audit_sumset_cubes(V1, V2, C0, rho, d, n, np.random.default_rng([seed, k]).integers(2**31),
+        audit_sumset_cubes(V1, V2, C0, d, n, np.random.default_rng([seed, k]).integers(2**31),
                            side_factor=side_factor)
         for k, d in enumerate(deltas)
     ]

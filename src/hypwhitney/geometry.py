@@ -21,6 +21,7 @@ comparisons are exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Union
@@ -41,7 +42,6 @@ __all__ = [
     "separated_strip_pair",
     "make_type1_pair",
     "make_type2_pair",
-    "contains",
     "sample_members",
     "audit_tau_bounds",
     "enumerate_pairs",
@@ -194,6 +194,54 @@ def _on_grid(value: float, step: float) -> bool:
     return r == round(r)
 
 
+def _steps(rho, delta) -> tuple:
+    """Grid steps (h, g) at scales (rho, delta): h = rho*(1^delta) is the
+    small box's y-width and fine y-grid, g = rho^2*delta the x-width of both
+    boxes and the x-grid."""
+    # a conditional rather than min(): this runs for every candidate pair
+    return rho * (delta if delta < 1.0 else 1.0), rho * rho * delta
+
+
+# Member maps of the two canonical boxes and their inverses; all broadcast.
+# The small box has base (cx1, cy1) and the shear x = u - cy1*(y - cy1); the
+# long box, of y-base y0 and height dy (the strip cell, or a slab of it), has
+# the shear x = u - y*(y - cy1) about ct2.
+
+
+def _small_member(cx1, cy1, h, g, u, v):
+    """Member of the small box at unit offsets (u, v)."""
+    y = cy1 + v * h
+    return cx1 - cy1 * (y - cy1) + u * g, y
+
+
+def _long_member(ct2, cy1, y0, dy, g, u, v):
+    """Member of the long box [ct2, ct2 + g) x [y0, y0 + dy) at unit offsets."""
+    y = y0 + v * dy
+    return ct2 - y * (y - cy1) + u * g, y
+
+
+def _small_coords(cx1, cy1, x, y):
+    """Sheared u-offset and y-offset of (x, y) from the small box's base."""
+    dy = y - cy1
+    return x - cx1 + cy1 * dy, dy
+
+
+def _long_coords(ct2, cy1, y0, x, y):
+    """Sheared u-offset and y-offset of (x, y) from the long box's base."""
+    return x - ct2 + y * (y - cy1), y - y0
+
+
+def _canonical_contains(cx1, cy1, ct2, cy2, rho, delta, xs, ys, xl, yl):
+    """Whether (xs, ys) lies in the small box and (xl, yl) in the long box."""
+    h, g = _steps(rho, delta)
+    us, dys = _small_coords(cx1, cy1, xs, ys)
+    ul, dyl = _long_coords(ct2, cy1, cy2, xl, yl)
+    return (
+        (0.0 <= dys) & (dys < h) & (0.0 <= us) & (us < g)
+        & (0.0 <= dyl) & (dyl < rho) & (0.0 <= ul) & (ul < g)
+    )
+
+
 @dataclass(frozen=True)
 class AdmissiblePair:
     """One admissible box pair of type 1 or 2 at scales (rho, delta).
@@ -216,12 +264,12 @@ class AdmissiblePair:
     @property
     def h(self) -> float:
         """y-width of the small parallelogram."""
-        return self.rho * min(1.0, self.delta)
+        return _steps(self.rho, self.delta)[0]
 
     @property
     def g(self) -> float:
         """x-width of both boxes (and the snap grid step)."""
-        return self.rho * self.rho * self.delta
+        return _steps(self.rho, self.delta)[1]
 
     @property
     def _cbase1(self) -> tuple:
@@ -229,7 +277,7 @@ class AdmissiblePair:
 
     @property
     def _cbase2(self) -> tuple:
-        return (self.ct2 - self.cy2 * (self.cy2 - self.cy1), self.cy2)
+        return _long_member(self.ct2, self.cy1, self.cy2, self.rho, self.g, 0.0, 0.0)
 
     @property
     def base1(self) -> tuple:
@@ -258,44 +306,25 @@ class AdmissiblePair:
             cy2=self.cy2,
         )
 
-    # Canonical membership predicates; vectorized over numpy inputs.
-    def _in_small(self, x, y):
-        dy = y - self.cy1
-        u = x - self.cx1 + self.cy1 * dy
-        return (0.0 <= dy) & (dy < self.h) & (0.0 <= u) & (u < self.g)
-
-    def _in_long(self, x, y):
-        dy = y - self.cy2
-        u = x - self.ct2 + y * (y - self.cy1)
-        return (0.0 <= dy) & (dy < self.rho) & (0.0 <= u) & (u < self.g)
-
     def contains_many(self, x1, y1, x2, y2):
-        if self.pair_type == 1:
-            return self._in_small(x1, y1) & self._in_long(x2, y2)
-        return self._in_long(x1, y1) & self._in_small(x2, y2)
+        """Membership of (z1, z2); vectorized over numpy inputs."""
+        if self.pair_type == 2:
+            x1, y1, x2, y2 = x2, y2, x1, y1
+        return _canonical_contains(self.cx1, self.cy1, self.ct2, self.cy2,
+                                   self.rho, self.delta, x1, y1, x2, y2)
 
     def contains(self, z1, z2) -> bool:
         return bool(self.contains_many(z1[0], z1[1], z2[0], z2[1]))
 
-    # Offset parametrizations of the two canonical boxes; offsets in [0, 1).
-    def _small_member(self, u, v):
-        y = self.cy1 + v * self.h
-        x = self.cx1 - self.cy1 * (y - self.cy1) + u * self.g
-        return x, y
-
-    def _long_member(self, u, v):
-        y = self.cy2 + v * self.rho
-        x = self.ct2 - y * (y - self.cy1) + u * self.g
-        return x, y
-
     def member_at(self, offsets) -> tuple:
         """Concrete member (z1, z2) from unit offsets (u1, v1, u2, v2)."""
         u1, v1, u2, v2 = offsets
-        if self.pair_type == 1:
-            m1, m2 = self._small_member(u1, v1), self._long_member(u2, v2)
-        else:
-            m1, m2 = self._long_member(u1, v1), self._small_member(u2, v2)
-        return m1, m2
+        h, g = _steps(self.rho, self.delta)
+        if self.pair_type == 2:
+            u1, v1, u2, v2 = u2, v2, u1, v1
+        small = _small_member(self.cx1, self.cy1, h, g, u1, v1)
+        long = _long_member(self.ct2, self.cy1, self.cy2, self.rho, g, u2, v2)
+        return (small, long) if self.pair_type == 1 else (long, small)
 
     def to_json_dict(self) -> dict:
         return {
@@ -319,12 +348,40 @@ def _separation_ok(s0: float, h: float, rho: float, C0: float) -> bool:
     return False
 
 
+def _in_window(v, lo, hi):
+    """lo <= v < hi; elementwise on arrays."""
+    return (lo <= v) & (v < hi)
+
+
+@functools.lru_cache(maxsize=256)
+def _windows(rho, delta, C0) -> tuple:
+    """Half-open windows [lo1, hi1) for |t2_0 - x1_0| and [lo2, hi2) for the
+    second endpoint value |(t2_0 - x1_0) - (y2_0 - y1_0)^2|.  Cached: a run
+    sees few dyadic scales but checks many candidates at each."""
+    g = _steps(rho, delta)[1]
+    scale2 = C0 * C0 * rho * rho * max(1.0, delta)
+    return C0 * C0 * g / 4.0, 4.0 * C0 * C0 * g, scale2 / 512.0, 5.0 * scale2
+
+
+def _rejection(cx1, cy1, ct2, cy2, rho, delta, C0):
+    """The first admissibility condition the canonical parameters fail
+    ("separation", "admissible1" or "admissible2"), or None."""
+    if not _separation_ok(cy2 - cy1, _steps(rho, delta)[0], rho, C0):
+        return "separation"
+    lo1, hi1, lo2, hi2 = _windows(rho, delta, C0)
+    d = ct2 - cx1
+    if not _in_window(abs(d), lo1, hi1):
+        return "admissible1"
+    if not _in_window(abs(d - (cy2 - cy1) ** 2), lo2, hi2):
+        return "admissible2"
+    return None
+
+
 def _make_canonical(cx1, cy1, ct2, cy2, rho, delta, C0, pair_type):
     rho, delta, C0 = float(rho), float(delta), float(C0)
     _require_dyadic(rho=rho, delta=delta, C0=C0)
     cx1, cy1, ct2, cy2 = float(cx1), float(cy1), float(ct2), float(cy2)
-    h = rho * min(1.0, delta)
-    g = rho * rho * delta
+    h, g = _steps(rho, delta)
     if not _on_grid(cy1, h):
         raise ValueError(f"y-parameter {cy1} is not a multiple of {h}")
     if not _on_grid(cy2, rho):
@@ -333,24 +390,21 @@ def _make_canonical(cx1, cy1, ct2, cy2, rho, delta, C0, pair_type):
         if not _on_grid(v, g):
             raise ValueError(f"x-parameter {v} is not a multiple of {g}")
 
-    if not _separation_ok(cy2 - cy1, h, rho, C0):
-        return Rejected(
-            "separation",
-            f"member separation around |y2-y1|={abs(cy2 - cy1)} leaves "
-            f"[{C0 * rho / 2.0}, {C0 * rho}]",
+    which = _rejection(cx1, cy1, ct2, cy2, rho, delta, C0)
+    if which is None:
+        return AdmissiblePair(
+            pair_type=pair_type, rho=rho, delta=delta, C0=C0, cx1=cx1, cy1=cy1, ct2=ct2, cy2=cy2
         )
+    lo1, hi1, lo2, hi2 = _windows(rho, delta, C0)
     d = ct2 - cx1
-    lo1, hi1 = C0 * C0 * g / 4.0, 4.0 * C0 * C0 * g
-    if not lo1 <= abs(d) < hi1:
-        return Rejected("admissible1", f"|t2_0 - x1_0|={abs(d)} outside [{lo1}, {hi1})")
-    tau2 = d - (cy2 - cy1) ** 2
-    scale2 = C0 * C0 * rho * rho * max(1.0, delta)
-    lo2, hi2 = scale2 / 512.0, 5.0 * scale2
-    if not lo2 <= abs(tau2) < hi2:
-        return Rejected("admissible2", f"second window value {abs(tau2)} outside [{lo2}, {hi2})")
-    return AdmissiblePair(
-        pair_type=pair_type, rho=rho, delta=delta, C0=C0, cx1=cx1, cy1=cy1, ct2=ct2, cy2=cy2
-    )
+    if which == "separation":
+        message = (f"member separation around |y2-y1|={abs(cy2 - cy1)} leaves "
+                   f"[{C0 * rho / 2.0}, {C0 * rho}]")
+    elif which == "admissible1":
+        message = f"|t2_0 - x1_0|={abs(d)} outside [{lo1}, {hi1})"
+    else:
+        message = f"second window value {abs(d - (cy2 - cy1) ** 2)} outside [{lo2}, {hi2})"
+    return Rejected(which, message)
 
 
 def make_type1_pair(x1_0, y1_0, t2_0, y2_0, rho, delta, C0) -> Union[AdmissiblePair, Rejected]:
@@ -365,12 +419,7 @@ def make_type1_pair(x1_0, y1_0, t2_0, y2_0, rho, delta, C0) -> Union[AdmissibleP
 
 def make_type2_pair(t1_0, y1_0, x2_0, y2_0, rho, delta, C0) -> Union[AdmissiblePair, Rejected]:
     """Type-2 mirror: the same pair with the roles of z1 and z2 interchanged."""
-    result = _make_canonical(x2_0, y2_0, t1_0, y1_0, rho, delta, C0, pair_type=2)
-    return result
-
-
-def contains(pair: AdmissiblePair, z1, z2) -> bool:
-    return pair.contains(z1, z2)
+    return _make_canonical(x2_0, y2_0, t1_0, y1_0, rho, delta, C0, pair_type=2)
 
 
 def sample_members(pair: AdmissiblePair, n: int, seed) -> tuple:
@@ -472,18 +521,11 @@ def enumerate_pairs(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1) -> Iter
     if pair_type != 1:
         raise ValueError("pair_type must be 1 or 2")
 
-    rho = V1.rho
-    g = rho * rho * delta
-    y2_0 = V2.j * rho
-    for y1_0, d_valid, i_lo, lo, starts, _ in _type1_rows(V1, V2, delta, C0):
-        counts = np.diff(starts)
-        for col, c in enumerate(counts):
-            i = i_lo + col
-            x1_0 = i * g
-            for d in d_valid[lo[col]: lo[col] + c]:
-                pair = make_type1_pair(x1_0, y1_0, (i + int(d)) * g, y2_0, rho, delta, C0)
-                if isinstance(pair, AdmissiblePair):
-                    yield pair
+    for row in _type1_rows(V1, V2, delta, C0):
+        starts = row[4]
+        for col in range(len(starts) - 1):
+            for k in range(int(starts[col + 1] - starts[col])):
+                yield _row_pair(row, col, k, V2, delta, C0)
 
 
 def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float):
@@ -494,30 +536,30 @@ def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float):
     column i = i_lo + k the valid window offsets are
     d_valid[lo[k] : lo[k] + (starts[k+1] - starts[k])], and starts is the
     cumulative pair count across columns.  Row order and intra-row order
-    match enumerate_pairs exactly.
+    match enumerate_pairs exactly.  Only `_row_pair` decodes a record.
     """
     if V1.rho != V2.rho:
         raise ValueError("strips must share one scale")
     rho = V1.rho
-    if rho * rho * delta > 4.0:
+    h, g = _steps(rho, delta)
+    if g > 4.0:
         raise ValueError("delta out of range: rho^2*delta must be <= 4")
     rows = []
     if delta < DELTA_MIN:
         return rows
-    h = rho * min(1.0, delta)
-    g = rho * rho * delta
     j1, j2 = V1.j, V2.j
     y2_0 = j2 * rho
-    d_lo = int(math.ceil(C0 * C0 / 4.0))
-    d_hi = int(math.ceil(4.0 * C0 * C0))
-    scale2 = C0 * C0 * rho * rho * max(1.0, delta)
+    lo1, hi1, lo2, hi2 = _windows(rho, delta, C0)
+    # window 1 in units of g; exact, as every factor is a power of two
+    d_lo = int(math.ceil(lo1 / g))
+    d_hi = int(math.ceil(hi1 / g))
     d_all = np.concatenate([np.arange(-d_hi + 1, -d_lo + 1), np.arange(d_lo, d_hi)])
     for m in range(int(round(rho / h))):
         y1_0 = j1 * rho + m * h
         if not _separation_ok(y2_0 - y1_0, h, rho, C0):
             continue
         tau2 = d_all * g - (y2_0 - y1_0) ** 2
-        d_valid = d_all[(np.abs(tau2) >= scale2 / 512.0) & (np.abs(tau2) < 5.0 * scale2)]
+        d_valid = d_all[_in_window(np.abs(tau2), lo2, hi2)]
         if d_valid.size == 0:
             continue
         i_lo = math.floor((-1.0 - g - abs(y1_0) * h) / g)
@@ -531,6 +573,19 @@ def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float):
         if starts[-1] > 0:
             rows.append((y1_0, d_valid, i_lo, lo, starts, int(starts[-1])))
     return rows
+
+
+def _row_pair(row, col: int, k: int, V2: Strip, delta: float, C0: float) -> AdmissiblePair:
+    """The k-th pair of column col in one `_type1_rows` record."""
+    y1_0, d_valid, i_lo, lo, _, _ = row
+    rho = V2.rho
+    g = _steps(rho, delta)[1]
+    i = i_lo + col
+    d = int(d_valid[lo[col] + k])
+    pair = make_type1_pair(i * g, y1_0, (i + d) * g, V2.j * rho, rho, delta, C0)
+    if not isinstance(pair, AdmissiblePair):
+        raise RuntimeError(f"indexed candidate failed validation: {pair}")
+    return pair
 
 
 def count_pairs(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1) -> int:
@@ -567,9 +622,6 @@ def pair_sample(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1, max_pairs: 
     if total == 0:
         return [], 0, 1
     stride = max(1, -(-total // max_pairs))
-    rho = V1.rho
-    g = rho * rho * delta
-    y2_0 = V2.j * rho
 
     pairs = []
     row_iter = iter(rows)
@@ -579,13 +631,47 @@ def pair_sample(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1, max_pairs: 
         while q >= row_base + row[-1]:
             row_base += row[-1]
             row = next(row_iter)
-        y1_0, d_valid, i_lo, lo, starts, _ = row
+        starts = row[4]
         local = q - row_base
         col = int(np.searchsorted(starts, local, side="right")) - 1
-        d = int(d_valid[lo[col] + (local - starts[col])])
-        i = i_lo + col
-        pair = make_type1_pair(i * g, y1_0, (i + d) * g, y2_0, rho, delta, C0)
-        if not isinstance(pair, AdmissiblePair):
-            raise RuntimeError(f"indexed candidate failed validation: {pair}")
-        pairs.append(pair)
+        pairs.append(_row_pair(row, col, local - int(starts[col]), V2, delta, C0))
     return pairs, total, stride
+
+
+def _sample_pairs(rng, V1: Strip, V2: Strip, C0: float, delta: float, count: int,
+                  x_band: bool = False) -> list:
+    """count admissible pairs drawn from the enumeration index; with x_band,
+    the small-box column is restricted to i in [0, 1/delta] (the N=0 band)."""
+    rows = _type1_rows(V1, V2, delta, C0)
+    if not rows:
+        raise ValueError("no admissible pairs at this scale")
+    out = []
+    guard = 0
+    while len(out) < count:
+        guard += 1
+        if guard > 200 * count + 1000:
+            raise ValueError("sampling stalled; configuration too sparse")
+        row = rows[int(rng.integers(len(rows)))]
+        i_lo, starts = row[2], row[4]
+        ncols = len(starts) - 1
+        if x_band:
+            c_lo = max(0, -i_lo)
+            c_hi = min(ncols - 1, int(math.floor(1.0 / delta)) - i_lo)
+            if c_hi < c_lo:
+                continue
+            col = int(rng.integers(c_lo, c_hi + 1))
+        else:
+            col = int(rng.integers(ncols))
+        c = int(starts[col + 1] - starts[col])
+        if c == 0:
+            continue
+        out.append(_row_pair(row, col, int(rng.integers(c)), V2, delta, C0))
+    return out
+
+
+def _check_strips(V1: Strip, V2: Strip, C0: float) -> float:
+    """The common scale of a separated strip pair; ValueError otherwise."""
+    if V1.rho != V2.rho:
+        raise ValueError("strips must share one scale")
+    separated_strip_pair(V1.j, V2.j, V1.rho, C0)
+    return V1.rho

@@ -24,12 +24,18 @@ from .geometry import (
     AdmissiblePair,
     Rejected,
     Strip,
-    _separation_ok,
+    _canonical_contains,
+    _check_strips,
+    _long_coords,
+    _long_member,
+    _rejection,
+    _small_coords,
+    _small_member,
+    _steps,
     count_pairs,
     make_type1_pair,
     make_type2_pair,
     pair_sample,
-    separated_strip_pair,
 )
 from .reports import AuditReport
 from .surface import tau
@@ -41,7 +47,6 @@ __all__ = [
     "WhitneyDecomposition",
     "decompose",
     "locate_pair",
-    "locate_many",
     "containing_pairs",
     "classes_and_chi",
     "audit_disjoint",
@@ -86,21 +91,14 @@ def _class_index(delta: float) -> int:
 
 def _snap_type1(x1, y1, x2, y2, rho, delta):
     """Grid parameters of the only type-1 pair at this scale that can
-    contain ((x1,y1),(x2,y2)): floor-snap y first, then the sheared x's."""
-    h = rho * min(1.0, delta)
-    g = rho * rho * delta
+    contain ((x1,y1),(x2,y2)): floor-snap y first, then the sheared x's
+    (box coordinates about the x-origin)."""
+    h, g = _steps(rho, delta)
     y10 = h * math.floor(y1 / h)
-    x10 = g * math.floor((x1 + y10 * (y1 - y10)) / g)
-    t20 = g * math.floor((x2 + y2 * (y2 - y10)) / g)
+    x10 = g * math.floor(_small_coords(0.0, y10, x1, y1)[0] / g)
+    t20 = g * math.floor(_long_coords(0.0, y10, 0.0, x2, y2)[0] / g)
     y20 = rho * math.floor(y2 / rho)
     return x10, y10, t20, y20
-
-
-def _check_strips(V1: Strip, V2: Strip, C0: float) -> float:
-    if V1.rho != V2.rho:
-        raise ValueError("strips must share one scale")
-    separated_strip_pair(V1.j, V2.j, V1.rho, C0)
-    return V1.rho
 
 
 # ---------------------------------------------------------------------------
@@ -147,16 +145,6 @@ def _locate_anchor(zs, zl, rho, C0, t_anchor) -> AdmissiblePair:
     return cand
 
 
-def locate_many(z1s, z2s, V1: Strip, V2: Strip, C0) -> list:
-    """locate_pair over parallel arrays of points; fails fast on any error."""
-    x1, y1 = np.asarray(z1s[0], float), np.asarray(z1s[1], float)
-    x2, y2 = np.asarray(z2s[0], float), np.asarray(z2s[1], float)
-    return [
-        locate_pair((x1[i], y1[i]), (x2[i], y2[i]), V1, V2, C0)
-        for i in range(x1.size)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Containment scans
 
@@ -189,16 +177,10 @@ def _anchor_candidates(zs, zl, rho, C0) -> list:
     out = []
     for k in range(max(kc - 3, LOG2_DELTA_FLOOR), k_max + 1):
         delta = math.ldexp(1.0, k)
-        h = rho * min(1.0, delta)
-        g = rho * rho * delta
         x10, y10, t20, y20 = _snap_type1(zs[0], zs[1], zl[0], zl[1], rho, delta)
-        if not _separation_ok(y20 - y10, h, rho, C0):
-            continue
-        d = t20 - x10
-        if not C0 * C0 * g / 4.0 <= abs(d) < 4.0 * C0 * C0 * g:
-            continue
-        scale2 = C0 * C0 * rho * rho * max(1.0, delta)
-        if not scale2 / 512.0 <= abs(d - (y20 - y10) ** 2) < 5.0 * scale2:
+        # most snaps fail a window; checking first is cheaper than letting
+        # make_type1_pair re-validate the grid and build a Rejected for each
+        if _rejection(x10, y10, t20, y20, rho, delta, C0) is not None:
             continue
         cand = make_type1_pair(x10, y10, t20, y20, rho, delta, C0)
         if isinstance(cand, AdmissiblePair) and cand.contains(zs, zl):
@@ -254,15 +236,6 @@ class WhitneyDecomposition:
     @property
     def truncated(self) -> bool:
         return any(s != (1, 1) for s in self.strides.values())
-
-    def class_members(self, r: int, pair_type: int = 1) -> list:
-        """Stored pairs whose scale exponent falls in residue class r."""
-        slot = 0 if pair_type == 1 else 1
-        out = []
-        for delta in sorted(self.scales):
-            if _class_index(delta) == r:
-                out.extend(self.scales[delta][slot])
-        return out
 
     def class_sizes(self) -> dict:
         sizes = {r: [0, 0] for r in range(10)}
@@ -356,15 +329,11 @@ def decompose(V1: Strip, V2: Strip, C0, delta_min, delta_max,
 def _near_wall(zs, zl, rho, delta) -> bool:
     """True when the point sits within 2^-40 of a snap-grid wall at this
     scale (normalized units); such samples are re-drawn before audits."""
-    h = rho * min(1.0, delta)
-    g = rho * rho * delta
+    h, g = _steps(rho, delta)
     x10, y10, t20, y20 = _snap_type1(zs[0], zs[1], zl[0], zl[1], rho, delta)
-    for frac in (
-        (zs[1] - y10) / h,
-        (zl[1] - y20) / rho,
-        (zs[0] - x10 + y10 * (zs[1] - y10)) / g,
-        (zl[0] - t20 + zl[1] * (zl[1] - y10)) / g,
-    ):
+    us, dys = _small_coords(x10, y10, zs[0], zs[1])
+    ul, dyl = _long_coords(t20, y10, y20, zl[0], zl[1])
+    for frac in (dys / h, dyl / rho, us / g, ul / g):
         if min(frac, 1.0 - frac) < BOUNDARY_TOL:
             return True
     return False
@@ -418,21 +387,11 @@ def _canonical_arrays(pairs) -> tuple:
 
 def _containment_counts(arrays, rho, delta, x1, y1, x2, y2) -> np.ndarray:
     """How many of the pairs contain each canonical sample; chunked."""
-    cx1, cy1, ct2, cy2 = arrays
-    h = rho * min(1.0, delta)
-    g = rho * rho * delta
+    points = (x1[None, :], y1[None, :], x2[None, :], y2[None, :])
     counts = np.zeros(x1.size, dtype=np.int64)
-    for lo in range(0, cx1.size, 1024):
-        a, b, c, d = (v[lo:lo + 1024, None] for v in (cx1, cy1, ct2, cy2))
-        dy1 = y1[None, :] - b
-        u1 = x1[None, :] - a + b * dy1
-        dy2 = y2[None, :] - d
-        u2 = x2[None, :] - c + y2[None, :] * (y2[None, :] - b)
-        mask = (
-            (0.0 <= dy1) & (dy1 < h) & (0.0 <= u1) & (u1 < g)
-            & (0.0 <= dy2) & (dy2 < rho) & (0.0 <= u2) & (u2 < g)
-        )
-        counts += mask.sum(axis=0)
+    for lo in range(0, arrays[0].size, 1024):
+        chunk = (v[lo:lo + 1024, None] for v in arrays)
+        counts += _canonical_contains(*chunk, rho, delta, *points).sum(axis=0)
     return counts
 
 
@@ -456,8 +415,7 @@ def audit_disjoint(decomp: WhitneyDecomposition, n: int, seed) -> AuditReport:
                 continue
             arrays = _canonical_arrays(pairs)
             cx1, cy1, ct2, cy2 = arrays
-            h = rho * min(1.0, delta)
-            g = rho * rho * delta
+            h, g = _steps(rho, delta)
             # canonical small slot lives in V1 for type 1 lists, V2 for type 2
             Vs = decomp.V1 if slot == 0 else decomp.V2
             Vl = decomp.V2 if slot == 0 else decomp.V1
@@ -470,12 +428,9 @@ def audit_disjoint(decomp: WhitneyDecomposition, n: int, seed) -> AuditReport:
             us[3, :nu] = Vl.interval.left + rng.random(nu) * rho
             idx = np.arange(nm) % len(pairs)
             offs = rng.random((4, nm)) * OPEN_SCALE
-            ys = cy1[idx] + offs[1] * h
-            us[0, nu:] = cx1[idx] - cy1[idx] * (ys - cy1[idx]) + offs[0] * g
-            us[1, nu:] = ys
-            yl = cy2[idx] + offs[3] * rho
-            us[2, nu:] = ct2[idx] - yl * (yl - cy1[idx]) + offs[2] * g
-            us[3, nu:] = yl
+            us[0, nu:], us[1, nu:] = _small_member(cx1[idx], cy1[idx], h, g, offs[0], offs[1])
+            us[2, nu:], us[3, nu:] = _long_member(ct2[idx], cy1[idx], cy2[idx], rho, g,
+                                                  offs[2], offs[3])
             counts = _containment_counts(arrays, rho, delta, *us)
             tested += counts.size
             inside += int((counts > 0).sum())

@@ -245,9 +245,9 @@ def test_criterion_08_sumset_containment_and_stability():
     cube_grid = (2.0**-3, 2.0**-4, 2.0**-5, 2.0**-6)
     x_viol = 0
     for k, delta in enumerate(cube_grid):
-        rep = audit_sumset_x(V1, V2, C0, rho, delta, 25000, [8, k])
+        rep = audit_sumset_x(V1, V2, C0, delta, 25000, [8, k])
         x_viol += rep.stats["violations"]
-    rep_cube = sumset_cube_stability(V1, V2, C0, rho, cube_grid, 2500, 88)
+    rep_cube = sumset_cube_stability(V1, V2, C0, cube_grid, 2500, 88)
     elapsed = time.time() - t0
     containment = rep_cube.stats["containment_all"]
     stable = rep_cube.stats["multiplicity_stable"]
@@ -290,7 +290,7 @@ def test_criterion_10_negative_controls():
     corrupted = dataclasses.replace(
         pairs[0], ct2=pairs[0].cx1 + 64.0 * (pairs[0].ct2 - pairs[0].cx1))
     rep_pair = audit_tau_bounds(corrupted, 1000, 101)
-    rep_window = audit_sumset_x(V1, V2, C0, rho, delta, 20000, 102,
+    rep_window = audit_sumset_x(V1, V2, C0, delta, 20000, 102,
                                 window_shrink=64.0)
     decomp = decompose(V1, V2, C0, delta, delta, cap=512)
     rep_kappa = audit_overlap(decomp, 2000, 103, kappa=1e-3)

@@ -57,11 +57,7 @@ class TestConfig:
             ExperimentConfig(p=5.0 / 3.0)
         with pytest.raises(ValueError):
             ExperimentConfig(q=1.5)
-        # conjugate-exponent gap only binds in the linear regime
         ExperimentConfig(p=1.75)
-        with pytest.raises(ValueError):
-            ExperimentConfig(linear_regime=True, p=2.0, q=2.0)
-        ExperimentConfig(linear_regime=True, p=4.0, q=2.0)
 
     def test_grids_must_be_dyadic(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from hypwhitney.extension import (
     audit_sumset_cubes,
     audit_sumset_x,
     bilinear_field,
-    bilinear_ratio,
     extend,
     extend_grid,
     extend_points,
@@ -282,23 +281,10 @@ class TestGridAndNorms:
         field = bilinear_field(pair, f, g, BASE, quad)
         assert abs(field.values[2, 2, 2]) <= f.carrier.area * g.carrier.area
 
-    def test_bilinear_ratio_uses_closed_form_denominator(self):
-        pair = sample_pair()
-        f = TestFunction.indicator(Carrier.from_pair(pair, 1))
-        g = TestFunction.indicator(Carrier.from_pair(pair, 2))
-        quad = QuadratureSpec(truncation=(64.0, 64.0, 64.0), freq_grid=(8, 8, 8))
-        ratio = bilinear_ratio(pair, f, g, 2.0, 2.0, BASE, quad)
-        field = bilinear_field(pair, f, g, BASE, quad)
-        want = lp_norm(field, 2.0, quad).value / (
-            pair.g * pair.h * pair.g * pair.rho
-        ) ** 0.5
-        assert ratio == pytest.approx(want, rel=1e-12)
-        assert ratio > 0
-
 
 class TestSumsetX:
     def test_stated_windows_hold(self):
-        rep = audit_sumset_x(V1, V2, C0, RHO, 2.0**-4, 20000, 101)
+        rep = audit_sumset_x(V1, V2, C0, 2.0**-4, 20000, 101)
         assert rep.passed and rep.samples == 20000
         assert rep.stats["violations"] == 0
         assert rep.stats["max_x_offset"] <= 10 * C0 * C0 * RHO * RHO
@@ -307,25 +293,25 @@ class TestSumsetX:
 
     def test_all_criterion_scales_pass(self):
         for k in range(3, 7):
-            rep = audit_sumset_x(V1, V2, C0, RHO, 2.0**-k, 4000, 7 * k)
+            rep = audit_sumset_x(V1, V2, C0, 2.0**-k, 4000, 7 * k)
             assert rep.passed, (k, rep.stats)
 
     def test_shrunken_windows_fail(self):
-        rep = audit_sumset_x(V1, V2, C0, RHO, 2.0**-4, 20000, 101, window_shrink=64.0)
+        rep = audit_sumset_x(V1, V2, C0, 2.0**-4, 20000, 101, window_shrink=64.0)
         assert not rep.passed
         assert rep.stats["violations"] > 0
         assert rep.failures  # concrete counterexamples retained
 
     def test_determinism(self):
-        a = audit_sumset_x(V1, V2, C0, RHO, 2.0**-5, 3000, 55)
-        b = audit_sumset_x(V1, V2, C0, RHO, 2.0**-5, 3000, 55)
+        a = audit_sumset_x(V1, V2, C0, 2.0**-5, 3000, 55)
+        b = audit_sumset_x(V1, V2, C0, 2.0**-5, 3000, 55)
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
             b.to_json_dict(), sort_keys=True
         )
 
     def test_large_delta_rejected(self):
         with pytest.raises(ValueError):
-            audit_sumset_x(V1, V2, C0, RHO, 0.5, 100, 1)
+            audit_sumset_x(V1, V2, C0, 0.5, 100, 1)
 
 
 class TestSumsetCubes:
@@ -333,7 +319,7 @@ class TestSumsetCubes:
         # the y-part of the dilated sum is within 2 delta of the base image
         # by construction; this isolates the axis that does meet the bound
         delta = 2.0**-4
-        rep = audit_sumset_cubes(V1, V2, C0, RHO, delta, 4000, 23)
+        rep = audit_sumset_cubes(V1, V2, C0, delta, 4000, 23)
         assert rep.samples == 4000
         assert rep.stats["tuples"] > 0
 
@@ -341,7 +327,7 @@ class TestSumsetCubes:
         # the audited claim hides separation-dependent constants: the
         # observed enclosing cube is ~C0^2 delta per side, so the literal
         # 4 delta containment fails and is reported as such
-        rep = audit_sumset_cubes(V1, V2, C0, RHO, 2.0**-4, 20000, 23)
+        rep = audit_sumset_cubes(V1, V2, C0, 2.0**-4, 20000, 23)
         assert not rep.passed
         assert rep.stats["violations"] > 0
         assert rep.stats["min_enclosing_side_over_delta"] > 4.0
@@ -350,12 +336,12 @@ class TestSumsetCubes:
     def test_wide_cube_contains_everything(self):
         # positive control: the same construction passes once the cube is
         # allowed the observed C0-dependent width
-        rep = audit_sumset_cubes(V1, V2, C0, RHO, 2.0**-4, 20000, 23, side_factor=2048.0)
+        rep = audit_sumset_cubes(V1, V2, C0, 2.0**-4, 20000, 23, side_factor=2048.0)
         assert rep.passed
         assert rep.stats["violations"] == 0
 
     def test_multiplicity_delta_stable(self):
-        rep = sumset_cube_stability(V1, V2, C0, RHO, [2.0**-k for k in range(3, 7)], 4000, 31)
+        rep = sumset_cube_stability(V1, V2, C0, [2.0**-k for k in range(3, 7)], 4000, 31)
         assert rep.stats["multiplicity_stable"]
         mults = rep.stats["max_multiplicities"]
         assert max(mults) <= 2 * max(1, min(mults))
@@ -364,8 +350,8 @@ class TestSumsetCubes:
         assert not rep.passed
 
     def test_determinism(self):
-        a = audit_sumset_cubes(V1, V2, C0, RHO, 2.0**-4, 2000, 77)
-        b = audit_sumset_cubes(V1, V2, C0, RHO, 2.0**-4, 2000, 77)
+        a = audit_sumset_cubes(V1, V2, C0, 2.0**-4, 2000, 77)
+        b = audit_sumset_cubes(V1, V2, C0, 2.0**-4, 2000, 77)
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
             b.to_json_dict(), sort_keys=True
         )

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hypwhitney.geometry import (
+    OPEN_SCALE,
     AdmissiblePair,
     DyadicInterval,
     Rejected,
@@ -23,6 +24,9 @@ from hypwhitney.geometry import (
     related_intervals,
     sample_members,
     separated_strip_pair,
+    _long_coords,
+    _small_coords,
+    _type1_rows,
 )
 from hypwhitney.surface import tau
 
@@ -224,7 +228,7 @@ class TestMembership:
         z1_right = (pair.base1[0] + g, pair.base1[1])  # u1 = 1
         assert not pair.contains(z1_right, pair.base2)
         # just inside both walls
-        z1_in = pair._small_member(1.0 - 1e-9, 1.0 - 1e-9)
+        z1_in, _ = pair.member_at((1.0 - 1e-9, 1.0 - 1e-9, 0.0, 0.0))
         assert pair.contains(z1_in, pair.base2)
 
     def test_members_fill_boxes(self):
@@ -253,6 +257,31 @@ class TestMembership:
         # slot 1 carries the long box (y-width rho), slot 2 the small one
         assert z1[:, 1].min() >= 0.75 and z1[:, 1].max() < 0.75 + RHO
         assert z2[:, 1].min() >= -0.75 and z2[:, 1].max() < -0.75 + p2.h
+
+
+class TestMemberMap:
+    @pytest.mark.parametrize("pair_type", [1, 2])
+    def test_box_coordinates_invert_member_at(self, pair_type):
+        V1, V2 = separated_strip_pair(-12, 12, RHO, C0)
+        rng = np.random.default_rng(21)
+        checked = 0
+        for k in range(-6, 3):
+            pairs, _, _ = pair_sample(V1, V2, 2.0**k, C0, pair_type=pair_type, max_pairs=8)
+            for pair in pairs:
+                offs = rng.random((4, 64)) * OPEN_SCALE
+                z1, z2 = pair.member_at(offs)
+                # canonical slots: small box at offsets (u1, v1) for type 1
+                small, long = (z1, z2) if pair_type == 1 else (z2, z1)
+                o_small, o_long = (offs[:2], offs[2:]) if pair_type == 1 else (offs[2:], offs[:2])
+                us, dys = _small_coords(pair.cx1, pair.cy1, *small)
+                ul, dyl = _long_coords(pair.ct2, pair.cy1, pair.cy2, *long)
+                assert np.abs(us / pair.g - o_small[0]).max() <= 1e-9
+                assert np.abs(dys / pair.h - o_small[1]).max() <= 1e-9
+                assert np.abs(ul / pair.g - o_long[0]).max() <= 1e-9
+                assert np.abs(dyl / pair.rho - o_long[1]).max() <= 1e-9
+                assert pair.contains_many(*z1, *z2).all()
+                checked += 1
+        assert checked >= 40
 
 
 class TestSerialization:
@@ -363,6 +392,25 @@ class TestEnumerate:
             assert (z1[:, 1] < V1.interval.right).all()
             assert (z2[:, 1] >= V2.interval.left).all()
             assert (z2[:, 1] < V2.interval.right).all()
+
+    def test_window_index_matches_validation(self):
+        # the row index and make_type1_pair apply one set of windows: in every
+        # indexed row and column, an offset d validates exactly when listed
+        V1, V2, delta, c0 = self.small_config()
+        g = RHO * RHO * delta
+        y2_0 = V2.j * RHO
+        d_max = int(4 * c0 * c0) + 1
+        rows = _type1_rows(V1, V2, delta, c0)
+        assert rows
+        for y1_0, d_valid, i_lo, _, starts, _ in rows:
+            listed = set(d_valid.tolist())
+            for i in range(i_lo, i_lo + len(starts) - 1):
+                admissible = {
+                    d for d in range(-d_max, d_max + 1)
+                    if isinstance(make_type1_pair(i * g, y1_0, (i + d) * g, y2_0,
+                                                  RHO, delta, c0), AdmissiblePair)
+                }
+                assert admissible == listed, (y1_0, i)
 
     def test_deterministic_order(self):
         V1, V2, delta, c0 = self.small_config()

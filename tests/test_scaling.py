@@ -137,7 +137,7 @@ class TestReduce:
         pair = pair_at(2.0**-3)
         red = reduce(pair)
         wedge = min(1.0, pair.delta)
-        corner = pair._small_member(1.0, 1.0)
+        corner, _ = pair.member_at((1.0, 1.0, 0.0, 0.0))
         mapped = red.map.apply(corner)
         assert mapped[0] == wedge and mapped[1] == wedge
         # the corner itself is excluded by half-openness

@@ -29,7 +29,6 @@ from hypwhitney.whitney import (
     containing_pairs,
     decompose,
     locate_pair,
-    locate_many,
 )
 
 RHO = 2.0**-4
@@ -102,18 +101,6 @@ class TestLocate:
             locate_pair((0.1, 0.0), (0.2, 0.75), V1, V2, C0)  # z1 not in V1
         with pytest.raises(ValueError):
             locate_pair((0.1, -0.75), (0.2, 0.75), strip(-2), strip(2), C0)
-
-    def test_locate_many_matches_pointwise(self):
-        rng = np.random.default_rng(14)
-        x1 = rng.uniform(-1, 1, 50)
-        y1 = -0.75 + rng.random(50) * RHO
-        x2 = rng.uniform(-1, 1, 50)
-        y2 = 0.75 + rng.random(50) * RHO
-        pairs = locate_many((x1, y1), (x2, y2), V1, V2, C0)
-        assert len(pairs) == 50
-        for i, p in enumerate(pairs):
-            assert p == locate_pair((x1[i], y1[i]), (x2[i], y2[i]), V1, V2, C0)
-            assert p.contains((x1[i], y1[i]), (x2[i], y2[i]))
 
     def test_audit_locate_full_success(self):
         rep = audit_locate(V1, V2, C0, 3000, seed=0)
@@ -191,8 +178,9 @@ class TestDecompose:
         stored1 = sum(len(v[0]) for v in d.scales.values())
         assert sum(v[0] for v in sizes.values()) == stored1
         for r in range(10):
-            for p in d.class_members(r):
-                assert round(math.log2(p.delta)) % 10 == r
+            in_class = [v for delta, v in d.scales.items() if round(math.log2(delta)) % 10 == r]
+            assert sizes[r] == (sum(len(l1) for l1, _ in in_class),
+                                sum(len(l2) for _, l2 in in_class))
 
     def test_json_summary_and_dump(self):
         d = decompose(V1, V2, C0, 2.0**-5, 1.0, cap=32)
