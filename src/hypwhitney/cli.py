@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,6 +33,7 @@ from .geometry import (
     AdmissiblePair,
     DyadicInterval,
     Strip,
+    _steps,
     audit_tau_bounds,
     is_dyadic,
     make_type1_pair,
@@ -243,16 +245,34 @@ def _corrupted_pair(rho: float, delta: float, C0: float) -> AdmissiblePair:
     return dataclasses.replace(pair, ct2=pair.cx1 + 64.0 * (pair.ct2 - pair.cx1))
 
 
-def run_audits(config: ExperimentConfig) -> dict:
-    """Execute the module audits over the configured grids.
+def _decompositions(config: ExperimentConfig):
+    """rho -> the decomposition of the strip pair at rho over the delta grid.
 
-    Returns the JSON-ready bundle; the aggregate `passed` ignores entries
-    marked as negative controls (those are expected to fail).
+    Each is built on first request and at most once per rho, whichever
+    thread asks first.
     """
+    built = {}
+    lock = threading.Lock()
+
+    def decomposition(rho):
+        with lock:
+            if rho not in built:
+                V1, V2 = _strips(rho, config.C0)
+                built[rho] = decompose(V1, V2, config.C0, min(config.delta_grid),
+                                       max(config.delta_grid), cap=config.whitney_cap)
+            return built[rho]
+
+    return decomposition
+
+
+def _audit_tasks(config: ExperimentConfig) -> list:
+    """The audit bundle as (name, negative_control, callable(seed) ->
+    AuditReport) in run order; a task's position fixes its seed."""
     C0 = config.C0
     n = config.samples
     tv_grid = [d for d in config.tv_delta_grid if d <= 0.25]
-    tasks = []  # (name, negative_control, callable(seed) -> AuditReport)
+    decomposition = _decompositions(config)
+    tasks = []
 
     # all grids empty -> empty bundle (vacuously passing)
     if config.rho_grid or config.delta_grid or tv_grid:
@@ -287,17 +307,15 @@ def run_audits(config: ExperimentConfig) -> dict:
         if pairs:
             tasks.append((f"gamma_scaled:rho={_dyadic_label(rho)}", False,
                           lambda s, p=pairs[0]: gamma_scaled_audit(p, min(n, 2000), s)))
-        dmin, dmax = min(config.delta_grid), max(config.delta_grid)
-        decomp = decompose(V1, V2, C0, dmin, dmax, cap=config.whitney_cap)
         tag = f":rho={_dyadic_label(rho)}"
         tasks.append(("whitney_disjoint" + tag, False,
-                      lambda s, dc=decomp: audit_disjoint(dc, n, s)))
+                      lambda s, r=rho: audit_disjoint(decomposition(r), n, s)))
         tasks.append(("whitney_overlap" + tag, False,
-                      lambda s, dc=decomp: audit_overlap(dc, min(n, 4000), s)))
+                      lambda s, r=rho: audit_overlap(decomposition(r), min(n, 4000), s)))
         tasks.append(("whitney_locate" + tag, False,
                       lambda s, v1=V1, v2=V2: audit_locate(v1, v2, C0, n, s)))
         tasks.append(("whitney_chi" + tag, False,
-                      lambda s, dc=decomp: audit_chi(dc, min(n, 2000), s)))
+                      lambda s, r=rho: audit_chi(decomposition(r), min(n, 2000), s)))
         for delta in config.delta_grid:
             if delta <= 0.125:
                 tasks.append((
@@ -321,24 +339,32 @@ def run_audits(config: ExperimentConfig) -> dict:
             tasks.append(("nc:sumset_x_shrunken", True,
                           lambda s: audit_sumset_x(V1, V2, C0, d0, n, s,
                                                    window_shrink=64.0)))
-        decomp_nc = decompose(V1, V2, C0, d0, max(config.delta_grid), cap=config.whitney_cap)
         tasks.append(("nc:overlap_kappa_tiny", True,
-                      lambda s: audit_overlap(decomp_nc, min(n, 2000), s, kappa=1e-3)))
+                      lambda s: audit_overlap(decomposition(rho0), min(n, 2000), s,
+                                              kappa=1e-3)))
+    return tasks
 
-    def run_task(idx_task):
-        idx, (name, nc, fn) = idx_task
+
+def _run_tasks(config: ExperimentConfig, kind: str, selected: list) -> dict:
+    """Run the (index, task) pairs of `selected`, seeding each task with
+    [config.seed, index], and assemble the JSON-ready report.
+
+    The aggregate `passed` ignores entries marked as negative controls
+    (those are expected to fail).
+    """
+    def run_task(item):
+        idx, (_, _, fn) = item
         return fn([config.seed, idx])
 
-    indexed = list(enumerate(tasks))
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            reports = list(pool.map(run_task, indexed))
+            reports = list(pool.map(run_task, selected))
     else:
-        reports = [run_task(it) for it in indexed]
+        reports = [run_task(item) for item in selected]
 
     audits = []
     passed = True
-    for (name, nc, _), rep in zip(tasks, reports):
+    for (_, (name, nc, _)), rep in zip(selected, reports):
         entry = rep.to_json_dict()
         entry["name"] = name
         entry["negative_control"] = nc
@@ -348,11 +374,20 @@ def run_audits(config: ExperimentConfig) -> dict:
             passed = passed and rep.passed
     return {
         "schema": SCHEMA,
-        "kind": "audit",
+        "kind": kind,
         "config": config.to_json_dict(),
         "audits": audits,
         "passed": passed,
     }
+
+
+def run_audits(config: ExperimentConfig) -> dict:
+    """Execute the module audits over the configured grids.
+
+    Returns the JSON-ready bundle; the aggregate `passed` ignores entries
+    marked as negative controls (those are expected to fail).
+    """
+    return _run_tasks(config, "audit", list(enumerate(_audit_tasks(config))))
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +398,12 @@ def _matched_straight_pair(config: ExperimentConfig, delta: float) -> Admissible
     """Admissible pair inside the square with scale-independent normalized
     windows: x1^0 = -1 and anchor discrepancy C0^2 * rho^2 * delta."""
     rho, C0 = config.straight_rho, config.C0
-    g = rho * rho * delta
+    g = _steps(rho, delta)[1]
     i = int(round(-1.0 / g))
     d = int(round(C0 * C0))
-    j = int(round(3.0 * C0 / 8.0))
-    pair = make_type1_pair(i * g, -j * rho, (i + d) * g, j * rho, rho, delta, C0)
+    V1, V2 = _strips(rho, C0)
+    pair = make_type1_pair(i * g, V1.interval.left, (i + d) * g, V2.interval.left,
+                           rho, delta, C0)
     if not isinstance(pair, AdmissiblePair):
         raise ValueError(f"no matched straight pair at delta={delta}: {pair}")
     return pair
@@ -505,6 +541,17 @@ def _config_from_args(args) -> ExperimentConfig:
     return config
 
 
+# Audit subcommands: the output file, and the task-name prefixes each one
+# selects from the bundle (None: the whole bundle).
+_AUDIT_COMMANDS = {
+    "audit": ("report.json", None),
+    "sumsets": ("sumsets.json",
+                ("sumset_x:", "sumset_cubes_stability:", "nc:sumset_x_shrunken")),
+    "transversality": ("transversality.json",
+                       ("prototype_tv_stability", "hessian_entry:")),
+}
+
+
 def _print_entries(entries) -> None:
     for e in entries:
         tag = "PASS" if e["pass"] else "FAIL"
@@ -531,9 +578,15 @@ def main(argv=None) -> int:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if args.command == "audit":
-        bundle = run_audits(config)
-        _write_json(out / "report.json", bundle)
+    if args.command in _AUDIT_COMMANDS:
+        filename, prefixes = _AUDIT_COMMANDS[args.command]
+        if prefixes is None:
+            bundle = run_audits(config)
+        else:
+            selected = [(k, task) for k, task in enumerate(_audit_tasks(config))
+                        if task[0].startswith(prefixes)]
+            bundle = _run_tasks(config, args.command, selected)
+        _write_json(out / filename, bundle)
         _print_entries(bundle["audits"])
         print(("PASS" if bundle["passed"] else "FAIL") + " aggregate")
         return 0 if bundle["passed"] else 1
@@ -541,10 +594,9 @@ def main(argv=None) -> int:
     if args.command == "decompose":
         payload = {"schema": SCHEMA, "kind": "decompose",
                    "config": config.to_json_dict(), "decompositions": []}
-        for rho in config.rho_grid:
-            V1, V2 = _strips(rho, config.C0)
-            decomp = decompose(V1, V2, config.C0, min(config.delta_grid),
-                               max(config.delta_grid), cap=config.whitney_cap)
+        decomposition = _decompositions(config)
+        for rho in config.rho_grid if config.delta_grid else ():
+            decomp = decomposition(rho)
             payload["decompositions"].append(decomp.to_json_dict())
             with open(out / f"pairs_rho_{-int(round(math.log2(rho)))}.jsonl",
                       "w", encoding="utf-8", newline="\n") as fh:
@@ -552,21 +604,6 @@ def main(argv=None) -> int:
         _write_json(out / "decomposition.json", payload)
         print(f"wrote {len(payload['decompositions'])} decompositions to {out}")
         return 0
-
-    if args.command == "transversality":
-        tv_grid = [d for d in config.tv_delta_grid if d <= 0.25]
-        reports = [prototype_tv_stability(tv_grid, config.c0, config.samples,
-                                          [config.seed, 0])]
-        for k, d in enumerate(tv_grid[:2]):
-            scene = prototype(d, config.c0, d, 1.0)
-            reports.append(audit_hessian_entry(scene, config.samples, [config.seed, 1 + k]))
-        entries = [r.to_json_dict() for r in reports]
-        payload = {"schema": SCHEMA, "kind": "transversality",
-                   "config": config.to_json_dict(), "audits": entries,
-                   "passed": all(r.passed for r in reports)}
-        _write_json(out / "transversality.json", payload)
-        _print_entries(entries)
-        return 0 if payload["passed"] else 1
 
     if args.command == "scaling-law":
         proto = run_scaling_law(config, "prototype")
@@ -582,44 +619,6 @@ def main(argv=None) -> int:
                   f"theory {res['theory_exponent']:.4f} "
                   f"within_band {res['within_band']}")
         return 0 if payload["passed"] else 1
-
-    if args.command == "sumsets":
-        rho0 = config.rho_grid[0]
-        V1, V2 = _strips(rho0, config.C0)
-        entries = []
-        passed = True
-        idx = 0
-        for delta in config.delta_grid:
-            if delta > 0.125:
-                continue
-            rep = audit_sumset_x(V1, V2, config.C0, delta, config.samples,
-                                 [config.seed, idx])
-            idx += 1
-            e = rep.to_json_dict()
-            e["negative_control"] = False
-            entries.append(e)
-            passed = passed and rep.passed
-        cube_grid = tuple(d for d in config.delta_grid if d <= 0.5)
-        if cube_grid:
-            rep = sumset_cube_stability(V1, V2, config.C0, cube_grid,
-                                        config.samples, [config.seed, idx])
-            idx += 1
-            e = rep.to_json_dict()
-            e["negative_control"] = False
-            entries.append(e)
-            passed = passed and rep.passed
-        if config.negative_controls and config.delta_grid[0] <= 0.125:
-            rep = audit_sumset_x(V1, V2, config.C0, config.delta_grid[0],
-                                 config.samples, [config.seed, idx], window_shrink=64.0)
-            e = rep.to_json_dict()
-            e["negative_control"] = True
-            entries.append(e)
-        payload = {"schema": SCHEMA, "kind": "sumsets",
-                   "config": config.to_json_dict(), "audits": entries,
-                   "passed": passed}
-        _write_json(out / "sumsets.json", payload)
-        _print_entries(entries)
-        return 0 if passed else 1
 
     raise AssertionError("unreachable")
 

@@ -106,10 +106,6 @@ class Carrier:
                        (0.0, 0.0, -1.0))
         raise ValueError("slot must be 1 or 2")
 
-    def x_of(self, u, y):
-        s0, s1, s2 = self.shear
-        return u + s0 + s1 * y + s2 * y * y
-
     def contains(self, x, y):
         s0, s1, s2 = self.shear
         u = x - (s0 + s1 * y + s2 * y * y)

@@ -357,7 +357,10 @@ def _in_window(v, lo, hi):
 def _windows(rho, delta, C0) -> tuple:
     """Half-open windows [lo1, hi1) for |t2_0 - x1_0| and [lo2, hi2) for the
     second endpoint value |(t2_0 - x1_0) - (y2_0 - y1_0)^2|.  Cached: a run
-    sees few dyadic scales but checks many candidates at each."""
+    sees few dyadic scales but checks many candidates at each.  Scales that
+    are not powers of two raise ValueError here, on every call, since the
+    cache keeps no exceptions."""
+    _require_dyadic(rho=rho, delta=delta, C0=C0)
     g = _steps(rho, delta)[1]
     scale2 = C0 * C0 * rho * rho * max(1.0, delta)
     return C0 * C0 * g / 4.0, 4.0 * C0 * C0 * g, scale2 / 512.0, 5.0 * scale2
@@ -379,7 +382,7 @@ def _rejection(cx1, cy1, ct2, cy2, rho, delta, C0):
 
 def _make_canonical(cx1, cy1, ct2, cy2, rho, delta, C0, pair_type):
     rho, delta, C0 = float(rho), float(delta), float(C0)
-    _require_dyadic(rho=rho, delta=delta, C0=C0)
+    lo1, hi1, lo2, hi2 = _windows(rho, delta, C0)
     cx1, cy1, ct2, cy2 = float(cx1), float(cy1), float(ct2), float(cy2)
     h, g = _steps(rho, delta)
     if not _on_grid(cy1, h):
@@ -395,7 +398,6 @@ def _make_canonical(cx1, cy1, ct2, cy2, rho, delta, C0, pair_type):
         return AdmissiblePair(
             pair_type=pair_type, rho=rho, delta=delta, C0=C0, cx1=cx1, cy1=cy1, ct2=ct2, cy2=cy2
         )
-    lo1, hi1, lo2, hi2 = _windows(rho, delta, C0)
     d = ct2 - cx1
     if which == "separation":
         message = (f"member separation around |y2-y1|={abs(cy2 - cy1)} leaves "

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,10 +56,6 @@ class PowerLawFit:
     log_prefactor: float
     r_squared: float
     n: int
-
-    @property
-    def prefactor(self) -> float:
-        return math.exp(self.log_prefactor)
 
 
 def fit_power_law(x, y) -> PowerLawFit:

@@ -43,7 +43,6 @@ from .surface import tau
 __all__ = [
     "DegenerateTau",
     "LocationFailed",
-    "ResourceLimit",
     "WhitneyDecomposition",
     "decompose",
     "locate_pair",
@@ -68,10 +67,6 @@ class DegenerateTau(ValueError):
 
 class LocationFailed(RuntimeError):
     """The snapped candidate was rejected or does not contain the point."""
-
-
-class ResourceLimit(RuntimeError):
-    """A scale holds more pairs than the configured materialization cap."""
 
 
 def _floor_log2(x: float) -> int:
@@ -230,10 +225,6 @@ class WhitneyDecomposition:
     strides: dict = field(default_factory=dict)
 
     @property
-    def strips(self) -> tuple:
-        return (self.V1, self.V2)
-
-    @property
     def truncated(self) -> bool:
         return any(s != (1, 1) for s in self.strides.values())
 
@@ -284,14 +275,13 @@ class WhitneyDecomposition:
 
 
 def decompose(V1: Strip, V2: Strip, C0, delta_min, delta_max,
-              cap: int = 4096, strict_cap: bool = False) -> WhitneyDecomposition:
+              cap: int = 4096) -> WhitneyDecomposition:
     """Materialize the pair family for every dyadic scale in the range.
 
     Scales outside the enumerable window (below 2^-20 or with
-    rho^2 delta > 4) are skipped.  A scale whose stream exceeds cap raises
-    ResourceLimit when strict_cap is set; otherwise an evenly strided subset
-    is stored (full counts stay exact either way).  An empty range yields an
-    empty decomposition.
+    rho^2 delta > 4) are skipped.  A scale whose stream exceeds cap stores
+    an evenly strided subset (full counts stay exact).  An empty range yields
+    an empty decomposition.
     """
     C0 = float(C0)
     rho = _check_strips(V1, V2, C0)
@@ -309,11 +299,6 @@ def decompose(V1: Strip, V2: Strip, C0, delta_min, delta_max,
             continue
         n1 = count_pairs(V1, V2, delta, C0, 1)
         n2 = count_pairs(V1, V2, delta, C0, 2)
-        if strict_cap and max(n1, n2) > cap:
-            raise ResourceLimit(
-                f"scale 2^{k} holds {max(n1, n2)} pairs, over the cap {cap}; "
-                "raise the cap, shrink the range, or stream with enumerate_pairs"
-            )
         l1, _, s1 = pair_sample(V1, V2, delta, C0, 1, cap)
         l2, _, s2 = pair_sample(V1, V2, delta, C0, 2, cap)
         out.scales[delta] = (l1, l2)

@@ -4,6 +4,9 @@ sweeps, power-law fitting, and the command-line entry point."""
 import dataclasses
 import json
 import math
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -139,6 +142,27 @@ class TestRunAudits:
         # controls never enter the aggregate
         base = {a["name"]: a["pass"] for a in run_audits(small_config())["audits"]}
         assert bundle["passed"] == all(base.values())
+
+    def test_decomposition_built_once_per_rho_under_contention(self, monkeypatch):
+        calls = []
+
+        def slow(V1, V2, *args, **kwargs):
+            calls.append(V1.rho)
+            time.sleep(0.01)
+            return object()
+
+        monkeypatch.setattr(cli, "decompose", slow)
+        rho_grid = (2.0**-4, 2.0**-5)
+        decomposition = cli._decompositions(small_config(rho_grid=rho_grid))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(decomposition, rho_grid * 16, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == sorted(rho_grid)
+        assert len({id(d) for d in got}) == 2
 
     def test_deterministic_and_thread_independent(self):
         cfg = small_config(seed=21)
@@ -313,3 +337,61 @@ class TestMain:
         payload = json.loads((out / "transversality.json").read_text())
         assert payload["config"]["seed"] == 99
         assert payload["config"]["threads"] == 2
+
+    @pytest.mark.parametrize("negative_controls", [False, True])
+    def test_subcommand_entries_equal_report_entries(self, tmp_path, negative_controls):
+        cfgp = self.write_config(tmp_path, seed=7)
+        flags = ["--negative-controls"] if negative_controls else []
+        payloads = {}
+        for command, filename in (("audit", "report.json"), ("sumsets", "sumsets.json"),
+                                  ("transversality", "transversality.json")):
+            out = tmp_path / command
+            main([command, "--config", str(cfgp), "--out", str(out)] + flags)
+            payloads[command] = json.loads((out / filename).read_text())
+        report = {e["name"]: e for e in payloads["audit"]["audits"]}
+        for command in ("sumsets", "transversality"):
+            entries = payloads[command]["audits"]
+            assert entries
+            for entry in entries:
+                assert entry == report[entry["name"]]
+        names = [e["name"] for e in payloads["sumsets"]["audits"]]
+        assert ("nc:sumset_x_shrunken" in names) == negative_controls
+
+    @pytest.mark.parametrize("command,threads,per_rho", [
+        ("sumsets", "1", 0),
+        ("transversality", "1", 0),
+        ("audit", "1", 1),
+        ("audit", "2", 1),
+    ])
+    def test_one_decomposition_per_rho(self, tmp_path, monkeypatch, command, threads,
+                                       per_rho):
+        rho_grid = (2.0**-4, 2.0**-5)
+        cfgp = self.write_config(tmp_path, rho_grid=rho_grid)
+        calls = []
+        real = cli.decompose
+
+        def counting(V1, V2, *args, **kwargs):
+            calls.append(V1.rho)
+            return real(V1, V2, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "decompose", counting)
+        main([command, "--config", str(cfgp), "--out", str(tmp_path / "out"),
+              "--threads", threads, "--negative-controls"])
+        assert sorted(calls) == sorted(rho_grid * per_rho)
+
+    @pytest.mark.parametrize("command,filename,key,overrides", [
+        ("sumsets", "sumsets.json", "audits", dict(rho_grid=())),
+        ("sumsets", "sumsets.json", "audits", dict(delta_grid=())),
+        ("transversality", "transversality.json", "audits",
+         dict(tv_delta_grid=(2.0**-2,))),
+        ("decompose", "decomposition.json", "decompositions", dict(delta_grid=())),
+    ], ids=["sumsets-no-rho", "sumsets-no-delta", "transversality-one-scale",
+            "decompose-no-delta"])
+    def test_grids_the_bundle_skips_give_empty_output(self, tmp_path, command, filename,
+                                                      key, overrides):
+        cfgp = self.write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        code = main([command, "--config", str(cfgp), "--out", str(out),
+                     "--negative-controls"])
+        assert code == 0
+        assert json.loads((out / filename).read_text())[key] == []

@@ -50,7 +50,6 @@ class TestCarrier:
     def test_rectangle_area(self):
         car = Carrier.rectangle(-0.25, 0.75, 0.0, 0.5)
         assert car.area == pytest.approx(0.5)
-        assert car.x_of(0.1, 0.3) == 0.1
 
     def test_pair_carriers_match_membership(self):
         pair = sample_pair()

@@ -195,6 +195,15 @@ class TestMakePairs:
         with pytest.raises(ValueError):
             make_type1_pair(0.0, -0.75, 0.25, 0.75, 0.3, 2.0**-3, C0)
 
+    @pytest.mark.parametrize("scale", ["rho", "delta", "C0"])
+    def test_non_dyadic_scale_raises_on_every_call(self, scale):
+        # the scale check sits in a cached helper, and a cache keeps no errors
+        scales = dict(rho=RHO, delta=2.0**-3, C0=C0)
+        scales[scale] *= 0.75
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"{scale} must be a positive power of two"):
+                make_type1_pair(0.0, -0.75, 0.25, 0.75, **scales)
+
     def test_type2_mirror(self):
         p1 = worked_pair()
         p2 = make_type2_pair(0.25, 0.75, 0.0, -0.75, RHO, 2.0**-3, C0)

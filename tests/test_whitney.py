@@ -20,7 +20,6 @@ from hypwhitney.geometry import (
 from hypwhitney.whitney import (
     DegenerateTau,
     LocationFailed,
-    ResourceLimit,
     audit_chi,
     audit_disjoint,
     audit_locate,
@@ -160,10 +159,6 @@ class TestDecompose:
         assert d.strides[2.0] == (1, 1) and not d.truncated
         assert l1 == list(enumerate_pairs(V1, V2, 2.0, C0, 1))
         assert l2 == list(enumerate_pairs(V1, V2, 2.0, C0, 2))
-
-    def test_strict_cap_raises(self):
-        with pytest.raises(ResourceLimit):
-            decompose(V1, V2, C0, 2.0**-4, 2.0**-4, cap=100, strict_cap=True)
 
     def test_empty_and_invalid_ranges(self):
         assert decompose(V1, V2, C0, 1.0, 0.5).scales == {}
