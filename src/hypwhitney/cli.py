@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -115,8 +116,15 @@ class ExperimentConfig:
             grid = getattr(self, name)
             if any(not is_dyadic(v) for v in grid):
                 raise ValueError(f"every entry of {name} must be a power of two")
-        if self.samples < 1 or self.threads < 1:
-            raise ValueError("samples and threads must be positive")
+        if self.samples < 1 or self.threads < 1 or self.whitney_cap < 1:
+            raise ValueError("samples, threads and whitney_cap must be positive")
+        if not self.exponent_tolerance >= 0.0:
+            raise ValueError(f"exponent_tolerance={self.exponent_tolerance} must be >= 0")
+        band = self.straight_band
+        if not (isinstance(band, (tuple, list)) and len(band) == 2
+                and all(isinstance(v, numbers.Real) and math.isfinite(v) for v in band)
+                and band[0] <= band[1]):
+            raise ValueError(f"straight_band={band!r} must be two finite numbers lo <= hi")
 
     def to_json_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -195,11 +203,10 @@ def _audit_identities(n: int, seed) -> AuditReport:
 
 def _cell_pairs(rho: float, delta: float, C0: float, limit: int = 3) -> list:
     V1, V2 = _strips(rho, C0)
-    pairs, total, _ = pair_sample(V1, V2, delta, C0, pair_type=1, max_pairs=limit)
-    if total == 0:
+    type1 = pair_sample(V1, V2, delta, C0, pair_type=1, max_pairs=limit)
+    if type1.total == 0:
         return []
-    pairs2, _, _ = pair_sample(V1, V2, delta, C0, pair_type=2, max_pairs=1)
-    return pairs + pairs2
+    return [*type1, *pair_sample(V1, V2, delta, C0, pair_type=2, max_pairs=1)]
 
 
 def _audit_tau_cell(rho: float, delta: float, C0: float, n: int, seed) -> AuditReport:

@@ -44,7 +44,6 @@ __all__ = [
     "NormEstimate",
     "FrequencyField",
     "UnresolvedOscillation",
-    "extend",
     "extend_points",
     "extend_grid",
     "lp_norm",
@@ -295,10 +294,6 @@ def extend_points(f: TestFunction, family: PhaseFamily, xis, quad: QuadratureSpe
     return f.amplitude * car.du * out
 
 
-def extend(f: TestFunction, family: PhaseFamily, xi, quad: QuadratureSpec = QuadratureSpec()) -> complex:
-    return complex(extend_points(f, family, np.asarray(xi, float)[None, :], quad)[0])
-
-
 # ---------------------------------------------------------------------------
 # Frequency fields and norms
 
@@ -385,7 +380,7 @@ def _slot_carrier(pair, slot: int) -> Carrier:
 
 def bilinear_field(pair, f: TestFunction, g: TestFunction, family: PhaseFamily,
                    quad: QuadratureSpec = QuadratureSpec()) -> FrequencyField:
-    """Pointwise product extend(f) * extend(g) on the frequency grid.
+    """Pointwise product extend_grid(f) * extend_grid(g) on the frequency grid.
 
     pair may be an admissible pair or a prototype scene; f must be carried
     on its first box and g on its second.

@@ -35,6 +35,7 @@ __all__ = [
     "DyadicInterval",
     "Strip",
     "AdmissiblePair",
+    "PairTable",
     "Rejected",
     "is_dyadic",
     "related_intervals",
@@ -44,9 +45,8 @@ __all__ = [
     "make_type2_pair",
     "sample_members",
     "audit_tau_bounds",
-    "enumerate_pairs",
-    "count_pairs",
     "pair_sample",
+    "count_pairs",
 ]
 
 # Sampled offsets are scaled into [0, 1 - 2^-30) so that rounding in the
@@ -338,14 +338,12 @@ class AdmissiblePair:
         }
 
 
-def _separation_ok(s0: float, h: float, rho: float, C0: float) -> bool:
-    # Member separations range over (s0 - h, s0 + rho) resp. (|s0| - rho,
-    # |s0| + h); both endpoints must stay within [C0*rho/2, C0*rho].
-    if s0 > 0:
-        return s0 - h >= C0 * rho / 2.0 and s0 + rho <= C0 * rho
-    if s0 < 0:
-        return -s0 - rho >= C0 * rho / 2.0 and -s0 + h <= C0 * rho
-    return False
+def _separation_ok(s0, h, rho, C0):
+    # Member separations range over (s0 - h, s0 + rho) when s0 > 0 and over
+    # (-s0 - rho, -s0 + h) when s0 < 0; both ends must stay within
+    # [C0*rho/2, C0*rho], which also fixes the sign.  Elementwise on arrays.
+    lo, hi = C0 * rho / 2.0, C0 * rho
+    return ((s0 - h >= lo) & (s0 + rho <= hi)) | ((-s0 - rho >= lo) & (-s0 + h <= hi))
 
 
 def _in_window(v, lo, hi):
@@ -366,18 +364,14 @@ def _windows(rho, delta, C0) -> tuple:
     return C0 * C0 * g / 4.0, 4.0 * C0 * C0 * g, scale2 / 512.0, 5.0 * scale2
 
 
-def _rejection(cx1, cy1, ct2, cy2, rho, delta, C0):
-    """The first admissibility condition the canonical parameters fail
-    ("separation", "admissible1" or "admissible2"), or None."""
-    if not _separation_ok(cy2 - cy1, _steps(rho, delta)[0], rho, C0):
-        return "separation"
+def _conditions(cx1, cy1, ct2, cy2, rho, delta, C0) -> tuple:
+    """Whether the canonical parameters meet the separation test, window 1
+    and window 2, in that order; elementwise on arrays."""
     lo1, hi1, lo2, hi2 = _windows(rho, delta, C0)
     d = ct2 - cx1
-    if not _in_window(abs(d), lo1, hi1):
-        return "admissible1"
-    if not _in_window(abs(d - (cy2 - cy1) ** 2), lo2, hi2):
-        return "admissible2"
-    return None
+    return (_separation_ok(cy2 - cy1, _steps(rho, delta)[0], rho, C0),
+            _in_window(abs(d), lo1, hi1),
+            _in_window(abs(d - (cy2 - cy1) ** 2), lo2, hi2))
 
 
 def _make_canonical(cx1, cy1, ct2, cy2, rho, delta, C0, pair_type):
@@ -393,20 +387,19 @@ def _make_canonical(cx1, cy1, ct2, cy2, rho, delta, C0, pair_type):
         if not _on_grid(v, g):
             raise ValueError(f"x-parameter {v} is not a multiple of {g}")
 
-    which = _rejection(cx1, cy1, ct2, cy2, rho, delta, C0)
-    if which is None:
-        return AdmissiblePair(
-            pair_type=pair_type, rho=rho, delta=delta, C0=C0, cx1=cx1, cy1=cy1, ct2=ct2, cy2=cy2
-        )
+    separated, window1, window2 = _conditions(cx1, cy1, ct2, cy2, rho, delta, C0)
     d = ct2 - cx1
-    if which == "separation":
-        message = (f"member separation around |y2-y1|={abs(cy2 - cy1)} leaves "
-                   f"[{C0 * rho / 2.0}, {C0 * rho}]")
-    elif which == "admissible1":
-        message = f"|t2_0 - x1_0|={abs(d)} outside [{lo1}, {hi1})"
-    else:
-        message = f"second window value {abs(d - (cy2 - cy1) ** 2)} outside [{lo2}, {hi2})"
-    return Rejected(which, message)
+    if not separated:
+        return Rejected("separation", f"member separation around |y2-y1|={abs(cy2 - cy1)} "
+                                      f"leaves [{C0 * rho / 2.0}, {C0 * rho}]")
+    if not window1:
+        return Rejected("admissible1", f"|t2_0 - x1_0|={abs(d)} outside [{lo1}, {hi1})")
+    if not window2:
+        return Rejected("admissible2", f"second window value {abs(d - (cy2 - cy1) ** 2)} "
+                                       f"outside [{lo2}, {hi2})")
+    return AdmissiblePair(
+        pair_type=pair_type, rho=rho, delta=delta, C0=C0, cx1=cx1, cy1=cy1, ct2=ct2, cy2=cy2
+    )
 
 
 def make_type1_pair(x1_0, y1_0, t2_0, y2_0, rho, delta, C0) -> Union[AdmissiblePair, Rejected]:
@@ -506,39 +499,50 @@ def _long_box_snap_range(y1_0: float, j2: int, rho: float, g: float) -> tuple:
     return math.floor(lo / g), math.floor(hi / g)
 
 
-def enumerate_pairs(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1) -> Iterator[AdmissiblePair]:
-    """Stream every admissible pair of the given type on V1 x V2 at scale delta.
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """Admissible pairs of one type at scales (rho, delta), as columns.
 
-    Deterministic order: the fine y-parameter ascending, then the small-box
-    x-parameter ascending, then the window offset d = (t2_0 - x1_0)/g
-    ascending.  Scales below 2^-20 yield an empty stream (the fine grid would
-    degenerate); rho^2*delta > 4 is an error.
+    cx1, cy1, ct2, cy2 hold the canonical type-1 parameters of the stored
+    pairs as float64 arrays.  The table stores every stride-th pair of a
+    stream of total pairs; indexing and iteration give `AdmissiblePair` row
+    views with Python floats.
     """
-    delta, C0 = float(delta), float(C0)
-    _require_dyadic(delta=delta, C0=C0)
-    if pair_type == 2:
-        for pair in enumerate_pairs(V2, V1, delta, C0, pair_type=1):
-            yield pair.swapped()
-        return
-    if pair_type != 1:
-        raise ValueError("pair_type must be 1 or 2")
 
-    for row in _type1_rows(V1, V2, delta, C0):
-        starts = row[4]
-        for col in range(len(starts) - 1):
-            for k in range(int(starts[col + 1] - starts[col])):
-                yield _row_pair(row, col, k, V2, delta, C0)
+    pair_type: int
+    rho: float
+    delta: float
+    C0: float
+    total: int
+    stride: int
+    cx1: np.ndarray
+    cy1: np.ndarray
+    ct2: np.ndarray
+    cy2: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cx1)
+
+    def __getitem__(self, k: int) -> AdmissiblePair:
+        return AdmissiblePair(self.pair_type, self.rho, self.delta, self.C0,
+                              float(self.cx1[k]), float(self.cy1[k]),
+                              float(self.ct2[k]), float(self.cy2[k]))
+
+    def __iter__(self) -> Iterator[AdmissiblePair]:
+        for params in zip(self.cx1.tolist(), self.cy1.tolist(), self.ct2.tolist(), self.cy2.tolist()):
+            yield AdmissiblePair(self.pair_type, self.rho, self.delta, self.C0, *params)
 
 
 def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float):
-    """Index the type-1 stream without materializing it.
+    """Index the type-1 pair stream without materializing it.
 
     One record per fine-grid row y1_0 that admits pairs:
     (y1_0, d_valid, i_lo, lo, starts, total) where for the k-th small-box
     column i = i_lo + k the valid window offsets are
     d_valid[lo[k] : lo[k] + (starts[k+1] - starts[k])], and starts is the
-    cumulative pair count across columns.  Row order and intra-row order
-    match enumerate_pairs exactly.  Only `_row_pair` decodes a record.
+    cumulative pair count across columns.  The stream runs over the records
+    in order, then the columns, then the offsets; only `_decode` reads a
+    record.
     """
     if V1.rho != V2.rho:
         raise ValueError("strips must share one scale")
@@ -577,84 +581,86 @@ def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float):
     return rows
 
 
-def _row_pair(row, col: int, k: int, V2: Strip, delta: float, C0: float) -> AdmissiblePair:
-    """The k-th pair of column col in one `_type1_rows` record."""
-    y1_0, d_valid, i_lo, lo, _, _ = row
-    rho = V2.rho
+def _decode(rows, q, y2_0: float, rho: float, delta: float, C0: float) -> tuple:
+    """Canonical columns (cx1, cy1, ct2, cy2) of the pairs at positions q of
+    the stream indexed by the `_type1_rows` records.  Every decoded pair is
+    checked once against the admissibility conditions; RuntimeError if one
+    fails."""
+    q = np.asarray(q, dtype=np.int64)
     g = _steps(rho, delta)[1]
-    i = i_lo + col
-    d = int(d_valid[lo[col] + k])
-    pair = make_type1_pair(i * g, y1_0, (i + d) * g, V2.j * rho, rho, delta, C0)
-    if not isinstance(pair, AdmissiblePair):
-        raise RuntimeError(f"indexed candidate failed validation: {pair}")
-    return pair
+    row_pos = np.cumsum([0] + [row[-1] for row in rows])
+    r = np.searchsorted(row_pos, q, side="right") - 1
+    local = q - row_pos[r]
+    i = np.empty(q.size, dtype=np.int64)
+    d = np.empty(q.size, dtype=np.int64)
+    # one row at a time: the per-column arrays of all rows together can run
+    # to hundreds of megabytes at fine scales
+    for m in np.unique(r):
+        sel = r == m
+        _, d_valid, i_lo, lo, starts, _ = rows[m]
+        col = np.searchsorted(starts, local[sel], side="right") - 1
+        i[sel] = i_lo + col
+        d[sel] = d_valid[lo[col] + local[sel] - starts[col]]
+    cy1 = np.array([row[0] for row in rows], dtype=np.float64)[r]
+    cols = (i * g, cy1, (i + d) * g, np.full(q.size, y2_0))
+    ok = np.logical_and.reduce(_conditions(*cols, rho, delta, C0))
+    if not ok.all():
+        first = (float(v[np.argmin(ok)]) for v in cols)
+        raise RuntimeError(f"indexed candidate failed validation: {make_type1_pair(*first, rho, delta, C0)}")
+    return cols
 
 
-def count_pairs(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1) -> int:
-    """Exact size of the admissible-pair stream, without iterating it."""
-    delta, C0 = float(delta), float(C0)
-    _require_dyadic(delta=delta, C0=C0)
-    if pair_type == 2:
-        return count_pairs(V2, V1, delta, C0, pair_type=1)
-    if pair_type != 1:
-        raise ValueError("pair_type must be 1 or 2")
-    return sum(row[-1] for row in _type1_rows(V1, V2, delta, C0))
+def pair_sample(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1,
+                max_pairs: int = 4096) -> PairTable:
+    """Every stride-th admissible pair of the given type on V1 x V2 at scale
+    delta, as one table of at most max_pairs rows.
 
-
-def pair_sample(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1, max_pairs: int = 4096):
-    """Materialize an evenly strided subset of the pair stream.
-
-    Returns (pairs, total, stride): every stride-th pair of the full stream
-    in enumeration order, at most ~max_pairs of them.  Deterministic; skipped
-    elements are never constructed, so this stays cheap even when the full
-    stream has 1e8+ members.
+    The type-1 stream runs over the fine y-parameter ascending, then the
+    small-box x-parameter ascending, then the window offset
+    d = (t2_0 - x1_0)/g ascending; the type-2 stream is the type-1 stream of
+    (V2, V1) with the slots interchanged.  total is the exact stream size and
+    stride = max(1, ceil(total/max_pairs)).  Skipped pairs are never built,
+    so this stays cheap even when the stream has 1e8+ members.  Scales below
+    2^-20 give an empty table; rho^2*delta > 4 is an error.
     """
     delta, C0 = float(delta), float(C0)
     _require_dyadic(delta=delta, C0=C0)
     if max_pairs < 1:
         raise ValueError("max_pairs must be positive")
-    if pair_type == 2:
-        pairs, total, stride = pair_sample(V2, V1, delta, C0, 1, max_pairs)
-        return [p.swapped() for p in pairs], total, stride
-    if pair_type != 1:
+    if pair_type not in (1, 2):
         raise ValueError("pair_type must be 1 or 2")
-
+    if pair_type == 2:
+        V1, V2 = V2, V1
+    rho = float(V1.rho)
     rows = _type1_rows(V1, V2, delta, C0)
     total = sum(row[-1] for row in rows)
-    if total == 0:
-        return [], 0, 1
     stride = max(1, -(-total // max_pairs))
+    cols = _decode(rows, np.arange(0, total, stride), V2.j * rho, rho, delta, C0)
+    return PairTable(pair_type, rho, delta, C0, total, stride, *cols)
 
-    pairs = []
-    row_iter = iter(rows)
-    row = next(row_iter)
-    row_base = 0
-    for q in range(0, total, stride):
-        while q >= row_base + row[-1]:
-            row_base += row[-1]
-            row = next(row_iter)
-        starts = row[4]
-        local = q - row_base
-        col = int(np.searchsorted(starts, local, side="right")) - 1
-        pairs.append(_row_pair(row, col, local - int(starts[col]), V2, delta, C0))
-    return pairs, total, stride
+
+def count_pairs(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1) -> int:
+    """Exact size of the pair stream: the total of its one-row table."""
+    return pair_sample(V1, V2, delta, C0, pair_type, max_pairs=1).total
 
 
 def _sample_pairs(rng, V1: Strip, V2: Strip, C0: float, delta: float, count: int,
-                  x_band: bool = False) -> list:
-    """count admissible pairs drawn from the enumeration index; with x_band,
-    the small-box column is restricted to i in [0, 1/delta] (the N=0 band)."""
+                  x_band: bool = False) -> PairTable:
+    """count type-1 pairs drawn from the stream index, as a stride-1 table of
+    total count; with x_band, the small-box column is restricted to
+    i in [0, 1/delta] (the N=0 band)."""
     rows = _type1_rows(V1, V2, delta, C0)
     if not rows:
         raise ValueError("no admissible pairs at this scale")
-    out = []
+    row_pos = np.cumsum([0] + [row[-1] for row in rows])
+    q = []
     guard = 0
-    while len(out) < count:
+    while len(q) < count:
         guard += 1
         if guard > 200 * count + 1000:
             raise ValueError("sampling stalled; configuration too sparse")
-        row = rows[int(rng.integers(len(rows)))]
-        i_lo, starts = row[2], row[4]
+        r = int(rng.integers(len(rows)))
+        i_lo, starts = rows[r][2], rows[r][4]
         ncols = len(starts) - 1
         if x_band:
             c_lo = max(0, -i_lo)
@@ -667,8 +673,10 @@ def _sample_pairs(rng, V1: Strip, V2: Strip, C0: float, delta: float, count: int
         c = int(starts[col + 1] - starts[col])
         if c == 0:
             continue
-        out.append(_row_pair(row, col, int(rng.integers(c)), V2, delta, C0))
-    return out
+        q.append(int(row_pos[r] + starts[col]) + int(rng.integers(c)))
+    rho = float(V1.rho)
+    cols = _decode(rows, q, V2.j * rho, rho, delta, C0)
+    return PairTable(1, rho, delta, float(C0), count, 1, *cols)
 
 
 def _check_strips(V1: Strip, V2: Strip, C0: float) -> float:

@@ -5,8 +5,10 @@ scales delta, tile the off-diagonal part of the strip product: every
 non-degenerate point (z1, z2) lies in at least one product, within one scale
 and type it lies in at most one, and the scales that can contain it are
 pinned to a narrow dyadic window by the size of its anchored discrepancies.
-This module materializes bounded snapshots of that family (decompose), finds
-the pair containing a given point constructively (locate_pair), enumerates
+This module materializes bounded snapshots of that family (decompose: one
+`geometry.PairTable` per scale and type, columns of canonical parameters
+with the exact stream size and the stride of the stored subset), finds the
+pair containing a given point constructively (locate_pair), enumerates
 every containing product by scanning the dyadic window (containing_pairs),
 and audits the covering claims on random samples.
 """
@@ -28,11 +30,10 @@ from .geometry import (
     _check_strips,
     _long_coords,
     _long_member,
-    _rejection,
+    _conditions,
     _small_coords,
     _small_member,
     _steps,
-    count_pairs,
     make_type1_pair,
     make_type2_pair,
     pair_sample,
@@ -175,7 +176,7 @@ def _anchor_candidates(zs, zl, rho, C0) -> list:
         x10, y10, t20, y20 = _snap_type1(zs[0], zs[1], zl[0], zl[1], rho, delta)
         # most snaps fail a window; checking first is cheaper than letting
         # make_type1_pair re-validate the grid and build a Rejected for each
-        if _rejection(x10, y10, t20, y20, rho, delta, C0) is not None:
+        if not all(_conditions(x10, y10, t20, y20, rho, delta, C0)):
             continue
         cand = make_type1_pair(x10, y10, t20, y20, rho, delta, C0)
         if isinstance(cand, AdmissiblePair) and cand.contains(zs, zl):
@@ -209,10 +210,10 @@ def classes_and_chi(decomp: "WhitneyDecomposition", z1, z2) -> int:
 class WhitneyDecomposition:
     """Bounded snapshot of the pair family over one strip pair.
 
-    scales maps each materialized dyadic delta to (type-1 list, type-2
-    list); when the full stream at a scale exceeds the cap the lists hold an
-    evenly strided subset and strides records the thinning factor (1 means
-    complete).  totals always records the exact full stream sizes.
+    scales maps each materialized dyadic delta to (type-1 table, type-2
+    table).  When the full stream at a scale exceeds the cap a table holds
+    an evenly strided subset and its stride records the thinning factor
+    (1 means complete); its total is always the exact full stream size.
     """
 
     V1: Strip
@@ -221,12 +222,10 @@ class WhitneyDecomposition:
     delta_min: float
     delta_max: float
     scales: dict = field(default_factory=dict)
-    totals: dict = field(default_factory=dict)
-    strides: dict = field(default_factory=dict)
 
     @property
     def truncated(self) -> bool:
-        return any(s != (1, 1) for s in self.strides.values())
+        return any(t.stride != 1 for tables in self.scales.values() for t in tables)
 
     def class_sizes(self) -> dict:
         sizes = {r: [0, 0] for r in range(10)}
@@ -239,17 +238,15 @@ class WhitneyDecomposition:
     def to_json_dict(self) -> dict:
         scales = {}
         for delta in sorted(self.scales):
-            l1, l2 = self.scales[delta]
-            n1, n2 = self.totals[delta]
-            s1, s2 = self.strides[delta]
+            t1, t2 = self.scales[delta]
             scales[f"2^{_floor_log2(delta)}"] = {
                 "delta": delta,
-                "type1_total": n1,
-                "type2_total": n2,
-                "type1_stored": len(l1),
-                "type2_stored": len(l2),
-                "stride1": s1,
-                "stride2": s2,
+                "type1_total": t1.total,
+                "type2_total": t2.total,
+                "type1_stored": len(t1),
+                "type2_stored": len(t2),
+                "stride1": t1.stride,
+                "stride2": t2.stride,
             }
         return {
             "strips": {"j1": self.V1.j, "j2": self.V2.j, "rho": self.V1.rho},
@@ -297,13 +294,8 @@ def decompose(V1: Strip, V2: Strip, C0, delta_min, delta_max,
         delta = math.ldexp(1.0, k)
         if delta < DELTA_MIN or rho * rho * delta > 4.0:
             continue
-        n1 = count_pairs(V1, V2, delta, C0, 1)
-        n2 = count_pairs(V1, V2, delta, C0, 2)
-        l1, _, s1 = pair_sample(V1, V2, delta, C0, 1, cap)
-        l2, _, s2 = pair_sample(V1, V2, delta, C0, 2, cap)
-        out.scales[delta] = (l1, l2)
-        out.totals[delta] = (n1, n2)
-        out.strides[delta] = (s1, s2)
+        out.scales[delta] = (pair_sample(V1, V2, delta, C0, 1, cap),
+                             pair_sample(V1, V2, delta, C0, 2, cap))
     return out
 
 
@@ -326,6 +318,8 @@ def _near_wall(zs, zl, rho, delta) -> bool:
 
 def _interior_samples(rng, V1: Strip, V2: Strip, C0, n: int):
     """n points of V1 x V2, re-drawn while degenerate or wall-adjacent."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     rho = V1.rho
     out = np.empty((4, n))
     filled = 0
@@ -362,14 +356,6 @@ def _interior_samples(rng, V1: Strip, V2: Strip, C0, n: int):
 # Audits
 
 
-def _canonical_arrays(pairs) -> tuple:
-    cx1 = np.array([p.cx1 for p in pairs])
-    cy1 = np.array([p.cy1 for p in pairs])
-    ct2 = np.array([p.ct2 for p in pairs])
-    cy2 = np.array([p.cy2 for p in pairs])
-    return cx1, cy1, ct2, cy2
-
-
 def _containment_counts(arrays, rho, delta, x1, y1, x2, y2) -> np.ndarray:
     """How many of the pairs contain each canonical sample; chunked."""
     points = (x1[None, :], y1[None, :], x2[None, :], y2[None, :])
@@ -388,6 +374,8 @@ def audit_disjoint(decomp: WhitneyDecomposition, n: int, seed) -> AuditReport:
     products themselves (cycling through all of them) so that containment is
     actually exercised.  Any sample covered twice is a violation.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     rng = np.random.default_rng(seed)
     rho = decomp.V1.rho
     failures = []
@@ -395,10 +383,10 @@ def audit_disjoint(decomp: WhitneyDecomposition, n: int, seed) -> AuditReport:
     inside = 0
     max_count = 0
     for delta in sorted(decomp.scales):
-        for slot, pairs in enumerate(decomp.scales[delta]):
-            if not pairs:
+        for slot, table in enumerate(decomp.scales[delta]):
+            if not table:
                 continue
-            arrays = _canonical_arrays(pairs)
+            arrays = (table.cx1, table.cy1, table.ct2, table.cy2)
             cx1, cy1, ct2, cy2 = arrays
             h, g = _steps(rho, delta)
             # canonical small slot lives in V1 for type 1 lists, V2 for type 2
@@ -411,7 +399,7 @@ def audit_disjoint(decomp: WhitneyDecomposition, n: int, seed) -> AuditReport:
             us[1, :nu] = Vs.interval.left + rng.random(nu) * rho
             us[2, :nu] = rng.uniform(-1.0 - g, 1.0 + g, nu)
             us[3, :nu] = Vl.interval.left + rng.random(nu) * rho
-            idx = np.arange(nm) % len(pairs)
+            idx = np.arange(nm) % len(table)
             offs = rng.random((4, nm)) * OPEN_SCALE
             us[0, nu:], us[1, nu:] = _small_member(cx1[idx], cy1[idx], h, g, offs[0], offs[1])
             us[2, nu:], us[3, nu:] = _long_member(ct2[idx], cy1[idx], cy2[idx], rho, g,

@@ -15,7 +15,7 @@ from hypwhitney.extension import (
     QuadratureSpec,
     TestFunction,
     audit_sumset_x,
-    extend,
+    extend_points,
     sumset_cube_stability,
 )
 from hypwhitney.geometry import (
@@ -51,9 +51,8 @@ def spanning_pairs(limit, per_cell, seed_cols=True):
         V1, V2 = strips(rho)
         for delta in DELTA_GRID:
             for ptype in (1, 2):
-                got, _, _ = pair_sample(V1, V2, delta, C0,
-                                        pair_type=ptype, max_pairs=per_cell)
-                pairs.extend(got)
+                pairs.extend(pair_sample(V1, V2, delta, C0,
+                                         pair_type=ptype, max_pairs=per_cell))
     return pairs[:limit]
 
 
@@ -213,23 +212,23 @@ def test_criterion_07_quadrature_correctness():
         Carrier.from_pair(pairs[0], 2),
         Carrier.from_prototype(prototype(2.0**-3, 2.0**-5, 2.0**-3, 1.0), 2),
     ]
-    e_zero = max(abs(extend(TestFunction.indicator(c), BASE, (0.0, 0.0, 0.0),
-                            quad) - c.area) for c in carriers)
+    e_zero = max(abs(extend_points(TestFunction.indicator(c), BASE, (0.0, 0.0, 0.0),
+                                   quad)[0] - c.area) for c in carriers)
     e_refine = 0.0
     f = TestFunction.indicator(carriers[0])
     for _ in range(10):
         xi = rng.standard_normal(3)
         xi = tuple(xi / np.linalg.norm(xi) * rng.uniform(1.0, 2.0**6))
-        e_refine = max(e_refine, abs(extend(f, BASE, xi, quad)
-                                     - extend(f, BASE, xi, quad.refine())))
+        e_refine = max(e_refine, abs(extend_points(f, BASE, xi, quad)[0]
+                                     - extend_points(f, BASE, xi, quad.refine())[0]))
     c = carriers[1]
     parts = [c.subbox((a, a + 0.5), (b, b + 0.5))
              for a in (0.0, 0.5) for b in (0.0, 0.5)]
     e_linear = 0.0
     for _ in range(10):
         xi = tuple(rng.uniform(-64, 64, 3))
-        whole = extend(TestFunction.indicator(c), BASE, xi, quad)
-        total = sum(extend(TestFunction.indicator(p), BASE, xi, quad)
+        whole = extend_points(TestFunction.indicator(c), BASE, xi, quad)[0]
+        total = sum(extend_points(TestFunction.indicator(p), BASE, xi, quad)[0]
                     for p in parts)
         e_linear = max(e_linear, abs(whole - total))
     ok = e_zero <= 1e-10 and e_refine <= 1e-8 and e_linear <= 1e-12
@@ -286,9 +285,8 @@ def test_criterion_09_scaling_law_exponents():
 def test_criterion_10_negative_controls():
     rho, delta = 2.0**-4, 2.0**-4
     V1, V2 = strips(rho)
-    pairs, _, _ = pair_sample(V1, V2, delta, C0, max_pairs=1)
-    corrupted = dataclasses.replace(
-        pairs[0], ct2=pairs[0].cx1 + 64.0 * (pairs[0].ct2 - pairs[0].cx1))
+    pair = pair_sample(V1, V2, delta, C0, max_pairs=1)[0]
+    corrupted = dataclasses.replace(pair, ct2=pair.cx1 + 64.0 * (pair.ct2 - pair.cx1))
     rep_pair = audit_tau_bounds(corrupted, 1000, 101)
     rep_window = audit_sumset_x(V1, V2, C0, delta, 20000, 102,
                                 window_shrink=64.0)

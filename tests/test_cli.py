@@ -60,7 +60,13 @@ class TestConfig:
             ExperimentConfig(p=5.0 / 3.0)
         with pytest.raises(ValueError):
             ExperimentConfig(q=1.5)
+        for bad in ((0.3,), (0.3, -0.15), (-0.15, math.inf), (-0.15, math.nan), 0.3):
+            with pytest.raises(ValueError):
+                ExperimentConfig(straight_band=bad)
+        with pytest.raises(ValueError):
+            ExperimentConfig(exponent_tolerance=-0.01)
         ExperimentConfig(p=1.75)
+        ExperimentConfig(straight_band=(0.0, 0.0), exponent_tolerance=0.0)
 
     def test_grids_must_be_dyadic(self):
         with pytest.raises(ValueError):
@@ -69,6 +75,8 @@ class TestConfig:
             ExperimentConfig(delta_grid=(2.0**-3, 0.75))
         with pytest.raises(ValueError):
             ExperimentConfig(C0=24.0)
+        with pytest.raises(ValueError):
+            ExperimentConfig(whitney_cap=0)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):

@@ -1,12 +1,14 @@
 """Tests for strips, strip-pair tilings, and admissible box pairs."""
 
-import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hypwhitney import geometry
 from hypwhitney.geometry import (
     OPEN_SCALE,
     AdmissiblePair,
@@ -16,7 +18,6 @@ from hypwhitney.geometry import (
     admissible_strip_pairs,
     audit_tau_bounds,
     count_pairs,
-    enumerate_pairs,
     is_dyadic,
     make_type1_pair,
     make_type2_pair,
@@ -275,8 +276,7 @@ class TestMemberMap:
         rng = np.random.default_rng(21)
         checked = 0
         for k in range(-6, 3):
-            pairs, _, _ = pair_sample(V1, V2, 2.0**k, C0, pair_type=pair_type, max_pairs=8)
-            for pair in pairs:
+            for pair in pair_sample(V1, V2, 2.0**k, C0, pair_type=pair_type, max_pairs=8):
                 offs = rng.random((4, 64)) * OPEN_SCALE
                 z1, z2 = pair.member_at(offs)
                 # canonical slots: small box at offsets (u1, v1) for type 1
@@ -353,6 +353,13 @@ class TestAuditTauBounds:
         assert d["samples"] == 500
 
 
+def full_table(V1, V2, delta, c0, pair_type=1):
+    """The stride-1 table of a stream small enough to materialize."""
+    table = pair_sample(V1, V2, delta, c0, pair_type=pair_type, max_pairs=10**6)
+    assert table.stride == 1 and len(table) == table.total
+    return table
+
+
 class TestEnumerate:
     # C0=16, rho=2^-4, delta=4, strips at -6 and +6: small enough to
     # materialize; expected count worked out by hand from the snap ranges
@@ -363,34 +370,55 @@ class TestEnumerate:
 
     def test_full_enumeration_count(self):
         V1, V2, delta, c0 = self.small_config()
-        pairs = list(enumerate_pairs(V1, V2, delta, c0))
+        table = full_table(V1, V2, delta, c0)
         # i in [-67, 65], t_idx in [-46, 86], |d| in [64, 1024):
         # positives give sum_{d=64}^{154}(154-d) = 4095, negatives 1176
-        assert len(pairs) == 5271
-        assert len({(p.cx1, p.ct2) for p in pairs}) == len(pairs)
+        assert len(table) == 5271
+        assert len({(p.cx1, p.ct2) for p in table}) == len(table)
+
+    def test_stream_matches_brute_force_scan(self):
+        # every row y1_0, every column i and every offset |d| <= 4*C0^2 + 1,
+        # kept when make_type1_pair admits the pair and t2_0 = (i + d)*g lies
+        # in the long box's snap range; collected in stream order
+        V1, V2, delta, c0 = self.small_config()
+        h, g = RHO, RHO * RHO * delta  # delta >= 1: one fine row per strip
+        d_max = int(4 * c0 * c0) + 1
+        scan = []
+        for m in range(int(RHO / h)):
+            y1_0 = V1.interval.left + m * h
+            # the row's column range and snap range, derived by hand for
+            # y1_0 = -3/8: |y1_0|*h/g = 3/2
+            assert y1_0 == -0.375
+            for i in range(-67, 66):
+                for d in range(-d_max, d_max + 1):
+                    if not -46 <= i + d <= 86:
+                        continue
+                    pair = make_type1_pair(i * g, y1_0, (i + d) * g, V2.interval.left,
+                                           RHO, delta, c0)
+                    if isinstance(pair, AdmissiblePair):
+                        scan.append(pair)
+        assert list(full_table(V1, V2, delta, c0)) == scan
 
     def test_enumeration_against_interval_arithmetic(self):
         V1, V2, delta, c0 = self.small_config()
-        pairs = list(enumerate_pairs(V1, V2, delta, c0))
+        table = full_table(V1, V2, delta, c0)
         g = RHO * RHO * delta
-        d_all = np.array(sorted({int(round((p.ct2 - p.cx1) / g)) for p in pairs}))
+        offsets = np.round((table.ct2 - table.cx1) / g).astype(int)
+        d_all = np.unique(offsets)
         assert d_all.min() >= -1023 and d_all.max() <= 1023
         assert (np.abs(d_all) >= 64).all()
         # count per d must equal the clipped i-interval length
-        from collections import Counter
-
-        per_d = Counter(int(round((p.ct2 - p.cx1) / g)) for p in pairs)
-        for d, n in per_d.items():
+        for d, n in zip(*np.unique(offsets, return_counts=True)):
             lo = max(-67, -46 - d)
             hi = min(65, 86 - d)
             assert n == hi - lo + 1
 
     def test_all_emitted_pairs_revalidate(self):
         V1, V2, delta, c0 = self.small_config()
-        pairs = list(enumerate_pairs(V1, V2, delta, c0))
+        table = full_table(V1, V2, delta, c0)
         rng = np.random.default_rng(12)
-        for p in rng.choice(len(pairs), size=300, replace=False):
-            p = pairs[int(p)]
+        for k in rng.choice(len(table), size=300, replace=False):
+            p = table[int(k)]
             q = p.params
             again = make_type1_pair(
                 q["x1_0"], q["y1_0"], q["t2_0"], q["y2_0"], p.rho, p.delta, p.C0
@@ -421,9 +449,20 @@ class TestEnumerate:
                 }
                 assert admissible == listed, (y1_0, i)
 
+    def test_corrupted_index_raises(self, monkeypatch):
+        # a decoded pair that fails the windows is a fault of the index, not
+        # a rejection: the decoder raises
+        V1, V2, delta, c0 = self.small_config()
+        rows = _type1_rows(V1, V2, delta, c0)
+        y1_0, d_valid, i_lo, lo, starts, total = rows[0]
+        broken = [(y1_0, d_valid * 64, i_lo, lo, starts, total)] + rows[1:]
+        monkeypatch.setattr(geometry, "_type1_rows", lambda *args: broken)
+        with pytest.raises(RuntimeError, match="indexed candidate failed validation"):
+            pair_sample(V1, V2, delta, c0)
+
     def test_deterministic_order(self):
         V1, V2, delta, c0 = self.small_config()
-        pairs = list(itertools.islice(enumerate_pairs(V1, V2, delta, c0), 400))
+        pairs = list(full_table(V1, V2, delta, c0))[:400]
         keys = [(p.cy1, p.cx1, p.ct2 - p.cx1) for p in pairs]
         assert keys == sorted(keys)
         first = pairs[0]
@@ -432,8 +471,10 @@ class TestEnumerate:
 
     def test_large_stream_prefix(self):
         V1, V2 = separated_strip_pair(-12, 12, RHO, C0)
-        pairs = list(itertools.islice(enumerate_pairs(V1, V2, 2.0**-3, C0), 300))
-        assert len(pairs) == 300
+        table = pair_sample(V1, V2, 2.0**-3, C0, max_pairs=300)
+        assert table.stride > 1
+        assert len(table) == -(-table.total // table.stride) <= 300
+        pairs = list(table)
         assert pairs[0].params["y1_0"] == -0.75
         assert pairs[0].params["x1_0"] == -2061 * pairs[0].g
         assert pairs[0].params["t2_0"] == 0.125
@@ -448,35 +489,52 @@ class TestEnumerate:
 
     def test_type2_stream_is_swapped_type1(self):
         V1, V2, delta, c0 = self.small_config()
-        t2 = list(itertools.islice(enumerate_pairs(V1, V2, delta, c0, pair_type=2), 60))
-        t1 = list(itertools.islice(enumerate_pairs(V2, V1, delta, c0, pair_type=1), 60))
-        assert [p.swapped() for p in t1] == t2
+        t2 = full_table(V1, V2, delta, c0, pair_type=2)
+        t1 = full_table(V2, V1, delta, c0, pair_type=1)
+        assert (t2.pair_type, t2.total, t2.stride) == (2, t1.total, t1.stride)
+        for name in ("cx1", "cy1", "ct2", "cy2"):
+            assert np.array_equal(getattr(t2, name), getattr(t1, name))
+        assert [p.swapped() for p in t1] == list(t2)
         assert all(p.pair_type == 2 for p in t2)
 
     def test_scale_limits(self):
         V1, V2, _, c0 = self.small_config()
-        assert list(enumerate_pairs(V1, V2, 2.0**-21, c0)) == []
+        empty = pair_sample(V1, V2, 2.0**-21, c0)
+        assert (len(empty), empty.total, empty.stride, list(empty)) == (0, 0, 1, [])
         with pytest.raises(ValueError):
-            next(enumerate_pairs(V1, V2, 2.0**15, c0))
+            pair_sample(V1, V2, 2.0**15, c0)
         with pytest.raises(ValueError):
-            next(enumerate_pairs(V1, Strip(DyadicInterval(6, 2.0**-5)), 1.0, c0))
+            pair_sample(V1, Strip(DyadicInterval(6, 2.0**-5)), 1.0, c0)
         with pytest.raises(ValueError):
-            list(enumerate_pairs(V1, V2, 1.0, c0, pair_type=3))
+            pair_sample(V1, V2, 1.0, c0, pair_type=3)
+        with pytest.raises(ValueError):
+            pair_sample(V1, V2, 1.0, c0, max_pairs=0)
 
     def test_count_matches_stream(self):
         V1, V2, delta, c0 = self.small_config()
-        assert count_pairs(V1, V2, delta, c0) == 5271
+        assert count_pairs(V1, V2, delta, c0) == len(full_table(V1, V2, delta, c0)) == 5271
         assert count_pairs(V1, V2, delta, c0, pair_type=2) == \
-            len(list(enumerate_pairs(V1, V2, delta, c0, pair_type=2)))
+            len(list(full_table(V1, V2, delta, c0, pair_type=2)))
         assert count_pairs(V1, V2, 2.0**-21, c0) == 0
 
     def test_strided_sample_matches_stream(self):
         V1, V2, delta, c0 = self.small_config()
-        full = list(enumerate_pairs(V1, V2, delta, c0))
+        full = list(full_table(V1, V2, delta, c0))
         for cap in (40, 500, 10000):
-            pairs, total, stride = pair_sample(V1, V2, delta, c0, max_pairs=cap)
-            assert total == 5271 and stride == max(1, -(-total // cap))
-            assert pairs == full[::stride]
-        t2, total2, s2 = pair_sample(V1, V2, delta, c0, pair_type=2, max_pairs=64)
+            table = pair_sample(V1, V2, delta, c0, max_pairs=cap)
+            assert table.total == 5271 and table.stride == max(1, -(-table.total // cap))
+            assert list(table) == full[::table.stride]
+        t2 = pair_sample(V1, V2, delta, c0, pair_type=2, max_pairs=64)
         assert all(p.pair_type == 2 for p in t2)
-        assert total2 == count_pairs(V1, V2, delta, c0, pair_type=2)
+        assert t2.total == len(full_table(V1, V2, delta, c0, pair_type=2))
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(-6, 2), cap=st.integers(1, 200), pair_type=st.sampled_from([1, 2]))
+    def test_table_rows_revalidate(self, k, cap, pair_type):
+        V1, V2 = separated_strip_pair(-12, 12, RHO, C0)
+        table = pair_sample(V1, V2, 2.0**k, C0, pair_type=pair_type, max_pairs=cap)
+        assert table.stride == max(1, -(-table.total // cap))
+        assert len(table) == -(-table.total // table.stride)
+        make = make_type1_pair if pair_type == 1 else make_type2_pair
+        for pair in table:
+            assert make(*pair.params.values(), RHO, 2.0**k, C0) == pair

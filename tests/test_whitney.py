@@ -8,11 +8,12 @@ import math
 import numpy as np
 import pytest
 
+from hypwhitney import geometry
 from hypwhitney.geometry import (
+    AdmissiblePair,
     DyadicInterval,
     Strip,
-    count_pairs,
-    enumerate_pairs,
+    _type1_rows,
     make_type1_pair,
     make_type2_pair,
     sample_members,
@@ -40,6 +41,22 @@ def strip(j, rho=RHO):
 
 V1 = strip(-12)
 V2 = strip(12)
+
+
+def stream_oracle(V1, V2, delta, c0):
+    """The type-1 stream pair by pair: every (row, column, offset) of the
+    `_type1_rows` index in order, each validated by make_type1_pair."""
+    rho, g = V1.rho, V1.rho * V1.rho * delta
+    out = []
+    for y1_0, d_valid, i_lo, lo, starts, _ in _type1_rows(V1, V2, delta, c0):
+        for col in range(len(starts) - 1):
+            i = i_lo + col
+            for k in range(int(starts[col + 1] - starts[col])):
+                d = int(d_valid[lo[col] + k])
+                pair = make_type1_pair(i * g, y1_0, (i + d) * g, V2.j * rho, rho, delta, c0)
+                assert isinstance(pair, AdmissiblePair), pair
+                out.append(pair)
+    return out
 
 
 def window_pair(delta, d=1536, pair_type=1, i0=-4):
@@ -142,23 +159,37 @@ class TestDecompose:
     def test_scale_range_and_exact_totals(self):
         d = decompose(V1, V2, C0, 2.0**-6, 4.0, cap=256)
         assert sorted(d.scales) == [2.0**k for k in range(-6, 3)]
-        assert d.totals[4.0] == (0, 0)  # window offsets outrun the snap range
-        full = list(enumerate_pairs(V1, V2, 2.0, C0, 1))
-        assert d.totals[2.0][0] == len(full) == count_pairs(V1, V2, 2.0, C0, 1)
+        # window offsets outrun the snap range
+        assert [t.total for t in d.scales[4.0]] == [0, 0]
+        assert d.scales[2.0][0].total == len(stream_oracle(V1, V2, 2.0, C0))
         assert d.truncated
-        for delta, (l1, l2) in d.scales.items():
-            assert len(l1) <= 256 and len(l2) <= 256
-            for p in l1:
-                assert p.pair_type == 1 and p.delta == delta
-            for p in l2:
-                assert p.pair_type == 2 and p.delta == delta
+        for delta, tables in d.scales.items():
+            for pair_type, table in enumerate(tables, start=1):
+                assert table.stride == max(1, -(-table.total // 256))
+                assert len(table) == -(-table.total // table.stride) <= 256
+                for p in table:
+                    assert p.pair_type == pair_type and p.delta == delta
 
     def test_untruncated_scale_matches_stream(self):
         d = decompose(V1, V2, C0, 2.0, 2.0, cap=20000)
-        l1, l2 = d.scales[2.0]
-        assert d.strides[2.0] == (1, 1) and not d.truncated
-        assert l1 == list(enumerate_pairs(V1, V2, 2.0, C0, 1))
-        assert l2 == list(enumerate_pairs(V1, V2, 2.0, C0, 2))
+        t1, t2 = d.scales[2.0]
+        assert (t1.stride, t2.stride) == (1, 1) and not d.truncated
+        assert list(t1) == stream_oracle(V1, V2, 2.0, C0)
+        assert list(t2) == [p.swapped() for p in stream_oracle(V2, V1, 2.0, C0)]
+
+    def test_each_index_built_once(self, monkeypatch):
+        # one `_type1_rows` index per scale and type; totals and strides come
+        # with the tables
+        calls = []
+
+        def counting(V1, V2, delta, c0):
+            calls.append((V1.j, V2.j, delta))
+            return _type1_rows(V1, V2, delta, c0)
+
+        monkeypatch.setattr(geometry, "_type1_rows", counting)
+        d = decompose(V1, V2, C0, 2.0**-8, 4.0)
+        assert len(d.scales) == 11
+        assert len(calls) == len(set(calls)) == 2 * len(d.scales)
 
     def test_empty_and_invalid_ranges(self):
         assert decompose(V1, V2, C0, 1.0, 0.5).scales == {}
@@ -239,9 +270,15 @@ class TestAuditDisjoint:
 
     def test_duplicated_shifted_pair_fails(self):
         d = decompose(V1, V2, C0, 2.0**-4, 2.0**-4, cap=64)
-        l1 = d.scales[2.0**-4][0]
-        bad = dataclasses.replace(l1[0], cx1=l1[0].cx1 + l1[0].g / 2.0)
-        l1.append(bad)
+        t1, t2 = d.scales[2.0**-4]
+        # the first pair again, shifted by half a grid step in x
+        d.scales[2.0**-4] = (dataclasses.replace(
+            t1,
+            cx1=np.append(t1.cx1, t1.cx1[0] + t1[0].g / 2.0),
+            cy1=np.append(t1.cy1, t1.cy1[0]),
+            ct2=np.append(t1.ct2, t1.ct2[0]),
+            cy2=np.append(t1.cy2, t1.cy2[0]),
+        ), t2)
         rep = audit_disjoint(d, 2000, seed=5)
         assert not rep.passed
         assert rep.failures and rep.failures[0]["count"] >= 2
@@ -273,3 +310,15 @@ class TestAuditOverlap:
         a = audit_overlap(d, 300, seed=9).to_json_dict()
         b = audit_overlap(d, 300, seed=9).to_json_dict()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@pytest.mark.parametrize("audit", [
+    lambda d: audit_disjoint(d, 0, seed=1),
+    lambda d: audit_overlap(d, 0, seed=1),
+    lambda d: audit_locate(d.V1, d.V2, d.C0, 0, seed=1),
+    lambda d: audit_chi(d, 0, seed=1),
+], ids=["disjoint", "overlap", "locate", "chi"])
+def test_audits_need_a_sample(audit):
+    d = decompose(V1, V2, C0, 2.0**-4, 2.0**-4, cap=16)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        audit(d)
