@@ -42,7 +42,6 @@ __all__ = [
     "admissible_strip_pairs",
     "separated_strip_pair",
     "make_type1_pair",
-    "make_type2_pair",
     "sample_members",
     "audit_tau_bounds",
     "pair_sample",
@@ -89,7 +88,8 @@ class DyadicInterval:
         return self.j * self.rho + self.rho
 
     def contains(self, y: float) -> bool:
-        return self.left <= y < self.right
+        """Elementwise on arrays."""
+        return (self.left <= y) & (y < self.right)
 
     def parent(self) -> "DyadicInterval":
         # floor division also handles negative indices correctly
@@ -111,8 +111,9 @@ class Strip:
         return self.interval.j
 
     def contains(self, z) -> bool:
+        """Elementwise on arrays of coordinates."""
         x, y = z[0], z[1]
-        return -1.0 <= x <= 1.0 and self.interval.contains(y)
+        return (-1.0 <= x) & (x <= 1.0) & self.interval.contains(y)
 
 
 def related_intervals(J: DyadicInterval, Jp: DyadicInterval) -> bool:
@@ -374,10 +375,17 @@ def _conditions(cx1, cy1, ct2, cy2, rho, delta, C0) -> tuple:
             _in_window(abs(d - (cy2 - cy1) ** 2), lo2, hi2))
 
 
-def _make_canonical(cx1, cy1, ct2, cy2, rho, delta, C0, pair_type):
+def make_type1_pair(x1_0, y1_0, t2_0, y2_0, rho, delta, C0) -> Union[AdmissiblePair, Rejected]:
+    """Validate and build a type-1 pair, or report why the candidate fails.
+
+    y1_0 must lie on the fine grid of spacing rho*(1^delta), y2_0 on the
+    strip grid of spacing rho, and x1_0, t2_0 on the grid of spacing
+    rho^2*delta (off-grid input is an error, not a rejection).  A type-2
+    pair is the swapped type-1 pair of its interchanged slots.
+    """
     rho, delta, C0 = float(rho), float(delta), float(C0)
     lo1, hi1, lo2, hi2 = _windows(rho, delta, C0)
-    cx1, cy1, ct2, cy2 = float(cx1), float(cy1), float(ct2), float(cy2)
+    cx1, cy1, ct2, cy2 = float(x1_0), float(y1_0), float(t2_0), float(y2_0)
     h, g = _steps(rho, delta)
     if not _on_grid(cy1, h):
         raise ValueError(f"y-parameter {cy1} is not a multiple of {h}")
@@ -397,24 +405,7 @@ def _make_canonical(cx1, cy1, ct2, cy2, rho, delta, C0, pair_type):
     if not window2:
         return Rejected("admissible2", f"second window value {abs(d - (cy2 - cy1) ** 2)} "
                                        f"outside [{lo2}, {hi2})")
-    return AdmissiblePair(
-        pair_type=pair_type, rho=rho, delta=delta, C0=C0, cx1=cx1, cy1=cy1, ct2=ct2, cy2=cy2
-    )
-
-
-def make_type1_pair(x1_0, y1_0, t2_0, y2_0, rho, delta, C0) -> Union[AdmissiblePair, Rejected]:
-    """Validate and build a type-1 pair, or report why the candidate fails.
-
-    y1_0 must lie on the fine grid of spacing rho*(1^delta), y2_0 on the
-    strip grid of spacing rho, and x1_0, t2_0 on the grid of spacing
-    rho^2*delta (off-grid input is an error, not a rejection).
-    """
-    return _make_canonical(x1_0, y1_0, t2_0, y2_0, rho, delta, C0, pair_type=1)
-
-
-def make_type2_pair(t1_0, y1_0, x2_0, y2_0, rho, delta, C0) -> Union[AdmissiblePair, Rejected]:
-    """Type-2 mirror: the same pair with the roles of z1 and z2 interchanged."""
-    return _make_canonical(x2_0, y2_0, t1_0, y1_0, rho, delta, C0, pair_type=2)
+    return AdmissiblePair(1, rho, delta, C0, cx1, cy1, ct2, cy2)
 
 
 def sample_members(pair: AdmissiblePair, n: int, seed) -> tuple:

@@ -7,10 +7,13 @@ and type it lies in at most one, and the scales that can contain it are
 pinned to a narrow dyadic window by the size of its anchored discrepancies.
 This module materializes bounded snapshots of that family (decompose: one
 `geometry.PairTable` per scale and type, columns of canonical parameters
-with the exact stream size and the stride of the stored subset), finds the
-pair containing a given point constructively (locate_pair), enumerates
-every containing product by scanning the dyadic window (containing_pairs),
-and audits the covering claims on random samples.
+with the exact stream size and the stride of the stored subset) and
+audits the covering claims on random samples.  One containment scan over
+point arrays (`_covering`) snaps each point onto the grids of the seven
+scales of that window, for both types, and checks each snapped candidate
+once; locate_pair (the anchor type's middle row), containing_pairs (the
+containing rows of one point) and the location, overlap and chi audits
+are views of it.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .geometry import (
     _small_member,
     _steps,
     make_type1_pair,
-    make_type2_pair,
     pair_sample,
 )
 from .reports import AuditReport
@@ -70,9 +72,11 @@ class LocationFailed(RuntimeError):
     """The snapped candidate was rejected or does not contain the point."""
 
 
-def _floor_log2(x: float) -> int:
-    mant, exp = math.frexp(x)
-    return exp - 1
+def _floor_log2(x):
+    """floor(log2(x)) for positive x: an int for a scalar, elementwise on
+    arrays."""
+    k = np.frexp(x)[1] - 1
+    return k if np.ndim(k) else int(k)
 
 
 def _ceil_log2(x: float) -> int:
@@ -85,20 +89,66 @@ def _class_index(delta: float) -> int:
     return _floor_log2(delta) % 10
 
 
-def _snap_type1(x1, y1, x2, y2, rho, delta):
+def _snap(zs, zl, rho, delta):
     """Grid parameters of the only type-1 pair at this scale that can
-    contain ((x1,y1),(x2,y2)): floor-snap y first, then the sheared x's
-    (box coordinates about the x-origin)."""
+    contain (zs, zl): floor-snap y first, then the sheared x's (box
+    coordinates about the x-origin); elementwise."""
     h, g = _steps(rho, delta)
-    y10 = h * math.floor(y1 / h)
-    x10 = g * math.floor(_small_coords(0.0, y10, x1, y1)[0] / g)
-    t20 = g * math.floor(_long_coords(0.0, y10, 0.0, x2, y2)[0] / g)
-    y20 = rho * math.floor(y2 / rho)
-    return x10, y10, t20, y20
+    cy1 = h * np.floor(zs[1] / h)
+    cx1 = g * np.floor(_small_coords(0.0, cy1, zs[0], zs[1])[0] / g)
+    ct2 = g * np.floor(_long_coords(0.0, cy1, 0.0, zl[0], zl[1])[0] / g)
+    return cx1, cy1, ct2, rho * np.floor(zl[1] / rho)
+
+
+def _by_scale(ks, mask):
+    """(delta, positions in ks) for each exponent among ks[mask], so that
+    the grid steps and windows stay scalar within a group."""
+    for k in np.unique(ks[mask]):
+        yield math.ldexp(1.0, int(k)), np.nonzero(mask & (ks == k))
 
 
 # ---------------------------------------------------------------------------
-# Point location
+# The containment scan
+
+
+def _covering(z1, z2, V1: Strip, V2: Strip, C0: float) -> tuple:
+    """Every candidate pair of the points (z1, z2), given as coordinates or
+    as coordinate arrays of shape (n,).
+
+    Containment at scale delta forces the anchored discrepancy of the small
+    slot into a fixed multiplicative window around C0^2 rho^2 delta, so a
+    point can only lie in pairs at the exponents kc-3..kc+3 about the
+    anchor's dyadic scale kc, and within one scale and type only in the
+    snapped candidate.  Returns, for type 1 (anchor z1) and then type 2
+    (anchor z2): the exponents, shape (7, n); whether the candidate at each
+    is admissible and contains the point, shape (7, n), each candidate
+    checked once; and the candidates' canonical columns, shape (4, 7, n).
+    Points outside the strip product, anchors below 1e-300 and exponents
+    outside [LOG2_DELTA_FLOOR, the coarsest scale] have no candidate.
+    """
+    rho = V1.rho
+    z1, z2 = np.reshape(np.asarray([*z1, *z2], dtype=np.float64), (2, 2, -1))
+    inside = V1.contains(z1) & V2.contains(z2)
+    k_max = _floor_log2(4.0 / (rho * rho))
+    scans = []
+    for zs, zl, t in ((z1, z2, tau(z1, z1, z2)), (z2, z1, tau(z2, z1, z2))):
+        a = np.abs(t)
+        # C0^2 rho^2 is a power of two, so the dyadic window test is exact
+        ks = _floor_log2(a / (C0 * C0 * rho * rho)) + np.arange(-3, 4)[:, None]
+        ok = inside & (a >= 1e-300) & (LOG2_DELTA_FLOOR <= ks) & (ks <= k_max)
+        cols = np.zeros((4,) + ks.shape)
+        for delta, (r, i) in _by_scale(ks, ok):
+            small, long = (zs[0][i], zs[1][i]), (zl[0][i], zl[1][i])
+            cand = _snap(small, long, rho, delta)
+            cols[:, r, i] = cand
+            ok[r, i] = np.logical_and.reduce((*_conditions(*cand, rho, delta, C0),
+                                              _canonical_contains(*cand, rho, delta, *small, *long)))
+        scans.append((ks, ok, cols))
+    return tuple(scans)
+
+
+# ---------------------------------------------------------------------------
+# Point location and containment
 
 
 def locate_pair(z1, z2, V1: Strip, V2: Strip, C0) -> AdmissiblePair:
@@ -106,10 +156,12 @@ def locate_pair(z1, z2, V1: Strip, V2: Strip, C0) -> AdmissiblePair:
 
     The anchor is the slot with the smaller absolute discrepancy; its size
     fixes the unique dyadic scale with C0^2 rho^2 delta <= |tau| <
-    2 C0^2 rho^2 delta, and floor-snapping the anchor's coordinates onto the
-    scale grids gives the candidate.  Raises DegenerateTau when both
-    discrepancies are below tolerance (or the scale would fall under 2^-40)
-    and LocationFailed if the candidate fails re-validation.
+    2 C0^2 rho^2 delta, and the candidate is the middle row of the anchor
+    type's containment scan, the floor-snap of the anchor's coordinates
+    onto that scale's grids.  Raises DegenerateTau when either discrepancy
+    is below tolerance (or the scale would fall under 2^-40) and
+    LocationFailed if the candidate is rejected or does not contain the
+    point.
     """
     C0 = float(C0)
     rho = _check_strips(V1, V2, C0)
@@ -119,80 +171,38 @@ def locate_pair(z1, z2, V1: Strip, V2: Strip, C0) -> AdmissiblePair:
     t2 = tau(z2, z1, z2)
     if min(abs(t1), abs(t2)) < DEGENERATE_TAU_TOL:
         raise DegenerateTau(f"discrepancies {t1:.3e}, {t2:.3e} below tolerance")
-    if abs(t1) <= abs(t2):
-        return _locate_anchor(z1, z2, rho, C0, t1)
-    return _locate_anchor(z2, z1, rho, C0, t2).swapped()
-
-
-def _locate_anchor(zs, zl, rho, C0, t_anchor) -> AdmissiblePair:
-    # C0^2 rho^2 is a power of two, so the dyadic window test is exact.
-    k = _floor_log2(abs(t_anchor) / (C0 * C0 * rho * rho))
+    swap = bool(abs(t2) < abs(t1))
+    ks, ok, cols = _covering(z1, z2, V1, V2, C0)[swap]
+    k = int(ks[3, 0])
     if k < LOG2_DELTA_FLOOR:
-        raise DegenerateTau(f"anchor discrepancy {t_anchor:.3e} needs a scale below 2^{LOG2_DELTA_FLOOR}")
+        t = t2 if swap else t1
+        raise DegenerateTau(f"anchor discrepancy {t:.3e} needs a scale below 2^{LOG2_DELTA_FLOOR}")
     delta = math.ldexp(1.0, k)
     if rho * rho * delta > 4.0:
         raise LocationFailed("anchor discrepancy exceeds the coarsest scale")
-    x10, y10, t20, y20 = _snap_type1(zs[0], zs[1], zl[0], zl[1], rho, delta)
-    cand = make_type1_pair(x10, y10, t20, y20, rho, delta, C0)
-    if isinstance(cand, Rejected):
-        raise LocationFailed(f"snapped candidate rejected ({cand.which}): {cand.message}")
-    if not cand.contains(zs, zl):
+    if not ok[3, 0]:
+        cand = make_type1_pair(*cols[:, 3, 0].tolist(), rho, delta, C0)
+        if isinstance(cand, Rejected):
+            raise LocationFailed(f"snapped candidate rejected ({cand.which}): {cand.message}")
         raise LocationFailed("snapped candidate does not contain the sample")
-    return cand
-
-
-# ---------------------------------------------------------------------------
-# Containment scans
+    return AdmissiblePair(1 + swap, float(rho), delta, C0, *cols[:, 3, 0].tolist())
 
 
 def containing_pairs(z1, z2, V1: Strip, V2: Strip, C0) -> tuple:
-    """Every admissible product containing (z1, z2), split by type.
-
-    Containment at scale delta forces the anchored discrepancy of the small
-    slot into a fixed multiplicative window around C0^2 rho^2 delta, so only
-    a few dyadic scales need checking, and within one scale and type the
-    candidate grid parameters are unique.  Points outside the strip product
-    are in no pair.
+    """Every admissible product containing (z1, z2), split by type and in
+    ascending scale: the admissible, containing rows of the point's
+    containment scan.  Points outside the strip product are in no pair.
     """
     C0 = float(C0)
     rho = _check_strips(V1, V2, C0)
-    if not (V1.contains(z1) and V2.contains(z2)):
-        return [], []
-    type1 = _anchor_candidates(z1, z2, rho, C0)
-    type2 = [p.swapped() for p in _anchor_candidates(z2, z1, rho, C0)]
-    return type1, type2
+    return tuple([AdmissiblePair(t, float(rho), math.ldexp(1.0, int(ks[r, 0])), C0,
+                                 *cols[:, r, 0].tolist()) for r in np.flatnonzero(ok[:, 0])]
+                 for t, (ks, ok, cols) in enumerate(_covering(z1, z2, V1, V2, C0), start=1))
 
 
-def _anchor_candidates(zs, zl, rho, C0) -> list:
-    t_anchor = tau(zs, zs, zl)
-    a = abs(t_anchor)
-    if a < 1e-300:
-        return []
-    kc = _floor_log2(a / (C0 * C0 * rho * rho))
-    k_max = min(kc + 3, _floor_log2(4.0 / (rho * rho)))
-    out = []
-    for k in range(max(kc - 3, LOG2_DELTA_FLOOR), k_max + 1):
-        delta = math.ldexp(1.0, k)
-        x10, y10, t20, y20 = _snap_type1(zs[0], zs[1], zl[0], zl[1], rho, delta)
-        # most snaps fail a window; checking first is cheaper than letting
-        # make_type1_pair re-validate the grid and build a Rejected for each
-        if not all(_conditions(x10, y10, t20, y20, rho, delta, C0)):
-            continue
-        cand = make_type1_pair(x10, y10, t20, y20, rho, delta, C0)
-        if isinstance(cand, AdmissiblePair) and cand.contains(zs, zl):
-            out.append(cand)
-    return out
-
-
-def classes_and_chi(decomp: "WhitneyDecomposition", z1, z2) -> int:
-    """Signed indicator sum over all joint intersections of the ten
-    type-1 scale classes and the ten type-2 classes (the empty-empty term
-    excluded).  Equals 1 exactly when some product of either type contains
-    the point, 0 otherwise; evaluated by exact integer counting.
-    """
-    type1, type2 = containing_pairs(z1, z2, decomp.V1, decomp.V2, decomp.C0)
-    n_a = len({_class_index(p.delta) for p in type1})
-    n_t = len({_class_index(p.delta) for p in type2})
+def _signed_sum(n_a: int, n_t: int) -> int:
+    """Signed indicator sum over all joint intersections of n_a type-1 and
+    n_t type-2 scale classes, the empty-empty term excluded."""
     total = 0
     for a in range(n_a + 1):
         for b in range(n_t + 1):
@@ -200,6 +210,15 @@ def classes_and_chi(decomp: "WhitneyDecomposition", z1, z2) -> int:
                 continue
             total += (-1) ** (a + b + 1) * math.comb(n_a, a) * math.comb(n_t, b)
     return total
+
+
+def classes_and_chi(decomp: "WhitneyDecomposition", z1, z2) -> int:
+    """The signed sum over the ten type-1 and the ten type-2 scale classes
+    of the point's containing products: 1 exactly when some product of
+    either type contains it, 0 otherwise, by exact integer counting."""
+    type1, type2 = containing_pairs(z1, z2, decomp.V1, decomp.V2, decomp.C0)
+    return _signed_sum(len({_class_index(p.delta) for p in type1}),
+                       len({_class_index(p.delta) for p in type2}))
 
 
 # ---------------------------------------------------------------------------
@@ -303,24 +322,24 @@ def decompose(V1: Strip, V2: Strip, C0, delta_min, delta_max,
 # Sampling helpers
 
 
-def _near_wall(zs, zl, rho, delta) -> bool:
-    """True when the point sits within 2^-40 of a snap-grid wall at this
+def _near_wall(zs, zl, rho, delta):
+    """Whether each point sits within 2^-40 of a snap-grid wall at this
     scale (normalized units); such samples are re-drawn before audits."""
     h, g = _steps(rho, delta)
-    x10, y10, t20, y20 = _snap_type1(zs[0], zs[1], zl[0], zl[1], rho, delta)
-    us, dys = _small_coords(x10, y10, zs[0], zs[1])
-    ul, dyl = _long_coords(t20, y10, y20, zl[0], zl[1])
-    for frac in (dys / h, dyl / rho, us / g, ul / g):
-        if min(frac, 1.0 - frac) < BOUNDARY_TOL:
-            return True
-    return False
+    cx1, cy1, ct2, cy2 = _snap(zs, zl, rho, delta)
+    us, dys = _small_coords(cx1, cy1, zs[0], zs[1])
+    ul, dyl = _long_coords(ct2, cy1, cy2, zl[0], zl[1])
+    fracs = np.array([dys / h, dyl / rho, us / g, ul / g])
+    return (np.minimum(fracs, 1.0 - fracs) < BOUNDARY_TOL).any(axis=0)
 
 
 def _interior_samples(rng, V1: Strip, V2: Strip, C0, n: int):
-    """n points of V1 x V2, re-drawn while degenerate or wall-adjacent."""
+    """n points of V1 x V2, re-drawn while degenerate or wall-adjacent at
+    the dyadic scale of either anchored discrepancy."""
     if n < 1:
         raise ValueError("need n >= 1")
     rho = V1.rho
+    k_max = _floor_log2(4.0 / (rho * rho))
     out = np.empty((4, n))
     filled = 0
     while filled < n:
@@ -329,25 +348,17 @@ def _interior_samples(rng, V1: Strip, V2: Strip, C0, n: int):
         y1 = V1.interval.left + rng.random(m) * rho
         x2 = rng.uniform(-1.0, 1.0, m)
         y2 = V2.interval.left + rng.random(m) * rho
-        t1 = tau((x1, y1), (x1, y1), (x2, y2))
-        t2 = tau((x2, y2), (x1, y1), (x2, y2))
+        z1, z2 = (x1, y1), (x2, y2)
+        t1 = tau(z1, z1, z2)
+        t2 = tau(z2, z1, z2)
         ok = np.minimum(np.abs(t1), np.abs(t2)) > 1e-12
-        for i in np.nonzero(ok)[0]:
-            k1 = _floor_log2(abs(float(t1[i])) / (C0 * C0 * rho * rho))
-            k2 = _floor_log2(abs(float(t2[i])) / (C0 * C0 * rho * rho))
-            z1, z2 = (float(x1[i]), float(y1[i])), (float(x2[i]), float(y2[i]))
-            for k in (k1, k2):
-                if LOG2_DELTA_FLOOR <= k and rho * rho * math.ldexp(1.0, k) <= 4.0:
-                    if _near_wall(z1, z2, rho, math.ldexp(1.0, k)) or \
-                       _near_wall(z2, z1, rho, math.ldexp(1.0, k)):
-                        ok[i] = False
-                        break
-        idx = np.nonzero(ok)[0]
-        take = idx[: n - filled]
-        out[0, filled:filled + take.size] = x1[take]
-        out[1, filled:filled + take.size] = y1[take]
-        out[2, filled:filled + take.size] = x2[take]
-        out[3, filled:filled + take.size] = y2[take]
+        for t in (t1, t2):
+            ks = _floor_log2(np.abs(t) / (C0 * C0 * rho * rho))
+            for delta, (i,) in _by_scale(ks, ok & (LOG2_DELTA_FLOOR <= ks) & (ks <= k_max)):
+                zi1, zi2 = (x1[i], y1[i]), (x2[i], y2[i])
+                ok[i] &= ~(_near_wall(zi1, zi2, rho, delta) | _near_wall(zi2, zi1, rho, delta))
+        take = np.nonzero(ok)[0][: n - filled]
+        out[:, filled:filled + take.size] = x1[take], y1[take], x2[take], y2[take]
         filled += take.size
     return out
 
@@ -428,6 +439,21 @@ def audit_disjoint(decomp: WhitneyDecomposition, n: int, seed) -> AuditReport:
     )
 
 
+def _spans(scan):
+    """Per point: how many candidates contain it, and the least and largest
+    containing exponents (0 where none does)."""
+    ks, ok, _ = scan
+    count = ok.sum(axis=0)
+    some = count > 0
+    k_lo = np.where(some, np.where(ok, ks, ks.max() + 1).min(axis=0), 0)
+    k_hi = np.where(some, np.where(ok, ks, ks.min() - 1).max(axis=0), 0)
+    return count, k_lo, k_hi
+
+
+def _point(samples, i) -> dict:
+    return {"z1": samples[:2, i].tolist(), "z2": samples[2:, i].tolist()}
+
+
 def audit_overlap(decomp: WhitneyDecomposition, n: int, seed,
                   kappa: float = 8.0) -> AuditReport:
     """Cross-scale multiplicity bounds on n interior samples.
@@ -441,118 +467,105 @@ def audit_overlap(decomp: WhitneyDecomposition, n: int, seed,
     rng = np.random.default_rng(seed)
     V1, V2, C0 = decomp.V1, decomp.V2, decomp.C0
     samples = _interior_samples(rng, V1, V2, C0, n)
-    viol = {
-        "multiplicity": 0,
-        "scale_ratio": 0,
-        "mixed_small_scale": 0,
-        "mixed_scale_ratio": 0,
-        "mixed_count": 0,
-    }
-    failures = []
-    max_mult = [0, 0]
-    max_ratio = [1.0, 1.0]
-    mixed_seen = 0
-    mixed_max = 0
-    for i in range(n):
-        z1 = (float(samples[0, i]), float(samples[1, i]))
-        z2 = (float(samples[2, i]), float(samples[3, i]))
-        groups = containing_pairs(z1, z2, V1, V2, C0)
-        bad = []
-        for t, grp in enumerate(groups):
-            max_mult[t] = max(max_mult[t], len(grp))
-            if len(grp) > 64:
-                viol["multiplicity"] += 1
-                bad.append(f"type-{t + 1} multiplicity {len(grp)}")
-            if len(grp) >= 2:
-                deltas = [p.delta for p in grp]
-                ratio = max(deltas) / min(deltas)
-                max_ratio[t] = max(max_ratio[t], ratio)
-                if ratio > 2.0**7:
-                    viol["scale_ratio"] += 1
-                    bad.append(f"type-{t + 1} scale ratio {ratio:g}")
-        if groups[0] and groups[1]:
-            mixed_seen += 1
-            deltas = [p.delta for p in groups[0] + groups[1]]
-            joint = len(groups[0]) + len(groups[1])
-            mixed_max = max(mixed_max, joint)
-            if min(deltas) < 1.0 / 800.0:
-                viol["mixed_small_scale"] += 1
-                bad.append(f"mixed containment at scale {min(deltas):g} < 1/800")
-            if max(deltas) / min(deltas) > 2.0**10:
-                viol["mixed_scale_ratio"] += 1
-                bad.append(f"mixed scale ratio {max(deltas) / min(deltas):g}")
-            if joint > kappa * C0:
-                viol["mixed_count"] += 1
-                bad.append(f"mixed joint count {joint}")
-        if bad and len(failures) < 5:
-            failures.append({"z1": list(z1), "z2": list(z2), "reasons": bad})
+    spans = [_spans(scan) for scan in _covering(samples[:2], samples[2:], V1, V2, C0)]
+    # (violation, per-sample mask, reason of sample i), in reason order
+    checks = []
+    ratio = []
+    for t, (count, k_lo, k_hi) in enumerate(spans):
+        r = np.ldexp(1.0, k_hi - k_lo)
+        ratio.append(r)
+        checks += [
+            ("multiplicity", count > 64,
+             lambda i, t=t, c=count: f"type-{t + 1} multiplicity {int(c[i])}"),
+            ("scale_ratio", (count >= 2) & (r > 2.0**7),
+             lambda i, t=t, r=r: f"type-{t + 1} scale ratio {float(r[i]):g}"),
+        ]
+    (c1, lo1, hi1), (c2, lo2, hi2) = spans
+    mixed = (c1 > 0) & (c2 > 0)
+    joint = c1 + c2
+    small = np.ldexp(1.0, np.minimum(lo1, lo2))
+    mixed_ratio = np.ldexp(1.0, np.maximum(hi1, hi2) - np.minimum(lo1, lo2))
+    checks += [
+        ("mixed_small_scale", mixed & (small < 1.0 / 800.0),
+         lambda i: f"mixed containment at scale {float(small[i]):g} < 1/800"),
+        ("mixed_scale_ratio", mixed & (mixed_ratio > 2.0**10),
+         lambda i: f"mixed scale ratio {float(mixed_ratio[i]):g}"),
+        ("mixed_count", mixed & (joint > kappa * C0),
+         lambda i: f"mixed joint count {int(joint[i])}"),
+    ]
+    viol = dict.fromkeys([name for name, _, _ in checks], 0)
+    for name, mask, _ in checks:
+        viol[name] += int(mask.sum())
+    bad = np.logical_or.reduce([mask for _, mask, _ in checks])
+    failures = [{**_point(samples, i), "reasons": [why(i) for _, mask, why in checks if mask[i]]}
+                for i in np.flatnonzero(bad)[:5]]
     return AuditReport(
         name="whitney_overlap",
         passed=all(v == 0 for v in viol.values()),
         samples=n,
         stats={
             "violations": viol,
-            "max_multiplicity_type1": max_mult[0],
-            "max_multiplicity_type2": max_mult[1],
-            "max_scale_ratio_type1": max_ratio[0],
-            "max_scale_ratio_type2": max_ratio[1],
-            "mixed_samples": mixed_seen,
-            "max_mixed_joint_count": mixed_max,
+            "max_multiplicity_type1": int(c1.max()),
+            "max_multiplicity_type2": int(c2.max()),
+            "max_scale_ratio_type1": float(ratio[0].max()),
+            "max_scale_ratio_type2": float(ratio[1].max()),
+            "mixed_samples": int(mixed.sum()),
+            "max_mixed_joint_count": int((joint * mixed).max()),
         },
         failures=failures,
     )
 
 
 def audit_locate(V1: Strip, V2: Strip, C0, n: int, seed) -> AuditReport:
-    """locate_pair on n interior samples: every result must re-validate as
-    admissible, contain its sample, and sit in the exact scale window."""
+    """Location on n interior samples: the anchor type's middle scan row
+    must be admissible, contain its sample, and sit in the exact scale
+    window.  Failure entries carry locate_pair's error."""
     C0 = float(C0)
     rho = _check_strips(V1, V2, C0)
     rng = np.random.default_rng(seed)
     samples = _interior_samples(rng, V1, V2, C0, n)
-    successes = 0
-    type1 = 0
-    deltas = []
+    z1, z2 = samples[:2], samples[2:]
+    a1, a2 = np.abs(tau(z1, z1, z2)), np.abs(tau(z2, z1, z2))
+    swap = a2 < a1
+    (ks1, ok1, _), (ks2, ok2, _) = _covering(z1, z2, V1, V2, C0)
+    ks = np.where(swap, ks2[3], ks1[3])
+    scale = C0 * C0 * rho * rho * np.ldexp(1.0, ks)
+    anchor = np.where(swap, a2, a1)
+    good = ((np.minimum(a1, a2) >= DEGENERATE_TAU_TOL) & np.where(swap, ok2[3], ok1[3])
+            & (scale <= anchor) & (anchor < 2.0 * scale))
     failures = []
-    for i in range(n):
-        z1 = (float(samples[0, i]), float(samples[1, i]))
-        z2 = (float(samples[2, i]), float(samples[3, i]))
+    for i in np.flatnonzero(~good)[:5]:
+        point = _point(samples, i)
         try:
-            pair = locate_pair(z1, z2, V1, V2, C0)
-            p = pair.params
-            if pair.pair_type == 1:
-                rebuilt = make_type1_pair(p["x1_0"], p["y1_0"], p["t2_0"], p["y2_0"],
-                                          pair.rho, pair.delta, C0)
-                anchor = tau(z1, z1, z2)
-            else:
-                rebuilt = make_type2_pair(p["t1_0"], p["y1_0"], p["x2_0"], p["y2_0"],
-                                          pair.rho, pair.delta, C0)
-                anchor = tau(z2, z1, z2)
-            scale = C0 * C0 * rho * rho * pair.delta
-            if not isinstance(rebuilt, AdmissiblePair):
-                raise LocationFailed(f"re-validation rejected: {rebuilt}")
-            if rebuilt != pair or not pair.contains(z1, z2):
-                raise LocationFailed("re-validated pair mismatch or not containing")
-            if not scale <= abs(anchor) < 2.0 * scale:
-                raise LocationFailed("anchor discrepancy outside the scale window")
-            successes += 1
-            type1 += pair.pair_type == 1
-            deltas.append(pair.delta)
+            locate_pair(point["z1"], point["z2"], V1, V2, C0)
+            error = "anchor discrepancy outside the scale window"
         except (DegenerateTau, LocationFailed, ValueError) as exc:
-            if len(failures) < 5:
-                failures.append({"z1": list(z1), "z2": list(z2), "error": str(exc)})
+            error = str(exc)
+        failures.append({**point, "error": error})
+    successes = int(good.sum())
+    deltas = np.ldexp(1.0, ks[good])
     return AuditReport(
         name="whitney_locate",
         passed=successes == n,
         samples=n,
         stats={
             "successes": successes,
-            "type1_share": type1 / max(n, 1),
-            "delta_min": min(deltas) if deltas else None,
-            "delta_max": max(deltas) if deltas else None,
+            "type1_share": int((good & ~swap).sum()) / max(n, 1),
+            "delta_min": float(deltas.min()) if successes else None,
+            "delta_max": float(deltas.max()) if successes else None,
         },
         failures=failures,
     )
+
+
+def _class_counts(scan) -> np.ndarray:
+    """Per point: how many distinct scale classes its containing candidates
+    fall in."""
+    ks, ok, _ = scan
+    r, i = np.nonzero(ok)
+    classes = np.zeros((10, ks.shape[1]), dtype=bool)
+    classes[ks[r, i] % 10, i] = True
+    return classes.sum(axis=0)
 
 
 def audit_chi(decomp: WhitneyDecomposition, n: int, seed) -> AuditReport:
@@ -562,35 +575,28 @@ def audit_chi(decomp: WhitneyDecomposition, n: int, seed) -> AuditReport:
     V1, V2, C0 = decomp.V1, decomp.V2, decomp.C0
     rho = V1.rho
     samples = _interior_samples(rng, V1, V2, C0, n)
-    failures = []
-    for i in range(n):
-        z1 = (float(samples[0, i]), float(samples[1, i]))
-        z2 = (float(samples[2, i]), float(samples[3, i]))
-        val = classes_and_chi(decomp, z1, z2)
-        if val != 1 and len(failures) < 5:
-            failures.append({"z1": list(z1), "z2": list(z2), "chi": val, "want": 1})
-    n_out = max(n // 4, 1)
-    outside = 0
-    for i in range(n_out):
-        z1 = (float(samples[0, i]), float(samples[1, i]))
-        z2 = (float(samples[2, i]), float(samples[3, i]))
+    outside = samples[:, :max(n // 4, 1)].copy()
+    for i in range(outside.shape[1]):
         mode = i % 4
         if mode == 0:
-            z1 = (z1[0], z1[1] + 2.0 * rho * (1 + int(rng.integers(0, 3))))
+            outside[1, i] += 2.0 * rho * (1 + int(rng.integers(0, 3)))
         elif mode == 1:
-            z2 = (z2[0], z2[1] - 2.0 * rho * (1 + int(rng.integers(0, 3))))
+            outside[3, i] -= 2.0 * rho * (1 + int(rng.integers(0, 3)))
         elif mode == 2:
-            z1 = (1.0 + rng.random() + 1e-9, z1[1])
+            outside[0, i] = 1.0 + rng.random() + 1e-9
         else:
-            z2 = (-1.0 - rng.random() - 1e-9, z2[1])
-        val = classes_and_chi(decomp, z1, z2)
-        outside += 1
-        if val != 0 and len(failures) < 5:
-            failures.append({"z1": list(z1), "z2": list(z2), "chi": val, "want": 0})
+            outside[2, i] = -1.0 - rng.random() - 1e-9
+    signed = np.array([[_signed_sum(a, b) for b in range(11)] for a in range(11)])
+    failures = []
+    for points, want in ((samples, 1), (outside, 0)):
+        n_a, n_t = (_class_counts(scan) for scan in _covering(points[:2], points[2:], V1, V2, C0))
+        chi = signed[n_a, n_t]
+        failures += [{**_point(points, i), "chi": int(chi[i]), "want": want}
+                     for i in np.flatnonzero(chi != want)[:5 - len(failures)]]
     return AuditReport(
         name="whitney_chi",
         passed=not failures,
-        samples=n + outside,
-        stats={"interior": n, "outside": outside},
+        samples=n + outside.shape[1],
+        stats={"interior": n, "outside": outside.shape[1]},
         failures=failures,
     )

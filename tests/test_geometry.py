@@ -20,7 +20,6 @@ from hypwhitney.geometry import (
     count_pairs,
     is_dyadic,
     make_type1_pair,
-    make_type2_pair,
     pair_sample,
     related_intervals,
     sample_members,
@@ -207,7 +206,7 @@ class TestMakePairs:
 
     def test_type2_mirror(self):
         p1 = worked_pair()
-        p2 = make_type2_pair(0.25, 0.75, 0.0, -0.75, RHO, 2.0**-3, C0)
+        p2 = make_type1_pair(0.0, -0.75, 0.25, 0.75, RHO, 2.0**-3, C0).swapped()
         assert isinstance(p2, AdmissiblePair) and p2.pair_type == 2
         assert p2.base1 == p1.base2 and p2.base2 == p1.base1
         assert set(p2.params) == {"t1_0", "y1_0", "x2_0", "y2_0"}
@@ -220,7 +219,8 @@ class TestMakePairs:
             assert p2.contains(za, zb) == p1.contains(zb, za)
 
     def test_type2_rejections_propagate(self):
-        out = make_type2_pair(0.25, 0.5, 0.0, 0.0, RHO, 2.0**-3, C0)
+        # the type-2 candidate of these slots is the swapped type-1 one
+        out = make_type1_pair(0.0, 0.0, 0.25, 0.5, RHO, 2.0**-3, C0)
         assert isinstance(out, Rejected) and out.which == "separation"
 
 
@@ -262,7 +262,7 @@ class TestMembership:
             sample_members(pair, 0, seed=1)
 
     def test_type2_member_slots(self):
-        p2 = make_type2_pair(0.25, 0.75, 0.0, -0.75, RHO, 2.0**-3, C0)
+        p2 = make_type1_pair(0.0, -0.75, 0.25, 0.75, RHO, 2.0**-3, C0).swapped()
         z1, z2 = sample_members(p2, 100, seed=4)
         # slot 1 carries the long box (y-width rho), slot 2 the small one
         assert z1[:, 1].min() >= 0.75 and z1[:, 1].max() < 0.75 + RHO
@@ -307,7 +307,7 @@ class TestSerialization:
         assert rebuilt == pair
 
     def test_json_type2(self):
-        p2 = make_type2_pair(0.25, 0.75, 0.0, -0.75, RHO, 2.0**-3, C0)
+        p2 = make_type1_pair(0.0, -0.75, 0.25, 0.75, RHO, 2.0**-3, C0).swapped()
         d = p2.to_json_dict()
         assert d["type"] == 2
         assert set(d["params"]) == {"t1_0", "y1_0", "x2_0", "y2_0"}
@@ -318,9 +318,8 @@ class TestAuditTauBounds:
     def safe_pair(self, pair_type=1):
         # delta = 2^-4 on strips 24 apart: both endpoint windows are met
         # with a wide margin at every member
-        if pair_type == 1:
-            return make_type1_pair(0.0, -0.75, 0.125, 0.75, RHO, 2.0**-4, C0)
-        return make_type2_pair(0.125, 0.75, 0.0, -0.75, RHO, 2.0**-4, C0)
+        pair = make_type1_pair(0.0, -0.75, 0.125, 0.75, RHO, 2.0**-4, C0)
+        return pair if pair_type == 1 else pair.swapped()
 
     def test_passes_on_valid_pair(self):
         for t in (1, 2):
@@ -535,6 +534,6 @@ class TestEnumerate:
         table = pair_sample(V1, V2, 2.0**k, C0, pair_type=pair_type, max_pairs=cap)
         assert table.stride == max(1, -(-table.total // cap))
         assert len(table) == -(-table.total // table.stride)
-        make = make_type1_pair if pair_type == 1 else make_type2_pair
         for pair in table:
-            assert make(*pair.params.values(), RHO, 2.0**k, C0) == pair
+            rebuilt = make_type1_pair(pair.cx1, pair.cy1, pair.ct2, pair.cy2, RHO, 2.0**k, C0)
+            assert (rebuilt if pair_type == 1 else rebuilt.swapped()) == pair

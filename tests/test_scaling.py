@@ -10,7 +10,6 @@ from hypwhitney.geometry import (
     DyadicInterval,
     Strip,
     make_type1_pair,
-    make_type2_pair,
     pair_sample,
     sample_members,
 )
@@ -146,7 +145,7 @@ class TestReduce:
     def test_type2_reduces_via_swap(self):
         p1 = pair_at(2.0**-3)
         q = p1.params
-        p2 = make_type2_pair(q["t2_0"], q["y2_0"], q["x1_0"], q["y1_0"], RHO, 2.0**-3, C0)
+        p2 = make_type1_pair(*q.values(), RHO, 2.0**-3, C0).swapped()
         r1, r2 = reduce(p1), reduce(p2)
         assert r1.scaled_a == r2.scaled_a and r1.scaled_b == r2.scaled_b
         assert r1.remainder_coeffs == r2.remainder_coeffs
@@ -187,7 +186,7 @@ class TestScaledGamma:
     def test_audit_type2(self):
         pair = pair_at(2.0**-4)
         q = pair.params
-        p2 = make_type2_pair(q["t2_0"], q["y2_0"], q["x1_0"], q["y1_0"], RHO, 2.0**-4, C0)
+        p2 = make_type1_pair(*q.values(), RHO, 2.0**-4, C0).swapped()
         rep = gamma_scaled_audit(p2, 500, seed=1)
         assert rep.passed
 

@@ -8,17 +8,19 @@ import math
 import numpy as np
 import pytest
 
-from hypwhitney import geometry
+from hypwhitney import geometry, whitney
 from hypwhitney.geometry import (
+    OPEN_SCALE,
     AdmissiblePair,
     DyadicInterval,
     Strip,
+    _canonical_contains,
     _type1_rows,
     make_type1_pair,
-    make_type2_pair,
     sample_members,
 )
 from hypwhitney.whitney import (
+    _interior_samples,
     DegenerateTau,
     LocationFailed,
     audit_chi,
@@ -67,7 +69,7 @@ def window_pair(delta, d=1536, pair_type=1, i0=-4):
     if pair_type == 1:
         pair = make_type1_pair(i0 * g, -0.75, (d + i0) * g, 0.75, RHO, delta, C0)
     else:
-        pair = make_type2_pair((d + i0) * g, -0.75, i0 * g, 0.75, RHO, delta, C0)
+        pair = make_type1_pair(i0 * g, 0.75, (d + i0) * g, -0.75, RHO, delta, C0).swapped()
     assert not isinstance(pair, tuple) and hasattr(pair, "contains"), pair
     return pair
 
@@ -322,3 +324,150 @@ def test_audits_need_a_sample(audit):
     d = decompose(V1, V2, C0, 2.0**-4, 2.0**-4, cap=16)
     with pytest.raises(ValueError, match="need n >= 1"):
         audit(d)
+
+
+class TestContainmentScan:
+    """The batched scan against independent and scalar oracles."""
+
+    def test_matches_brute_force_over_complete_tables(self):
+        # every pair at scales 1 and 2 is stored, so the covering rows of a
+        # point can be found by testing all of them
+        d = decompose(V1, V2, C0, 1.0, 2.0, cap=200_000)
+        tables = [t for delta in sorted(d.scales) for t in d.scales[delta]]
+        assert [(t.total, t.stride) for t in tables] == \
+            [(173_797, 1), (155_118, 1), (14_121, 1), (11_268, 1)]
+        rng = np.random.default_rng(41)
+        points = []
+        for _ in range(60):
+            table = tables[rng.integers(len(tables))]
+            points.append(table[int(rng.integers(len(table)))].member_at(rng.random(4) * OPEN_SCALE))
+        for _ in range(40):
+            points.append(((rng.uniform(-1, 1), -0.75 + rng.random() * RHO),
+                           (rng.uniform(-1, 1), 0.75 + rng.random() * RHO)))
+        covered = 0
+        for z1, z2 in points:
+            want = ([], [])
+            # rows reaching past x = +-1 cover no point outside the strip product
+            for t in tables if V1.contains(z1) and V2.contains(z2) else []:
+                zs, zl = (z1, z2) if t.pair_type == 1 else (z2, z1)
+                hits = _canonical_contains(t.cx1, t.cy1, t.ct2, t.cy2, RHO, t.delta, *zs, *zl)
+                want[t.pair_type - 1].extend(t[int(k)] for k in np.flatnonzero(hits))
+            got = tuple([p for p in grp if p.delta in d.scales]
+                        for grp in containing_pairs(z1, z2, V1, V2, C0))
+            assert got == want
+            covered += bool(want[0] or want[1])
+        assert covered >= 60
+
+    def test_audit_locate_equals_scalar_loop(self):
+        rep = audit_locate(V1, V2, C0, 300, seed=42)
+        samples = _interior_samples(np.random.default_rng(42), V1, V2, C0, 300)
+        successes, type1, deltas, failures = 0, 0, [], []
+        for i in range(300):
+            z1, z2 = tuple(samples[:2, i].tolist()), tuple(samples[2:, i].tolist())
+            try:
+                pair = locate_pair(z1, z2, V1, V2, C0)
+            except (DegenerateTau, LocationFailed) as exc:
+                failures.append({"z1": list(z1), "z2": list(z2), "error": str(exc)})
+                continue
+            successes += 1
+            type1 += pair.pair_type == 1
+            deltas.append(pair.delta)
+        assert rep.stats == {"successes": successes, "type1_share": type1 / 300,
+                             "delta_min": min(deltas), "delta_max": max(deltas)}
+        assert rep.failures == failures[:5]
+
+    @pytest.mark.parametrize("kappa", [8.0, 1e-3])
+    def test_audit_overlap_equals_scalar_loop(self, kappa):
+        d = decompose(V1, V2, C0, 2.0**-4, 2.0**-4, cap=16)
+        rep = audit_overlap(d, 300, seed=43, kappa=kappa)
+        samples = _interior_samples(np.random.default_rng(43), V1, V2, C0, 300)
+        viol = dict.fromkeys(rep.stats["violations"], 0)
+        mult, ratios, mixed, joints, failures = [0, 0], [1.0, 1.0], 0, [0], []
+        for i in range(300):
+            z1, z2 = tuple(samples[:2, i].tolist()), tuple(samples[2:, i].tolist())
+            groups = containing_pairs(z1, z2, V1, V2, C0)
+            bad = []
+            for t, grp in enumerate(groups):
+                deltas = [p.delta for p in grp] or [1.0]
+                mult[t] = max(mult[t], len(grp))
+                ratios[t] = max(ratios[t], max(deltas) / min(deltas))
+                if len(grp) > 64:
+                    viol["multiplicity"] += 1
+                    bad.append(f"type-{t + 1} multiplicity {len(grp)}")
+                if max(deltas) / min(deltas) > 2.0**7:
+                    viol["scale_ratio"] += 1
+                    bad.append(f"type-{t + 1} scale ratio {max(deltas) / min(deltas):g}")
+            if groups[0] and groups[1]:
+                mixed += 1
+                deltas = [p.delta for p in groups[0] + groups[1]]
+                joints.append(len(deltas))
+                for name, hit, why in (
+                    ("mixed_small_scale", min(deltas) < 1.0 / 800.0,
+                     f"mixed containment at scale {min(deltas):g} < 1/800"),
+                    ("mixed_scale_ratio", max(deltas) / min(deltas) > 2.0**10,
+                     f"mixed scale ratio {max(deltas) / min(deltas):g}"),
+                    ("mixed_count", len(deltas) > kappa * C0, f"mixed joint count {len(deltas)}"),
+                ):
+                    if hit:
+                        viol[name] += 1
+                        bad.append(why)
+            if bad:
+                failures.append({"z1": list(z1), "z2": list(z2), "reasons": bad})
+        assert rep.stats == {
+            "violations": viol,
+            "max_multiplicity_type1": mult[0],
+            "max_multiplicity_type2": mult[1],
+            "max_scale_ratio_type1": ratios[0],
+            "max_scale_ratio_type2": ratios[1],
+            "mixed_samples": mixed,
+            "max_mixed_joint_count": max(joints),
+        }
+        assert rep.failures == failures[:5]
+        assert (kappa < 1.0) == (viol["mixed_count"] > 0)
+
+    def test_audit_chi_equals_scalar_loop(self):
+        d = decompose(V1, V2, C0, 2.0**-4, 2.0**-4, cap=16)
+        rep = audit_chi(d, 300, seed=44)
+        rng = np.random.default_rng(44)
+        samples = _interior_samples(rng, V1, V2, C0, 300)
+        failures = []
+        for i in range(300):
+            z1, z2 = samples[:2, i].tolist(), samples[2:, i].tolist()
+            chi = classes_and_chi(d, z1, z2)
+            if chi != 1:
+                failures.append({"z1": z1, "z2": z2, "chi": chi, "want": 1})
+        for i in range(75):
+            (x1, y1), (x2, y2) = samples[:2, i].tolist(), samples[2:, i].tolist()
+            if i % 4 == 0:
+                y1 += 2.0 * RHO * (1 + int(rng.integers(0, 3)))
+            elif i % 4 == 1:
+                y2 -= 2.0 * RHO * (1 + int(rng.integers(0, 3)))
+            elif i % 4 == 2:
+                x1 = 1.0 + rng.random() + 1e-9
+            else:
+                x2 = -1.0 - rng.random() - 1e-9
+            chi = classes_and_chi(d, (x1, y1), (x2, y2))
+            if chi != 0:
+                failures.append({"z1": [x1, y1], "z2": [x2, y2], "chi": chi, "want": 0})
+        assert rep.failures == failures[:5] == []
+        assert rep.stats == {"interior": 300, "outside": 75} and rep.samples == 375
+
+    def test_each_candidate_checked_once(self, monkeypatch):
+        # the scan checks each snapped candidate elementwise; no candidate is
+        # rebuilt through make_type1_pair
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return make_type1_pair(*args)
+
+        monkeypatch.setattr(whitney, "make_type1_pair", counting)
+        d = decompose(V1, V2, C0, 2.0**-4, 2.0**-4, cap=16)
+        assert audit_locate(V1, V2, C0, 3000, 0).passed
+        audit_overlap(d, 300, seed=1)
+        audit_chi(d, 300, seed=2)
+        pair = window_pair(2.0**-4)
+        z1s, z2s = sample_members(pair, 20, seed=3)
+        for i in range(20):
+            assert pair in containing_pairs(z1s[i], z2s[i], V1, V2, C0)[0]
+        assert calls == []
