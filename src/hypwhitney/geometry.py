@@ -528,12 +528,12 @@ def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float):
     """Index the type-1 pair stream without materializing it.
 
     One record per fine-grid row y1_0 that admits pairs:
-    (y1_0, d_valid, i_lo, lo, starts, total) where for the k-th small-box
-    column i = i_lo + k the valid window offsets are
-    d_valid[lo[k] : lo[k] + (starts[k+1] - starts[k])], and starts is the
-    cumulative pair count across columns.  The stream runs over the records
-    in order, then the columns, then the offsets; only `_decode` reads a
-    record.
+    (y1_0, d_valid, i_lo, i_hi, t_lo, t_hi, total): the small-box columns
+    run over i in [i_lo, i_hi], column i admits the window offsets d of
+    d_valid with t_lo <= i + d <= t_hi, and total is the row's pair count.
+    The stream runs over the records in order, then the columns, then the
+    offsets.  The total is summed per offset, so no per-column array is
+    built here; `_decode` builds those for one row at a time.
     """
     if V1.rho != V2.rho:
         raise ValueError("strips must share one scale")
@@ -562,38 +562,43 @@ def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float):
         i_lo = math.floor((-1.0 - g - abs(y1_0) * h) / g)
         i_hi = math.floor((1.0 + abs(y1_0) * h) / g)
         t_lo, t_hi = _long_box_snap_range(y1_0, j2, rho, g)
-        cols = np.arange(i_lo, i_hi + 1)
-        lo = np.searchsorted(d_valid, t_lo - cols, side="left")
-        hi = np.searchsorted(d_valid, t_hi - cols, side="right")
-        counts = np.maximum(hi - lo, 0)
-        starts = np.concatenate([[0], np.cumsum(counts)])
-        if starts[-1] > 0:
-            rows.append((y1_0, d_valid, i_lo, lo, starts, int(starts[-1])))
+        # offset d pairs with the columns i in [i_lo, i_hi] and [t_lo - d, t_hi - d]
+        per_d = np.minimum(i_hi, t_hi - d_valid) - np.maximum(i_lo, t_lo - d_valid) + 1
+        total = int(np.maximum(per_d, 0).sum())
+        if total > 0:
+            rows.append((y1_0, d_valid, i_lo, i_hi, t_lo, t_hi, total))
     return rows
 
 
 def _decode(rows, q, y2_0: float, rho: float, delta: float, C0: float) -> tuple:
-    """Canonical columns (cx1, cy1, ct2, cy2) of the pairs at positions q of
-    the stream indexed by the `_type1_rows` records.  Every decoded pair is
-    checked once against the admissibility conditions; RuntimeError if one
-    fails."""
+    """Canonical columns of the pairs at positions q of the stream indexed
+    by the `_type1_rows` records; see `_checked_columns`."""
     q = np.asarray(q, dtype=np.int64)
-    g = _steps(rho, delta)[1]
     row_pos = np.cumsum([0] + [row[-1] for row in rows])
     r = np.searchsorted(row_pos, q, side="right") - 1
     local = q - row_pos[r]
     i = np.empty(q.size, dtype=np.int64)
     d = np.empty(q.size, dtype=np.int64)
-    # one row at a time: the per-column arrays of all rows together can run
-    # to hundreds of megabytes at fine scales
+    # one row at a time: all rows' per-column arrays run to hundreds of MB at fine scales
     for m in np.unique(r):
         sel = r == m
-        _, d_valid, i_lo, lo, starts, _ = rows[m]
+        _, d_valid, i_lo, i_hi, t_lo, t_hi, _ = rows[m]
+        cols = np.arange(i_lo, i_hi + 1)
+        lo = np.searchsorted(d_valid, t_lo - cols, side="left")
+        hi = np.searchsorted(d_valid, t_hi - cols, side="right")
+        starts = np.concatenate([[0], np.cumsum(hi - lo)])
         col = np.searchsorted(starts, local[sel], side="right") - 1
         i[sel] = i_lo + col
         d[sel] = d_valid[lo[col] + local[sel] - starts[col]]
     cy1 = np.array([row[0] for row in rows], dtype=np.float64)[r]
-    cols = (i * g, cy1, (i + d) * g, np.full(q.size, y2_0))
+    return _checked_columns(i, cy1, d, y2_0, rho, delta, C0)
+
+
+def _checked_columns(i, cy1, d, y2_0: float, rho: float, delta: float, C0: float) -> tuple:
+    """Canonical columns (cx1, cy1, ct2, cy2) of the pairs at arrays (i, cy1, d), each
+    checked once against the admissibility conditions; RuntimeError if one fails."""
+    g = _steps(rho, delta)[1]
+    cols = (i * g, cy1, (i + d) * g, np.full(i.size, y2_0))
     ok = np.logical_and.reduce(_conditions(*cols, rho, delta, C0))
     if not ok.all():
         first = (float(v[np.argmin(ok)]) for v in cols)
@@ -643,30 +648,28 @@ def _sample_pairs(rng, V1: Strip, V2: Strip, C0: float, delta: float, count: int
     rows = _type1_rows(V1, V2, delta, C0)
     if not rows:
         raise ValueError("no admissible pairs at this scale")
-    row_pos = np.cumsum([0] + [row[-1] for row in rows])
-    q = []
+    picks = []
     guard = 0
-    while len(q) < count:
+    while len(picks) < count:
         guard += 1
         if guard > 200 * count + 1000:
             raise ValueError("sampling stalled; configuration too sparse")
         r = int(rng.integers(len(rows)))
-        i_lo, starts = rows[r][2], rows[r][4]
-        ncols = len(starts) - 1
+        y1_0, d_valid, i_lo, i_hi, t_lo, t_hi, _ = rows[r]
         if x_band:
             c_lo = max(0, -i_lo)
-            c_hi = min(ncols - 1, int(math.floor(1.0 / delta)) - i_lo)
+            c_hi = min(i_hi - i_lo, int(math.floor(1.0 / delta)) - i_lo)
             if c_hi < c_lo:
                 continue
             col = int(rng.integers(c_lo, c_hi + 1))
         else:
-            col = int(rng.integers(ncols))
-        c = int(starts[col + 1] - starts[col])
-        if c == 0:
+            col = int(rng.integers(i_hi - i_lo + 1))
+        lo, hi = np.searchsorted(d_valid, (t_lo - i_lo - col, t_hi - i_lo - col + 1))
+        if hi == lo:
             continue
-        q.append(int(row_pos[r] + starts[col]) + int(rng.integers(c)))
+        picks.append((i_lo + col, y1_0, int(d_valid[lo + int(rng.integers(int(hi - lo)))])))
     rho = float(V1.rho)
-    cols = _decode(rows, q, V2.j * rho, rho, delta, C0)
+    cols = _checked_columns(*map(np.array, zip(*picks)), V2.j * rho, rho, delta, C0)
     return PairTable(1, rho, delta, float(C0), count, 1, *cols)
 
 

@@ -438,9 +438,9 @@ class TestEnumerate:
         d_max = int(4 * c0 * c0) + 1
         rows = _type1_rows(V1, V2, delta, c0)
         assert rows
-        for y1_0, d_valid, i_lo, _, starts, _ in rows:
+        for y1_0, d_valid, i_lo, i_hi, *_ in rows:
             listed = set(d_valid.tolist())
-            for i in range(i_lo, i_lo + len(starts) - 1):
+            for i in range(i_lo, i_hi + 1):
                 admissible = {
                     d for d in range(-d_max, d_max + 1)
                     if isinstance(make_type1_pair(i * g, y1_0, (i + d) * g, y2_0,
@@ -450,11 +450,12 @@ class TestEnumerate:
 
     def test_corrupted_index_raises(self, monkeypatch):
         # a decoded pair that fails the windows is a fault of the index, not
-        # a rejection: the decoder raises
+        # a rejection: the decoder raises (here the first row is moved off
+        # the separation window)
         V1, V2, delta, c0 = self.small_config()
         rows = _type1_rows(V1, V2, delta, c0)
-        y1_0, d_valid, i_lo, lo, starts, total = rows[0]
-        broken = [(y1_0, d_valid * 64, i_lo, lo, starts, total)] + rows[1:]
+        y1_0, *rest = rows[0]
+        broken = [(y1_0 + 0.5, *rest)] + rows[1:]
         monkeypatch.setattr(geometry, "_type1_rows", lambda *args: broken)
         with pytest.raises(RuntimeError, match="indexed candidate failed validation"):
             pair_sample(V1, V2, delta, c0)

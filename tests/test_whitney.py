@@ -15,6 +15,7 @@ from hypwhitney.geometry import (
     DyadicInterval,
     Strip,
     _canonical_contains,
+    _sample_pairs,
     _type1_rows,
     make_type1_pair,
     sample_members,
@@ -47,17 +48,18 @@ V2 = strip(12)
 
 def stream_oracle(V1, V2, delta, c0):
     """The type-1 stream pair by pair: every (row, column, offset) of the
-    `_type1_rows` index in order, each validated by make_type1_pair."""
+    `_type1_rows` index in order, listed by a mask per column rather than by
+    the decoder's search, each validated by make_type1_pair."""
     rho, g = V1.rho, V1.rho * V1.rho * delta
     out = []
-    for y1_0, d_valid, i_lo, lo, starts, _ in _type1_rows(V1, V2, delta, c0):
-        for col in range(len(starts) - 1):
-            i = i_lo + col
-            for k in range(int(starts[col + 1] - starts[col])):
-                d = int(d_valid[lo[col] + k])
-                pair = make_type1_pair(i * g, y1_0, (i + d) * g, V2.j * rho, rho, delta, c0)
-                assert isinstance(pair, AdmissiblePair), pair
-                out.append(pair)
+    for y1_0, d_valid, i_lo, i_hi, t_lo, t_hi, total in _type1_rows(V1, V2, delta, c0):
+        row = [(i, int(d)) for i in range(i_lo, i_hi + 1)
+               for d in d_valid[(t_lo <= i + d_valid) & (i + d_valid <= t_hi)]]
+        assert len(row) == total
+        for i, d in row:
+            pair = make_type1_pair(i * g, y1_0, (i + d) * g, V2.j * rho, rho, delta, c0)
+            assert isinstance(pair, AdmissiblePair), pair
+            out.append(pair)
     return out
 
 
@@ -178,6 +180,34 @@ class TestDecompose:
         assert (t1.stride, t2.stride) == (1, 1) and not d.truncated
         assert list(t1) == stream_oracle(V1, V2, 2.0, C0)
         assert list(t2) == [p.swapped() for p in stream_oracle(V2, V1, 2.0, C0)]
+
+    @pytest.mark.parametrize("delta, x_band", [(2.0, False), (1.0, True)])
+    def test_sample_pairs_replay_the_stream(self, delta, x_band):
+        # `_sample_pairs` draws a row, a column of it (in the N=0 band with
+        # x_band) and one of that column's pairs, re-drawing on an empty
+        # column; replayed here over the stream oracle's columns
+        rows = _type1_rows(V1, V2, delta, C0)
+        g = RHO * RHO * delta
+        columns = {}
+        for p in stream_oracle(V1, V2, delta, C0):
+            columns.setdefault((p.cy1, round(p.cx1 / g)), []).append(p)
+        rng = np.random.default_rng(5)
+        want = []
+        while len(want) < 60:
+            y1_0, _, i_lo, i_hi = rows[int(rng.integers(len(rows)))][:4]
+            if x_band:
+                c_lo, c_hi = max(0, -i_lo), min(i_hi - i_lo, math.floor(1.0 / delta) - i_lo)
+                if c_hi < c_lo:
+                    continue
+                col = int(rng.integers(c_lo, c_hi + 1))
+            else:
+                col = int(rng.integers(i_hi - i_lo + 1))
+            column = columns.get((y1_0, i_lo + col), [])
+            if column:
+                want.append(column[int(rng.integers(len(column)))])
+        got = _sample_pairs(np.random.default_rng(5), V1, V2, C0, delta, 60, x_band=x_band)
+        assert (got.total, got.stride) == (60, 1)
+        assert list(got) == want
 
     def test_each_index_built_once(self, monkeypatch):
         # one `_type1_rows` index per scale and type; totals and strides come
