@@ -30,6 +30,7 @@ from .geometry import (
     AdmissiblePair,
     Strip,
     _check_strips,
+    _in_ranges,
     _long_member,
     _sample_pairs,
     _small_member,
@@ -463,6 +464,19 @@ def audit_sumset_x(V1: Strip, V2: Strip, C0, delta, n: int, seed,
     )
 
 
+def _cube_multiplicity(pts, centers, r) -> np.ndarray:
+    """How many centers lie within r of each point in every coordinate.
+
+    Such a center lies within 2r of the point in x even after rounding, so
+    only that window of the x-sorted centers is tested.
+    """
+    ctr = centers[np.argsort(centers[:, 0], kind="stable")]
+    i, j = _in_ranges(np.searchsorted(ctr[:, 0], pts[:, 0] - 2.0 * r),
+                      np.searchsorted(ctr[:, 0], pts[:, 0] + 2.0 * r, side="right"))
+    inside = (np.abs(pts[i] - ctr[j]) <= r).all(axis=1)
+    return np.bincount(i[inside], minlength=len(pts))
+
+
 def audit_sumset_cubes(V1: Strip, V2: Strip, C0, delta, n: int, seed,
                        side_factor: float = 4.0, members_per_tuple: int = 4,
                        multiplicity_points: int = 4096) -> AuditReport:
@@ -539,12 +553,7 @@ def audit_sumset_cubes(V1: Strip, V2: Strip, C0, delta, n: int, seed,
         checked += take
 
     pts = np.concatenate(points, axis=0)[:multiplicity_points]
-    ctr = np.asarray(centers)
-    mult = np.zeros(len(pts), dtype=np.int64)
-    for lo in range(0, len(ctr), 2048):
-        blk = ctr[lo:lo + 2048]
-        inside = (np.abs(pts[:, None, :] - blk[None, :, :]) <= half + 1e-12).all(axis=2)
-        mult += inside.sum(axis=1)
+    mult = _cube_multiplicity(pts, np.asarray(centers), half + 1e-12)
     return AuditReport(
         name="sumset_cubes",
         passed=violations == 0,

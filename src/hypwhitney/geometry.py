@@ -243,6 +243,14 @@ def _canonical_contains(cx1, cy1, ct2, cy2, rho, delta, xs, ys, xl, yl):
     )
 
 
+def _in_ranges(lo, hi) -> tuple:
+    """(k, position) for every position of the half-open ranges
+    [lo[k], hi[k]) of two flat integer arrays, in order."""
+    n = np.maximum(hi - lo, 0)
+    k = np.repeat(np.arange(n.size), n)
+    return k, np.arange(k.size) - np.repeat(np.cumsum(n) - n - lo, n)
+
+
 @dataclass(frozen=True)
 class AdmissiblePair:
     """One admissible box pair of type 1 or 2 at scales (rho, delta).

@@ -34,6 +34,7 @@ from .geometry import (
     _long_coords,
     _long_member,
     _conditions,
+    _in_ranges,
     _small_coords,
     _small_member,
     _steps,
@@ -120,11 +121,11 @@ def _covering(z1, z2, V1: Strip, V2: Strip, C0: float) -> tuple:
     point can only lie in pairs at the exponents kc-3..kc+3 about the
     anchor's dyadic scale kc, and within one scale and type only in the
     snapped candidate.  Returns, for type 1 (anchor z1) and then type 2
-    (anchor z2): the exponents, shape (7, n); whether the candidate at each
-    is admissible and contains the point, shape (7, n), each candidate
-    checked once; and the candidates' canonical columns, shape (4, 7, n).
-    Points outside the strip product, anchors below 1e-300 and exponents
-    outside [LOG2_DELTA_FLOOR, the coarsest scale] have no candidate.
+    (anchor z2): the exponents, shape (7, n), and whether the candidate at
+    each is admissible and contains the point, shape (7, n), each candidate
+    checked once (`_snap` gives a candidate's columns back).  Points
+    outside the strip product, anchors below 1e-300 and exponents outside
+    [LOG2_DELTA_FLOOR, the coarsest scale] have no candidate.
     """
     rho = V1.rho
     z1, z2 = np.reshape(np.asarray([*z1, *z2], dtype=np.float64), (2, 2, -1))
@@ -136,14 +137,12 @@ def _covering(z1, z2, V1: Strip, V2: Strip, C0: float) -> tuple:
         # C0^2 rho^2 is a power of two, so the dyadic window test is exact
         ks = _floor_log2(a / (C0 * C0 * rho * rho)) + np.arange(-3, 4)[:, None]
         ok = inside & (a >= 1e-300) & (LOG2_DELTA_FLOOR <= ks) & (ks <= k_max)
-        cols = np.zeros((4,) + ks.shape)
         for delta, (r, i) in _by_scale(ks, ok):
             small, long = (zs[0][i], zs[1][i]), (zl[0][i], zl[1][i])
             cand = _snap(small, long, rho, delta)
-            cols[:, r, i] = cand
             ok[r, i] = np.logical_and.reduce((*_conditions(*cand, rho, delta, C0),
                                               _canonical_contains(*cand, rho, delta, *small, *long)))
-        scans.append((ks, ok, cols))
+        scans.append((ks, ok))
     return tuple(scans)
 
 
@@ -172,7 +171,7 @@ def locate_pair(z1, z2, V1: Strip, V2: Strip, C0) -> AdmissiblePair:
     if min(abs(t1), abs(t2)) < DEGENERATE_TAU_TOL:
         raise DegenerateTau(f"discrepancies {t1:.3e}, {t2:.3e} below tolerance")
     swap = bool(abs(t2) < abs(t1))
-    ks, ok, cols = _covering(z1, z2, V1, V2, C0)[swap]
+    ks, ok = _covering(z1, z2, V1, V2, C0)[swap]
     k = int(ks[3, 0])
     if k < LOG2_DELTA_FLOOR:
         t = t2 if swap else t1
@@ -180,12 +179,13 @@ def locate_pair(z1, z2, V1: Strip, V2: Strip, C0) -> AdmissiblePair:
     delta = math.ldexp(1.0, k)
     if rho * rho * delta > 4.0:
         raise LocationFailed("anchor discrepancy exceeds the coarsest scale")
+    cols = [float(v) for v in _snap(*((z2, z1) if swap else (z1, z2)), rho, delta)]
     if not ok[3, 0]:
-        cand = make_type1_pair(*cols[:, 3, 0].tolist(), rho, delta, C0)
+        cand = make_type1_pair(*cols, rho, delta, C0)
         if isinstance(cand, Rejected):
             raise LocationFailed(f"snapped candidate rejected ({cand.which}): {cand.message}")
         raise LocationFailed("snapped candidate does not contain the sample")
-    return AdmissiblePair(1 + swap, float(rho), delta, C0, *cols[:, 3, 0].tolist())
+    return AdmissiblePair(1 + swap, float(rho), delta, C0, *cols)
 
 
 def containing_pairs(z1, z2, V1: Strip, V2: Strip, C0) -> tuple:
@@ -195,9 +195,11 @@ def containing_pairs(z1, z2, V1: Strip, V2: Strip, C0) -> tuple:
     """
     C0 = float(C0)
     rho = _check_strips(V1, V2, C0)
-    return tuple([AdmissiblePair(t, float(rho), math.ldexp(1.0, int(ks[r, 0])), C0,
-                                 *cols[:, r, 0].tolist()) for r in np.flatnonzero(ok[:, 0])]
-                 for t, (ks, ok, cols) in enumerate(_covering(z1, z2, V1, V2, C0), start=1))
+    slots = ((z1, z2), (z2, z1))
+    return tuple([AdmissiblePair(t, float(rho), delta, C0,
+                                 *map(float, _snap(*slots[t - 1], rho, delta)))
+                  for delta in np.ldexp(1.0, ks[ok[:, 0], 0]).tolist()]
+                 for t, (ks, ok) in enumerate(_covering(z1, z2, V1, V2, C0), start=1))
 
 
 def _signed_sum(n_a: int, n_t: int) -> int:
@@ -367,14 +369,34 @@ def _interior_samples(rng, V1: Strip, V2: Strip, C0, n: int):
 # Audits
 
 
-def _containment_counts(arrays, rho, delta, x1, y1, x2, y2) -> np.ndarray:
-    """How many of the pairs contain each canonical sample; chunked."""
-    points = (x1[None, :], y1[None, :], x2[None, :], y2[None, :])
-    counts = np.zeros(x1.size, dtype=np.int64)
-    for lo in range(0, arrays[0].size, 1024):
-        chunk = (v[lo:lo + 1024, None] for v in arrays)
-        counts += _canonical_contains(*chunk, rho, delta, *points).sum(axis=0)
-    return counts
+def _containment_counts(arrays, rho, delta, xs, ys, xl, yl) -> np.ndarray:
+    """How many of the pairs contain each canonical sample.
+
+    Pairs are keyed by the grid cell (floor(cy1/h), floor(cx1/g)) of their
+    small-box base.  A containing pair's row is among floor(ys/h) - 2..+1
+    and, at row value c, its column among floor((xs + c*(ys - c))/g) - 2..+1
+    (margins for rounding and bases off the x-grid; rows lie on the y-grid),
+    so only the pairs of those cells are tested, each once.
+    """
+    cx1, cy1 = arrays[:2]
+    h, g = _steps(rho, delta)
+    rows, cols = np.floor(cy1 / h).astype(np.int64), np.floor(cx1 / g).astype(np.int64)
+    # relative columns run over [1, width - 2]: a clipped window selects no other row
+    r0, c0 = rows.min(), cols.min() - 1
+    width = cols.max() - c0 + 2
+    keys = (rows - r0) * width + cols - c0
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    r = np.floor(ys / h) + np.arange(-2, 2)[:, None]
+    c = r * h
+    col = np.floor((xs + c * (ys - c)) / g).astype(np.int64) - c0
+    base = (r.astype(np.int64) - r0) * width
+    lo = np.searchsorted(keys, base + np.clip(col - 2, 0, width - 1))
+    hi = np.searchsorted(keys, base + np.clip(col + 1, 0, width - 1), side="right")
+    k, pos = _in_ranges(lo.ravel(), hi.ravel())
+    i, p = k % xs.size, order[pos]
+    hit = _canonical_contains(*(v[p] for v in arrays), rho, delta, xs[i], ys[i], xl[i], yl[i])
+    return np.bincount(i[hit], minlength=xs.size)
 
 
 def audit_disjoint(decomp: WhitneyDecomposition, n: int, seed) -> AuditReport:
@@ -442,7 +464,7 @@ def audit_disjoint(decomp: WhitneyDecomposition, n: int, seed) -> AuditReport:
 def _spans(scan):
     """Per point: how many candidates contain it, and the least and largest
     containing exponents (0 where none does)."""
-    ks, ok, _ = scan
+    ks, ok = scan
     count = ok.sum(axis=0)
     some = count > 0
     k_lo = np.where(some, np.where(ok, ks, ks.max() + 1).min(axis=0), 0)
@@ -527,7 +549,7 @@ def audit_locate(V1: Strip, V2: Strip, C0, n: int, seed) -> AuditReport:
     z1, z2 = samples[:2], samples[2:]
     a1, a2 = np.abs(tau(z1, z1, z2)), np.abs(tau(z2, z1, z2))
     swap = a2 < a1
-    (ks1, ok1, _), (ks2, ok2, _) = _covering(z1, z2, V1, V2, C0)
+    (ks1, ok1), (ks2, ok2) = _covering(z1, z2, V1, V2, C0)
     ks = np.where(swap, ks2[3], ks1[3])
     scale = C0 * C0 * rho * rho * np.ldexp(1.0, ks)
     anchor = np.where(swap, a2, a1)
@@ -561,7 +583,7 @@ def audit_locate(V1: Strip, V2: Strip, C0, n: int, seed) -> AuditReport:
 def _class_counts(scan) -> np.ndarray:
     """Per point: how many distinct scale classes its containing candidates
     fall in."""
-    ks, ok, _ = scan
+    ks, ok = scan
     r, i = np.nonzero(ok)
     classes = np.zeros((10, ks.shape[1]), dtype=bool)
     classes[ks[r, i] % 10, i] = True

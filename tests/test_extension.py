@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from hypwhitney import extension
 from hypwhitney.extension import (
     Carrier,
     FrequencyField,
     QuadratureSpec,
     TestFunction,
     UnresolvedOscillation,
+    _cube_multiplicity,
     audit_sumset_cubes,
     audit_sumset_x,
     bilinear_field,
@@ -355,3 +357,49 @@ class TestSumsetCubes:
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
             b.to_json_dict(), sort_keys=True
         )
+
+
+def dense_cube_multiplicity(pts, centers, r):
+    """Every point against every center, in blocks: the oracle of
+    `_cube_multiplicity`."""
+    mult = np.zeros(len(pts), dtype=np.int64)
+    for lo in range(0, len(centers), 2048):
+        blk = centers[lo:lo + 2048]
+        mult += (np.abs(pts[:, None, :] - blk[None, :, :]) <= r).all(axis=2).sum(axis=1)
+    return mult
+
+
+class TestCubeMultiplicity:
+    """`_cube_multiplicity` against the dense count over every center."""
+
+    def test_audit_inputs_equal_dense_count(self, monkeypatch):
+        calls = []
+
+        def recording(pts, centers, r):
+            calls.append((pts, centers, r))
+            return _cube_multiplicity(pts, centers, r)
+
+        monkeypatch.setattr(extension, "_cube_multiplicity", recording)
+        for delta, side in ((2.0**-3, 4.0), (2.0**-6, 4.0), (2.0**-4, 2048.0)):
+            audit_sumset_cubes(V1, V2, C0, delta, 4096, 23, side_factor=side)
+        assert len(calls) == 3
+        for pts, centers, r in calls:
+            want = dense_cube_multiplicity(pts, centers, r)
+            assert want.max() >= 1
+            assert np.array_equal(_cube_multiplicity(pts, centers, r), want)
+        assert want.min() >= 2  # side 2048 delta: every point in several cubes
+
+    def test_points_at_distance_r(self):
+        # dyadic centers (many sharing an x) and radius: c +- r is exact, so
+        # these points sit exactly on cube faces, edges and corners
+        rng = np.random.default_rng(61)
+        r = 2.0**-5
+        centers = rng.integers(-64, 64, size=(3000, 3)) * 2.0**-7
+        near = centers[rng.integers(len(centers), size=2000)]
+        signs = rng.choice([-1.0, 0.0, 1.0], size=near.shape)
+        on_faces = near + signs * r
+        nudged = on_faces + rng.integers(-2, 3, size=near.shape) * np.abs(np.spacing(on_faces))
+        for radius, pts in ((r, on_faces), (r, nudged), (r + 1e-12, near + signs * (r + 1e-12))):
+            want = dense_cube_multiplicity(pts, centers, radius)
+            assert np.array_equal(_cube_multiplicity(pts, centers, radius), want)
+        assert _cube_multiplicity(on_faces, centers, r).min() >= 1

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hypwhitney import geometry, whitney
 from hypwhitney.geometry import (
@@ -15,12 +16,17 @@ from hypwhitney.geometry import (
     DyadicInterval,
     Strip,
     _canonical_contains,
+    _long_member,
     _sample_pairs,
+    _small_member,
+    _steps,
     _type1_rows,
     make_type1_pair,
     sample_members,
+    separated_strip_pair,
 )
 from hypwhitney.whitney import (
+    _containment_counts,
     _interior_samples,
     DegenerateTau,
     LocationFailed,
@@ -501,3 +507,113 @@ class TestContainmentScan:
         for i in range(20):
             assert pair in containing_pairs(z1s[i], z2s[i], V1, V2, C0)[0]
         assert calls == []
+
+
+def dense_containment_counts(arrays, rho, delta, xs, ys, xl, yl):
+    """Every sample against every pair: the oracle of `_containment_counts`."""
+    counts = np.zeros(xs.size, dtype=np.int64)
+    for lo in range(0, arrays[0].size, 1024):
+        chunk = (v[lo:lo + 1024, None] for v in arrays)
+        counts += _canonical_contains(*chunk, rho, delta, xs, ys, xl, yl).sum(axis=0)
+    return counts
+
+
+# unit offsets on, and one ulp around, the edges and the middle of a box
+EDGE_OFFSETS = np.array([-2.0**-52, 0.0, 2.0**-52, 0.5, 1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52])
+
+
+def edge_samples(table, V1, V2, rng, n_members=1500, n_uniform=500):
+    """Canonical samples (xs, ys, xl, yl) for a table: members of random
+    rows at edge offsets with every coordinate nudged by -2..2 ulps, then
+    uniform points of the canonical strip product widened by g in x."""
+    rho, delta = table.rho, table.delta
+    h, g = _steps(rho, delta)
+    Vs, Vl = (V1, V2) if table.pair_type == 1 else (V2, V1)
+    k = rng.integers(len(table), size=n_members)
+    u1, v1, u2, v2 = rng.choice(EDGE_OFFSETS, size=(4, n_members))
+    members = np.array([*_small_member(table.cx1[k], table.cy1[k], h, g, u1, v1),
+                        *_long_member(table.ct2[k], table.cy1[k], table.cy2[k], rho, g, u2, v2)])
+    members += rng.integers(-2, 3, size=members.shape) * np.abs(np.spacing(members))
+    uniform = np.array([rng.uniform(-1.0 - g, 1.0 + g, n_uniform),
+                        Vs.interval.left + rng.random(n_uniform) * rho,
+                        rng.uniform(-1.0 - g, 1.0 + g, n_uniform),
+                        Vl.interval.left + rng.random(n_uniform) * rho])
+    return np.concatenate([members, uniform], axis=1)
+
+
+def shifted_duplicates(table, rows):
+    """The table with the given rows appended again, shifted by half a grid
+    step in x, so that they sit off the x-grid and overlap their originals."""
+    g = _steps(table.rho, table.delta)[1]
+    return dataclasses.replace(table, cx1=np.append(table.cx1, table.cx1[rows] + g / 2.0),
+                               **{c: np.append(getattr(table, c), getattr(table, c)[rows])
+                                  for c in ("cy1", "ct2", "cy2")})
+
+
+class TestBucketedContainment:
+    """`_containment_counts` against the dense count over every pair."""
+
+    @pytest.mark.parametrize("strips, deltas, cap", [
+        ((-12, 12, RHO), (2.0**-6, 2.0**-3), 4096),  # the default audit's lists
+        ((-12, 12, RHO), (2.0**-8,), 4096),  # whitney-scan's finest scale
+        ((-12, 12, RHO), (1.0, 2.0), 512),  # delta >= 1, where h = rho
+        ((-40, -20, 2.0**-6), (2.0**-4, 1.0), 512),  # far strips
+    ], ids=["audit", "fine", "coarse", "far"])
+    def test_equals_dense_count(self, strips, deltas, cap):
+        V1, V2 = separated_strip_pair(*strips, C0)
+        d = decompose(V1, V2, C0, min(deltas), max(deltas), cap=cap)
+        rng = np.random.default_rng(51)
+        lists = 0
+        for delta in deltas:
+            for table in d.scales[delta]:
+                samples = edge_samples(table, V1, V2, rng)
+                arrays = (table.cx1, table.cy1, table.ct2, table.cy2)
+                got = _containment_counts(arrays, table.rho, delta, *samples)
+                want = dense_containment_counts(arrays, table.rho, delta, *samples)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert 0 < (want > 0).sum() < want.size
+                lists += 1
+        assert lists == 2 * len(deltas)
+
+    def test_off_grid_duplicates_equal_dense_count(self):
+        d = decompose(V1, V2, C0, 2.0**-4, 2.0**-4, cap=64)
+        rng = np.random.default_rng(52)
+        for table in d.scales[2.0**-4]:
+            table = shifted_duplicates(table, np.arange(0, len(table), 3))
+            samples = edge_samples(table, V1, V2, rng)
+            arrays = (table.cx1, table.cy1, table.ct2, table.cy2)
+            want = dense_containment_counts(arrays, RHO, 2.0**-4, *samples)
+            assert np.array_equal(_containment_counts(arrays, RHO, 2.0**-4, *samples), want)
+            assert want.max() == 2
+
+
+@pytest.fixture(scope="module")
+def scan_tables():
+    """The tables of the whitney-scan decomposition, 512 rows at most each."""
+    d = decompose(V1, V2, C0, 2.0**-8, 4.0, cap=512)
+    return [t for delta in sorted(d.scales) for t in d.scales[delta] if len(t)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(table=st.integers(0, 10**6), row=st.integers(0, 511),
+       offsets=st.tuples(*[st.floats(0.0, OPEN_SCALE, exclude_max=True)] * 4))
+def test_members_are_covered_and_located(scan_tables, table, row, offsets):
+    table = scan_tables[table % len(scan_tables)]
+    pair = table[row % len(table)]
+    z1, z2 = pair.member_at(offsets)
+    # boxes overhang |x| = 1; those members lie outside the strip product
+    assume(V1.contains(z1) and V2.contains(z2))
+    # at a zero offset the member map can round a member one ulp out of
+    # its own box; then no scan may report the pair, and location, which
+    # snaps onto that box, fails as on any grid wall
+    inside = pair.contains(z1, z2)
+    groups = containing_pairs(z1, z2, V1, V2, C0)
+    assert (pair in groups[pair.pair_type - 1]) == inside
+    try:
+        found = locate_pair(z1, z2, V1, V2, C0)
+    except LocationFailed:
+        assert not inside
+        return
+    assert found in groups[found.pair_type - 1]
+    if (found.pair_type, found.delta) == (pair.pair_type, pair.delta):
+        assert (found == pair) == inside
