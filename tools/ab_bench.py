@@ -7,13 +7,13 @@ Usage (from the repository root):
 The committed files of each revision are extracted with `git archive` into a
 temporary directory, so uncommitted edits never reach a run.  Pair k runs
 
-    python3 perfbench/run.py --workload W --seed k --seconds 36 --trace 0
+    python3 perfbench/run.py --workload W --seed k --seconds T --trace 0
 
-once in each checkout, the base first in even pairs and the head first in odd
-ones.  The output file holds every run's end-to-end metrics and, for each
-workload and end-to-end metric of the head's BENCHMARK.json, each side's
-median and quartiles and the number of pairs the head won (ties count for
-neither side).
+once in each checkout, T being the `run_seconds` of the head's
+BENCHMARK.json; the base runs first in even pairs, the head in odd ones.
+The output file holds every run's end-to-end metrics and, for each workload
+and end-to-end metric, each side's median and quartiles and the number of
+pairs the head won (ties count for neither side).
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ def main(argv=None) -> int:
     parser.add_argument("--head", default="HEAD", help="head revision (default HEAD)")
     parser.add_argument("--workloads", help="comma-separated workloads (default: all)")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=36.0)
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -94,6 +93,7 @@ def main(argv=None) -> int:
         for side, commit in commits.items():
             _checkout(commit, checkouts[side])
         spec = json.loads((checkouts["head"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+        seconds = spec["run_seconds"]
         names = [w["name"] for w in spec["workloads"]]
         workloads = args.workloads.split(",") if args.workloads else names
         unknown = sorted(set(workloads) - set(names))
@@ -102,7 +102,7 @@ def main(argv=None) -> int:
         report = {"base": {"rev": args.base, "commit": commits["base"]},
                   "head": {"rev": args.head, "commit": commits["head"]},
                   "command": f"python3 perfbench/run.py --workload W --seed S "
-                             f"--seconds {args.seconds:g} --trace 0",
+                             f"--seconds {seconds:g} --trace 0",
                   "pairs": args.pairs, "python": sys.version.split()[0], "workloads": {}}
         for workload in workloads:
             runs = []
@@ -110,7 +110,7 @@ def main(argv=None) -> int:
                 order = ("base", "head") if seed % 2 == 0 else ("head", "base")
                 run = {"seed": seed, "first": order[0]}
                 for side in order:
-                    result = run[side] = _run(checkouts[side], workload, seed, args.seconds)
+                    result = run[side] = _run(checkouts[side], workload, seed, seconds)
                     shown = result["metrics"]["wall_s"] if "metrics" in result else result["error"]
                     print(f"{workload} seed {seed} {side}: wall_s {shown}", file=sys.stderr, flush=True)
                 runs.append(run)
