@@ -438,15 +438,14 @@ def audit_sumset_x(V1: Strip, V2: Strip, C0, delta, n: int, seed,
         min_y_sum = min(min_y_sum, float(y_sum.min()))
         bad = (x_off > x_half) | (y_sum < 0.0) | (y_sum > y_hi)
         violations += int(bad.sum())
-        for t in np.nonzero(bad)[0]:
-            if len(failures) < 5:
-                failures.append({
-                    "z1": [float(x1[t]), float(y1[t])],
-                    "z2": [float(x2[t]), float(y2[t])],
-                    "N": N,
-                    "x_offset": float(x_off[t]),
-                    "y_sum": float(y_sum[t]),
-                })
+        for t in np.nonzero(bad)[0][:5 - len(failures)]:
+            failures.append({
+                "z1": [float(x1[t]), float(y1[t])],
+                "z2": [float(x2[t]), float(y2[t])],
+                "N": N,
+                "x_offset": float(x_off[t]),
+                "y_sum": float(y_sum[t]),
+            })
         checked += take
     return AuditReport(
         name="sumset_x_window",
@@ -465,11 +464,8 @@ def audit_sumset_x(V1: Strip, V2: Strip, C0, delta, n: int, seed,
 
 
 def _cube_multiplicity(pts, centers, r) -> np.ndarray:
-    """How many centers lie within r of each point in every coordinate.
-
-    Such a center lies within 2r of the point in x even after rounding, so
-    only that window of the x-sorted centers is tested.
-    """
+    """How many centers lie within r of each point in every coordinate; only
+    the x-sorted centers within 2r in x, a margin for rounding, are tested."""
     ctr = centers[np.argsort(centers[:, 0], kind="stable")]
     i, j = _in_ranges(np.searchsorted(ctr[:, 0], pts[:, 0] - 2.0 * r),
                       np.searchsorted(ctr[:, 0], pts[:, 0] + 2.0 * r, side="right"))
@@ -513,12 +509,8 @@ def audit_sumset_cubes(V1: Strip, V2: Strip, C0, delta, n: int, seed,
         k = k0 + int(rng.integers(slabs_per_box))
         y2k = k * slab
         z2k = _long_member(pair.ct2, pair.cy1, y2k, slab, pair.g, 0.0, 0.0)
-        base_sum = (
-            pair.cx1 + z2k[0],
-            pair.cy1 + y2k,
-            float(phase_eval(BASE, (pair.cx1, pair.cy1)) + phase_eval(BASE, z2k)),
-        )
-        center = (base_sum[0] / rho**2, base_sum[1] / rho, base_sum[2] / rho**3)
+        base_z = float(phase_eval(BASE, (pair.cx1, pair.cy1)) + phase_eval(BASE, z2k))
+        center = ((pair.cx1 + z2k[0]) / rho**2, (pair.cy1 + y2k) / rho, base_z / rho**3)
         key = (pair.cx1, pair.cy1, pair.ct2, k)
         if key not in seen:
             seen.add(key)
@@ -530,26 +522,20 @@ def audit_sumset_cubes(V1: Strip, V2: Strip, C0, delta, n: int, seed,
         offs = rng.random((4, take)) * OPEN_SCALE
         x1, y1 = _small_member(pair.cx1, pair.cy1, pair.h, pair.g, offs[0], offs[1])
         x2, y2 = _long_member(pair.ct2, pair.cy1, y2k, slab, pair.g, offs[2], offs[3])
-        wx = (x1 + x2) / rho**2
-        wy = (y1 + y2) / rho
-        wz = (phase_eval(BASE, (x1, y1)) + phase_eval(BASE, (x2, y2))) / rho**3
-        off = np.maximum.reduce([
-            np.abs(wx - center[0]),
-            np.abs(wy - center[1]),
-            np.abs(wz - center[2]),
-        ])
+        w = np.stack([(x1 + x2) / rho**2, (y1 + y2) / rho,
+                      (phase_eval(BASE, (x1, y1)) + phase_eval(BASE, (x2, y2))) / rho**3], axis=1)
+        off = np.abs(w - center).max(axis=1)
         max_off = max(max_off, float(off.max()))
         bad = off > half + 1e-12
         violations += int(bad.sum())
-        for t in np.nonzero(bad)[0]:
-            if len(failures) < 5:
-                failures.append({
-                    "z1": [float(x1[t]), float(y1[t])],
-                    "z2": [float(x2[t]), float(y2[t])],
-                    "offset_over_delta": float(off[t] / delta),
-                })
+        for t in np.nonzero(bad)[0][:5 - len(failures)]:
+            failures.append({
+                "z1": [float(x1[t]), float(y1[t])],
+                "z2": [float(x2[t]), float(y2[t])],
+                "offset_over_delta": float(off[t] / delta),
+            })
         if len(points) * members_per_tuple < multiplicity_points:
-            points.append(np.stack([wx, wy, wz], axis=1))
+            points.append(w)
         checked += take
 
     pts = np.concatenate(points, axis=0)[:multiplicity_points]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Union
 
 import numpy as np
@@ -304,16 +304,7 @@ class AdmissiblePair:
 
     def swapped(self) -> "AdmissiblePair":
         """The same pair viewed from the other type (slots interchanged)."""
-        return AdmissiblePair(
-            pair_type=3 - self.pair_type,
-            rho=self.rho,
-            delta=self.delta,
-            C0=self.C0,
-            cx1=self.cx1,
-            cy1=self.cy1,
-            ct2=self.ct2,
-            cy2=self.cy2,
-        )
+        return replace(self, pair_type=3 - self.pair_type)
 
     def contains_many(self, x1, y1, x2, y2):
         """Membership of (z1, z2); vectorized over numpy inputs."""
@@ -441,29 +432,16 @@ def audit_tau_bounds(pair: AdmissiblePair, n: int, seed) -> AuditReport:
     t2 = tau(z2.T, z1.T, z2.T)
     small_scale = pair.C0**2 * pair.rho**2 * pair.delta
     long_scale = pair.C0**2 * pair.rho**2 * max(1.0, pair.delta)
-    if pair.pair_type == 1:
-        r_small = np.abs(t1) / small_scale
-        r_long = np.abs(t2) / long_scale
-    else:
-        r_small = np.abs(t2) / small_scale
-        r_long = np.abs(t1) / long_scale
-
-    base_tau = abs(tau(pair.base1, pair.base1, pair.base2))
-    if pair.pair_type == 2:
-        base_tau = abs(tau(pair.base2, pair.base1, pair.base2))
+    t_small, t_long = (t1, t2) if pair.pair_type == 1 else (t2, t1)
+    r_small, r_long = np.abs(t_small) / small_scale, np.abs(t_long) / long_scale
+    # anchored at the small box's base, which is base1 for type 1 and base2 for type 2
+    base_tau = abs(tau(pair._cbase1, pair.base1, pair.base2))
     base_ok = small_scale / 4.0 <= base_tau < 4.0 * small_scale
 
     bad = (r_small < 1.0 / 8.0) | (r_small > 8.0) | (r_long < 1.0 / 1000.0) | (r_long > 1000.0)
-    failures = []
-    for k in np.flatnonzero(bad)[:5]:
-        failures.append(
-            {
-                "z1": list(z1[k]),
-                "z2": list(z2[k]),
-                "small_ratio": float(r_small[k]),
-                "long_ratio": float(r_long[k]),
-            }
-        )
+    failures = [{"z1": list(z1[k]), "z2": list(z2[k]),
+                 "small_ratio": float(r_small[k]), "long_ratio": float(r_long[k])}
+                for k in np.flatnonzero(bad)[:5]]
     return AuditReport(
         name="tau_bounds",
         passed=bool(base_ok and not bad.any()),

@@ -195,11 +195,9 @@ def containing_pairs(z1, z2, V1: Strip, V2: Strip, C0) -> tuple:
     """
     C0 = float(C0)
     rho = _check_strips(V1, V2, C0)
-    slots = ((z1, z2), (z2, z1))
-    return tuple([AdmissiblePair(t, float(rho), delta, C0,
-                                 *map(float, _snap(*slots[t - 1], rho, delta)))
+    return tuple([AdmissiblePair(t, float(rho), delta, C0, *map(float, _snap(*zs, rho, delta)))
                   for delta in np.ldexp(1.0, ks[ok[:, 0], 0]).tolist()]
-                 for t, (ks, ok) in enumerate(_covering(z1, z2, V1, V2, C0), start=1))
+                 for t, zs, (ks, ok) in zip((1, 2), ((z1, z2), (z2, z1)), _covering(z1, z2, V1, V2, C0)))
 
 
 def _signed_sum(n_a: int, n_t: int) -> int:
@@ -372,29 +370,26 @@ def _interior_samples(rng, V1: Strip, V2: Strip, C0, n: int):
 def _containment_counts(arrays, rho, delta, xs, ys, xl, yl) -> np.ndarray:
     """How many of the pairs contain each canonical sample.
 
-    Pairs are keyed by the grid cell (floor(cy1/h), floor(cx1/g)) of their
-    small-box base.  A containing pair's row is among floor(ys/h) - 2..+1
-    and, at row value c, its column among floor((xs + c*(ys - c))/g) - 2..+1
-    (margins for rounding and bases off the x-grid; rows lie on the y-grid),
-    so only the pairs of those cells are tested, each once.
+    h is a power of two, so a pair whose small-box base lies on the y-grid,
+    cy1 = r*h, can contain a sample only in the row r = floor(ys/h), and
+    then only if its column floor(cx1/g) is within -2..+1 of the sample's
+    sheared column floor((xs + cy1*(ys - cy1))/g), the margins covering
+    rounding and bases off the x-grid.  Those pairs are sorted by cell and
+    each sample is tested only against the pairs of its four cells; pairs
+    off the y-grid are tested against every sample.
     """
     cx1, cy1 = arrays[:2]
     h, g = _steps(rho, delta)
     rows, cols = np.floor(cy1 / h).astype(np.int64), np.floor(cx1 / g).astype(np.int64)
-    # relative columns run over [1, width - 2]: a clipped window selects no other row
-    r0, c0 = rows.min(), cols.min() - 1
-    width = cols.max() - c0 + 2
-    keys = (rows - r0) * width + cols - c0
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    r = np.floor(ys / h) + np.arange(-2, 2)[:, None]
-    c = r * h
-    col = np.floor((xs + c * (ys - c)) / g).astype(np.int64) - c0
-    base = (r.astype(np.int64) - r0) * width
-    lo = np.searchsorted(keys, base + np.clip(col - 2, 0, width - 1))
-    hi = np.searchsorted(keys, base + np.clip(col + 1, 0, width - 1), side="right")
-    k, pos = _in_ranges(lo.ravel(), hi.ravel())
-    i, p = k % xs.size, order[pos]
+    on, width = rows * h == cy1, cols.max() - cols.min() + 4
+    order = np.flatnonzero(on)[np.argsort((rows * width + cols)[on], kind="stable")]
+    keys = (rows * width + cols)[order]
+    r = np.floor(ys / h)
+    key = r.astype(np.int64) * width + np.floor((xs + r * h * (ys - r * h)) / g).astype(np.int64)
+    i, pos = _in_ranges(np.searchsorted(keys, key - 2), np.searchsorted(keys, key + 1, side="right"))
+    off = np.flatnonzero(~on)
+    i = np.append(i, np.repeat(np.arange(xs.size), off.size))
+    p = np.append(order[pos], np.tile(off, xs.size))
     hit = _canonical_contains(*(v[p] for v in arrays), rho, delta, xs[i], ys[i], xl[i], yl[i])
     return np.bincount(i[hit], minlength=xs.size)
 
@@ -402,7 +397,7 @@ def _containment_counts(arrays, rho, delta, xs, ys, xl, yl) -> np.ndarray:
 def audit_disjoint(decomp: WhitneyDecomposition, n: int, seed) -> AuditReport:
     """Within one scale and type, no sample may lie in two stored products.
 
-    Per (scale, type) list, n samples are tested against every stored pair:
+    Per (scale, type) list, n samples are counted against the stored pairs:
     half drawn uniformly from the strip product, half drawn from the stored
     products themselves (cycling through all of them) so that containment is
     actually exercised.  Any sample covered twice is a violation.

@@ -321,6 +321,14 @@ class TestAuditDisjoint:
         assert not rep.passed
         assert rep.failures and rep.failures[0]["count"] >= 2
 
+    def test_pair_duplicated_off_the_y_grid_fails(self):
+        d = decompose(V1, V2, C0, 2.0**-4, 2.0**-4, cap=64)
+        t1, t2 = d.scales[2.0**-4]
+        d.scales[2.0**-4] = (shifted_duplicates(t1, [0], "y"), t2)
+        rep = audit_disjoint(d, 2000, seed=5)
+        assert not rep.passed
+        assert rep.failures and rep.failures[0]["count"] >= 2
+
 
 class TestAuditOverlap:
     def test_multiplicity_and_ratio_bounds(self):
@@ -541,13 +549,20 @@ def edge_samples(table, V1, V2, rng, n_members=1500, n_uniform=500):
     return np.concatenate([members, uniform], axis=1)
 
 
-def shifted_duplicates(table, rows):
-    """The table with the given rows appended again, shifted by half a grid
-    step in x, so that they sit off the x-grid and overlap their originals."""
-    g = _steps(table.rho, table.delta)[1]
-    return dataclasses.replace(table, cx1=np.append(table.cx1, table.cx1[rows] + g / 2.0),
-                               **{c: np.append(getattr(table, c), getattr(table, c)[rows])
-                                  for c in ("cy1", "ct2", "cy2")})
+def shifted_duplicates(table, rows, axis="x"):
+    """The table with the given rows appended again, their small boxes moved
+    by half a box along axis "x" or "y", so that the copies sit off that
+    grid and overlap their originals.  A move in y shifts both shears, so
+    cx1 and ct2 follow it: the copy's small-box base is the original's
+    member at unit offsets (0, 1/2)."""
+    h, g = _steps(table.rho, table.delta)
+    cx1, cy1, ct2, cy2 = (c[rows] for c in (table.cx1, table.cy1, table.ct2, table.cy2))
+    if axis == "x":
+        moved = (cx1 + g / 2.0, cy1, ct2, cy2)
+    else:
+        moved = (cx1 - cy1 * h / 2.0, cy1 + h / 2.0, ct2 - cy2 * h / 2.0, cy2)
+    return dataclasses.replace(table, **{c: np.append(getattr(table, c), v) for c, v
+                                         in zip(("cx1", "cy1", "ct2", "cy2"), moved)})
 
 
 class TestBucketedContainment:
@@ -575,16 +590,45 @@ class TestBucketedContainment:
                 lists += 1
         assert lists == 2 * len(deltas)
 
-    def test_off_grid_duplicates_equal_dense_count(self):
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_off_grid_duplicates_equal_dense_count(self, axis):
         d = decompose(V1, V2, C0, 2.0**-4, 2.0**-4, cap=64)
         rng = np.random.default_rng(52)
         for table in d.scales[2.0**-4]:
-            table = shifted_duplicates(table, np.arange(0, len(table), 3))
+            table = shifted_duplicates(table, np.arange(0, len(table), 3), axis)
             samples = edge_samples(table, V1, V2, rng)
             arrays = (table.cx1, table.cy1, table.ct2, table.cy2)
             want = dense_containment_counts(arrays, RHO, 2.0**-4, *samples)
             assert np.array_equal(_containment_counts(arrays, RHO, 2.0**-4, *samples), want)
             assert want.max() == 2
+
+    @pytest.mark.parametrize("strips", [(-12, 12, RHO), (-40, -20, 2.0**-6)], ids=["audit", "far"])
+    def test_wall_samples_equal_dense_count(self, strips):
+        """Samples within ulps of the sheared x-walls of their boxes at delta
+        1, every other base moved to just below its next x grid line: where
+        the sheared column rounds past the pair's column."""
+        V1, V2 = separated_strip_pair(*strips, C0)
+        table_pair = decompose(V1, V2, C0, 1.0, 1.0, cap=256).scales[1.0]
+        rng = np.random.default_rng(53)
+        left = 0
+        for table in table_pair:
+            rho, (h, g) = table.rho, _steps(table.rho, 1.0)
+            cx1 = np.where(np.arange(len(table)) % 2, np.nextafter(table.cx1 + g, -np.inf), table.cx1)
+            arrays = (cx1, table.cy1, table.ct2, table.cy2)
+            k = rng.integers(len(table), size=50000)
+            cy1 = table.cy1[k]
+            ys = cy1 + rng.random(k.size) * h
+            xs = cx1[k] + rng.integers(0, 2, k.size) * g - cy1 * (ys - cy1)
+            xs += rng.integers(-3, 4, k.size) * np.spacing(np.abs(xs))
+            xl, yl = _long_member(table.ct2[k], cy1, table.cy2[k], rho, g,
+                                  *rng.random((2, k.size)) * OPEN_SCALE)
+            want = dense_containment_counts(arrays, rho, 1.0, xs, ys, xl, yl)
+            assert np.array_equal(_containment_counts(arrays, rho, 1.0, xs, ys, xl, yl), want)
+            # samples in their own box whose sheared column lies left of the box's
+            inside = _canonical_contains(*(a[k] for a in arrays), rho, 1.0, xs, ys, xl, yl)
+            r = np.floor(ys / h) * h
+            left += (inside & (np.floor((xs + r * (ys - r)) / g) < np.floor(cx1[k] / g))).sum()
+        assert left > 0
 
 
 @pytest.fixture(scope="module")

@@ -5,12 +5,13 @@ Usage (from the repository root):
     python3 tools/ab_bench.py --base HEAD~1 --head HEAD --out BENCH.json
 
 The committed files of each revision are extracted with `git archive` into a
-temporary directory, so uncommitted edits never reach a run.  Pair k runs
+temporary directory, so uncommitted edits never reach a run.  For every
+workload W of the head's BENCHMARK.json, pair k runs
 
     python3 perfbench/run.py --workload W --seed k --seconds T --trace 0
 
-once in each checkout, T being the `run_seconds` of the head's
-BENCHMARK.json; the base runs first in even pairs, the head in odd ones.
+once in each checkout, T being that file's `run_seconds`; the base runs
+first in even pairs, the head in odd ones.
 The output file holds every run's end-to-end metrics and, for each workload
 and end-to-end metric, each side's median and quartiles and the number of
 pairs the head won (ties count for neither side).
@@ -80,7 +81,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="tools/ab_bench.py", description=__doc__.split("\n")[0])
     parser.add_argument("--base", default="HEAD~1", help="base revision (default HEAD~1)")
     parser.add_argument("--head", default="HEAD", help="head revision (default HEAD)")
-    parser.add_argument("--workloads", help="comma-separated workloads (default: all)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
@@ -94,17 +94,12 @@ def main(argv=None) -> int:
             _checkout(commit, checkouts[side])
         spec = json.loads((checkouts["head"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         seconds = spec["run_seconds"]
-        names = [w["name"] for w in spec["workloads"]]
-        workloads = args.workloads.split(",") if args.workloads else names
-        unknown = sorted(set(workloads) - set(names))
-        if unknown:
-            parser.error(f"unknown workloads: {', '.join(unknown)}")
         report = {"base": {"rev": args.base, "commit": commits["base"]},
                   "head": {"rev": args.head, "commit": commits["head"]},
                   "command": f"python3 perfbench/run.py --workload W --seed S "
                              f"--seconds {seconds:g} --trace 0",
                   "pairs": args.pairs, "python": sys.version.split()[0], "workloads": {}}
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             runs = []
             for seed in range(args.pairs):
                 order = ("base", "head") if seed % 2 == 0 else ("head", "base")
