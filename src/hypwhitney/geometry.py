@@ -149,15 +149,9 @@ def admissible_strip_pairs(rho, C0) -> list:
         for b in range(-n_big, n_big):
             if not related_intervals(DyadicInterval(a, big), DyadicInterval(b, big)):
                 continue
-            for j1 in range(a * sub, (a + 1) * sub):
-                if not (-n_sub <= j1 < n_sub):
-                    continue
-                for j2 in range(b * sub, (b + 1) * sub):
-                    if not (-n_sub <= j2 < n_sub):
-                        continue
-                    out.append(
-                        (Strip(DyadicInterval(j1, rho)), Strip(DyadicInterval(j2, rho)))
-                    )
+            for j1 in range(max(a * sub, -n_sub), min((a + 1) * sub, n_sub)):
+                for j2 in range(max(b * sub, -n_sub), min((b + 1) * sub, n_sub)):
+                    out.append((Strip(DyadicInterval(j1, rho)), Strip(DyadicInterval(j2, rho))))
     return out
 
 
@@ -471,9 +465,7 @@ def _long_box_snap_range(y1_0: float, j2: int, rho: float, g: float) -> tuple:
     if ylo < vertex < yhi:
         cand.append(vertex)
     q = [y * (y - y1_0) for y in cand]
-    lo = -1.0 + min(q)
-    hi = 1.0 + max(q)
-    return math.floor(lo / g), math.floor(hi / g)
+    return math.floor((-1.0 + min(q)) / g), math.floor((1.0 + max(q)) / g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -514,13 +506,12 @@ def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float):
     """Index the type-1 pair stream without materializing it.
 
     One record per fine-grid row y1_0 that admits pairs:
-    (y1_0, d_valid, i_lo, i_hi, t_lo, t_hi, total): the small-box columns
-    run over i in [i_lo, i_hi], column i admits the window offsets d of
-    d_valid with t_lo <= i + d <= t_hi, and total is the row's pair count.
-    The stream runs over the records in order, then the columns, then the
-    offsets.  The total is summed per offset, so no per-column array is
-    built here; `_decode` builds those for one row at a time.
-    """
+    (y1_0, runs, i_lo, i_hi, t_lo, t_hi, total): column i of i_lo..i_hi
+    admits the row's window offsets d with t_lo <= i + d <= t_hi; runs, an
+    int64 array (a, b) of shape (2, K), holds those offsets as K runs
+    [a_k, b_k] of consecutive integers (K <= 3 on the benchmark's strips),
+    and total = F(i_hi - i_lo + 1) of `_pairs_before`.  The stream runs over
+    the records in order, then the columns, then the offsets."""
     if V1.rho != V2.rho:
         raise ValueError("strips must share one scale")
     rho = V1.rho
@@ -534,8 +525,7 @@ def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float):
     y2_0 = j2 * rho
     lo1, hi1, lo2, hi2 = _windows(rho, delta, C0)
     # window 1 in units of g; exact, as every factor is a power of two
-    d_lo = int(math.ceil(lo1 / g))
-    d_hi = int(math.ceil(hi1 / g))
+    d_lo, d_hi = int(math.ceil(lo1 / g)), int(math.ceil(hi1 / g))
     d_all = np.concatenate([np.arange(-d_hi + 1, -d_lo + 1), np.arange(d_lo, d_hi)])
     for m in range(int(round(rho / h))):
         y1_0 = j1 * rho + m * h
@@ -545,39 +535,61 @@ def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float):
         d_valid = d_all[_in_window(np.abs(tau2), lo2, hi2)]
         if d_valid.size == 0:
             continue
+        cut = np.flatnonzero(np.diff(d_valid) != 1)
+        runs = np.stack([d_valid[np.r_[0, cut + 1]], d_valid[np.r_[cut, -1]]])
         i_lo = math.floor((-1.0 - g - abs(y1_0) * h) / g)
         i_hi = math.floor((1.0 + abs(y1_0) * h) / g)
         t_lo, t_hi = _long_box_snap_range(y1_0, j2, rho, g)
-        # offset d pairs with the columns i in [i_lo, i_hi] and [t_lo - d, t_hi - d]
-        per_d = np.minimum(i_hi, t_hi - d_valid) - np.maximum(i_lo, t_lo - d_valid) + 1
-        total = int(np.maximum(per_d, 0).sum())
+        total = int(_pairs_before(*runs, i_lo, t_lo, t_hi, i_hi - i_lo + 1))
         if total > 0:
-            rows.append((y1_0, d_valid, i_lo, i_hi, t_lo, t_hi, total))
+            rows.append((y1_0, runs, i_lo, i_hi, t_lo, t_hi, total))
     return rows
+
+
+def _pairs_before(a, b, i_lo, t_lo, t_hi, c):
+    """F(c), the pairs in a row's first c columns: the sum over i in
+    [i_lo, i_lo + c) of #{d : t_lo <= i + d <= t_hi}, for the offsets d of
+    the runs [a, b].  Runs lie along the last axis of the int64 arrays a, b;
+    the other arguments broadcast against the leading axes.  Exact in int64."""
+    def ramp(x):  # the sum over y <= x of #{d <= y}, i.e. of x + 1 - d over d <= x
+        x = np.asarray(x)[..., None]
+        m = np.clip(x, a - 1, b)
+        n = m - a + 1
+        return (n * (x + 1) - (a + m) * n // 2).sum(-1)
+    hi, lo = t_hi - i_lo, t_lo - 1 - i_lo
+    return ramp(hi) - ramp(hi - c) - ramp(lo) + ramp(lo - c)
 
 
 def _decode(rows, q, y2_0: float, rho: float, delta: float, C0: float) -> tuple:
     """Canonical columns of the pairs at positions q of the stream indexed
-    by the `_type1_rows` records; see `_checked_columns`."""
+    by the `_type1_rows` records; see `_checked_columns`.  One bisection
+    over all queries finds each one's column c, F(c) <= local < F(c + 1)
+    for its position local in its row; its offset is the (local - F(c))-th
+    run member >= t_lo - i.  Memory is O(queries x runs)."""
     q = np.asarray(q, dtype=np.int64)
-    row_pos = np.cumsum([0] + [row[-1] for row in rows])
+    fields = np.array([row[2:] for row in rows], dtype=np.int64).reshape(-1, 5)
+    row_pos = np.r_[0, np.cumsum(fields[:, 4])]
     r = np.searchsorted(row_pos, q, side="right") - 1
     local = q - row_pos[r]
-    i = np.empty(q.size, dtype=np.int64)
-    d = np.empty(q.size, dtype=np.int64)
-    # one row at a time: all rows' per-column arrays run to hundreds of MB at fine scales
-    for m in np.unique(r):
-        sel = r == m
-        _, d_valid, i_lo, i_hi, t_lo, t_hi, _ = rows[m]
-        cols = np.arange(i_lo, i_hi + 1)
-        lo = np.searchsorted(d_valid, t_lo - cols, side="left")
-        hi = np.searchsorted(d_valid, t_hi - cols, side="right")
-        starts = np.concatenate([[0], np.cumsum(hi - lo)])
-        col = np.searchsorted(starts, local[sel], side="right") - 1
-        i[sel] = i_lo + col
-        d[sel] = d_valid[lo[col] + local[sel] - starts[col]]
+    i_lo, i_hi, t_lo, t_hi, _ = fields[r].T
+    runs = np.full((len(rows), 2, max((row[1].shape[1] for row in rows), default=0)), [[1], [0]])
+    for m, row in enumerate(rows):  # padded with the empty run [1, 0]
+        runs[m, :, :row[1].shape[1]] = row[1]
+    a, b = runs[r, 0], runs[r, 1]
+    c, c_end = np.zeros_like(q), i_hi - i_lo + 1
+    while np.any(c_end - c > 1):
+        mid = (c + c_end) // 2
+        below = _pairs_before(a, b, i_lo, t_lo, t_hi, mid) <= local
+        c, c_end = np.where(below, mid, c), np.where(below, c_end, mid)
+    k = local - _pairs_before(a, b, i_lo, t_lo, t_hi, c)
+    # the k-th member of the runs clipped to the column's offsets >= t_lo - i
+    a = np.maximum(a, (t_lo - i_lo - c)[:, None])
+    n = np.maximum(b - a + 1, 0)
+    before = np.cumsum(n, -1) - n
+    run = (before <= k[:, None]).sum(-1, keepdims=True) - 1
+    d = np.take_along_axis(a - before, run, -1)[:, 0] + k
     cy1 = np.array([row[0] for row in rows], dtype=np.float64)[r]
-    return _checked_columns(i, cy1, d, y2_0, rho, delta, C0)
+    return _checked_columns(i_lo + c, cy1, d, y2_0, rho, delta, C0)
 
 
 def _checked_columns(i, cy1, d, y2_0: float, rho: float, delta: float, C0: float) -> tuple:
@@ -634,29 +646,27 @@ def _sample_pairs(rng, V1: Strip, V2: Strip, C0: float, delta: float, count: int
     rows = _type1_rows(V1, V2, delta, C0)
     if not rows:
         raise ValueError("no admissible pairs at this scale")
-    picks = []
-    guard = 0
+    row_pos = np.cumsum([0] + [row[-1] for row in rows])
+    picks, guard = [], 0
     while len(picks) < count:
         guard += 1
         if guard > 200 * count + 1000:
             raise ValueError("sampling stalled; configuration too sparse")
         r = int(rng.integers(len(rows)))
-        y1_0, d_valid, i_lo, i_hi, t_lo, t_hi, _ = rows[r]
+        _, runs, i_lo, i_hi, t_lo, t_hi, _ = rows[r]
+        c_lo, c_hi = 0, i_hi - i_lo
         if x_band:
-            c_lo = max(0, -i_lo)
-            c_hi = min(i_hi - i_lo, int(math.floor(1.0 / delta)) - i_lo)
-            if c_hi < c_lo:
-                continue
-            col = int(rng.integers(c_lo, c_hi + 1))
-        else:
-            col = int(rng.integers(i_hi - i_lo + 1))
-        lo, hi = np.searchsorted(d_valid, (t_lo - i_lo - col, t_hi - i_lo - col + 1))
+            c_lo, c_hi = max(0, -i_lo), min(c_hi, math.floor(1.0 / delta) - i_lo)
+        if c_hi < c_lo:
+            continue
+        col = int(rng.integers(c_lo, c_hi + 1))
+        # the column's pairs are the stream positions [lo, hi) of its row
+        lo, hi = _pairs_before(*runs, i_lo, t_lo, t_hi, np.array([col, col + 1]))
         if hi == lo:
             continue
-        picks.append((i_lo + col, y1_0, int(d_valid[lo + int(rng.integers(int(hi - lo)))])))
+        picks.append(row_pos[r] + lo + int(rng.integers(int(hi - lo))))
     rho = float(V1.rho)
-    cols = _checked_columns(*map(np.array, zip(*picks)), V2.j * rho, rho, delta, C0)
-    return PairTable(1, rho, delta, float(C0), count, 1, *cols)
+    return PairTable(1, rho, delta, float(C0), count, 1, *_decode(rows, picks, V2.j * rho, rho, delta, C0))
 
 
 def _check_strips(V1: Strip, V2: Strip, C0: float) -> float:

@@ -24,7 +24,10 @@ from hypwhitney.geometry import (
     related_intervals,
     sample_members,
     separated_strip_pair,
+    _checked_columns,
+    _decode,
     _long_coords,
+    _pairs_before,
     _small_coords,
     _type1_rows,
 )
@@ -352,6 +355,66 @@ class TestAuditTauBounds:
         assert d["samples"] == 500
 
 
+def run_offsets(runs):
+    """The offsets of a `_type1_rows` record's runs [a_k, b_k], ascending."""
+    return np.concatenate([np.arange(a, b + 1) for a, b in runs.T])
+
+
+def decode_oracle(rows, q, y2_0, rho, delta, c0):
+    """The per-column decoder that the closed form replaced: for each queried
+    row, the admitted offsets of every column by two searches over the
+    expanded offsets, and each query's column by a search over their running
+    count."""
+    q = np.asarray(q, dtype=np.int64)
+    row_pos = np.cumsum([0] + [row[-1] for row in rows])
+    r = np.searchsorted(row_pos, q, side="right") - 1
+    local = q - row_pos[r]
+    i = np.empty(q.size, dtype=np.int64)
+    d = np.empty(q.size, dtype=np.int64)
+    for m in np.unique(r):
+        sel = r == m
+        _, runs, i_lo, i_hi, t_lo, t_hi, _ = rows[m]
+        d_valid = run_offsets(runs)
+        cols = np.arange(i_lo, i_hi + 1)
+        lo = np.searchsorted(d_valid, t_lo - cols, side="left")
+        hi = np.searchsorted(d_valid, t_hi - cols, side="right")
+        starts = np.concatenate([[0], np.cumsum(hi - lo)])
+        col = np.searchsorted(starts, local[sel], side="right") - 1
+        i[sel] = i_lo + col
+        d[sel] = d_valid[lo[col] + local[sel] - starts[col]]
+    cy1 = np.array([row[0] for row in rows], dtype=np.float64)[r]
+    return _checked_columns(i, cy1, d, y2_0, rho, delta, c0)
+
+
+# separated strip pairs (rho, C0, j1, j2) for the decoder property test
+SEPARATED = [(2.0**-4, 32.0, -12, 12), (2.0**-4, 32.0, -16, 1),
+             (2.0**-3, 16.0, -6, 6), (2.0**-3, 16.0, -7, 3)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(strips=st.sampled_from(SEPARATED), swap=st.booleans(), k=st.integers(-8, 1),
+       draws=st.lists(st.integers(0, 2**62), max_size=40))
+def test_decode_matches_oracle(strips, swap, k, draws):
+    # positions 0 and total - 1, every row boundary +-1 and random draws;
+    # delta >= 2^-3 reaches rows of 3 runs, and delta = 2 rows of 270
+    # columns against 8,190 offsets
+    rho, c0, j1, j2 = strips
+    if swap:
+        j1, j2 = j2, j1
+    V1, V2 = separated_strip_pair(j1, j2, rho, c0)
+    delta = 2.0**k
+    rows = _type1_rows(V1, V2, delta, c0)
+    assert rows
+    row_pos = np.cumsum([0] + [row[-1] for row in rows])
+    total = int(row_pos[-1])
+    q = np.concatenate([[0, total - 1], (row_pos[1:-1, None] + [-1, 0, 1]).ravel(),
+                        np.array(draws, dtype=np.int64) % total])
+    got = _decode(rows, q, j2 * rho, rho, delta, c0)
+    want = decode_oracle(rows, q, j2 * rho, rho, delta, c0)
+    for column, expected in zip(got, want):
+        assert np.array_equal(column, expected)
+
+
 def full_table(V1, V2, delta, c0, pair_type=1):
     """The stride-1 table of a stream small enough to materialize."""
     table = pair_sample(V1, V2, delta, c0, pair_type=pair_type, max_pairs=10**6)
@@ -438,8 +501,8 @@ class TestEnumerate:
         d_max = int(4 * c0 * c0) + 1
         rows = _type1_rows(V1, V2, delta, c0)
         assert rows
-        for y1_0, d_valid, i_lo, i_hi, *_ in rows:
-            listed = set(d_valid.tolist())
+        for y1_0, runs, i_lo, i_hi, *_ in rows:
+            listed = set(run_offsets(runs).tolist())
             for i in range(i_lo, i_hi + 1):
                 admissible = {
                     d for d in range(-d_max, d_max + 1)
@@ -459,6 +522,24 @@ class TestEnumerate:
         monkeypatch.setattr(geometry, "_type1_rows", lambda *args: broken)
         with pytest.raises(RuntimeError, match="indexed candidate failed validation"):
             pair_sample(V1, V2, delta, c0)
+
+    def test_extended_run_raises(self, monkeypatch):
+        # one run extended by the offset just past its end, which window 1
+        # rejects; the row's total counts the extra pairs, so the full table
+        # decodes them and must raise
+        V1, V2, delta, c0 = self.small_config()
+        (y1_0, runs, i_lo, i_hi, t_lo, t_hi, total), = _type1_rows(V1, V2, delta, c0)
+        assert runs.tolist() == [[-1023, 64], [-64, 1023]]
+        runs = runs.copy()
+        runs[1, 0] += 1
+        assert not isinstance(make_type1_pair(65 * RHO * RHO * delta, y1_0, 2 * RHO * RHO * delta,
+                                              V2.j * RHO, RHO, delta, c0), AdmissiblePair)
+        grown = int(_pairs_before(*runs, i_lo, t_lo, t_hi, i_hi - i_lo + 1))
+        assert grown > total
+        broken = [(y1_0, runs, i_lo, i_hi, t_lo, t_hi, grown)]
+        monkeypatch.setattr(geometry, "_type1_rows", lambda *args: broken)
+        with pytest.raises(RuntimeError, match="indexed candidate failed validation"):
+            pair_sample(V1, V2, delta, c0, max_pairs=10**6)
 
     def test_deterministic_order(self):
         V1, V2, delta, c0 = self.small_config()
