@@ -613,10 +613,10 @@ def pair_sample(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1,
     small-box x-parameter ascending, then the window offset
     d = (t2_0 - x1_0)/g ascending; the type-2 stream is the type-1 stream of
     (V2, V1) with the slots interchanged.  total is the exact stream size and
-    stride = max(1, ceil(total/max_pairs)).  Skipped pairs are never built,
-    so this stays cheap even when the stream has 1e8+ members.  Scales below
-    2^-20 give an empty table; rho^2*delta > 4 is an error.
-    """
+    stride = max(1, ceil(total/max_pairs)).  Each row keeps its offsets as
+    runs of consecutive integers, and only the stored positions are decoded,
+    in closed form, so this stays cheap even for 1e8+ members.  Scales below
+    2^-20 give an empty table; rho^2*delta > 4 is an error."""
     delta, C0 = float(delta), float(C0)
     _require_dyadic(delta=delta, C0=C0)
     if max_pairs < 1:

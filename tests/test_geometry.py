@@ -524,16 +524,13 @@ class TestEnumerate:
             pair_sample(V1, V2, delta, c0)
 
     def test_extended_run_raises(self, monkeypatch):
-        # one run extended by the offset just past its end, which window 1
-        # rejects; the row's total counts the extra pairs, so the full table
-        # decodes them and must raise
+        # the row's first run [-1023, -64] extended by the offset -63, which
+        # window 1 rejects; the row's total counts the extra pairs, so the
+        # full table decodes them and the decoder raises
         V1, V2, delta, c0 = self.small_config()
         (y1_0, runs, i_lo, i_hi, t_lo, t_hi, total), = _type1_rows(V1, V2, delta, c0)
         assert runs.tolist() == [[-1023, 64], [-64, 1023]]
-        runs = runs.copy()
-        runs[1, 0] += 1
-        assert not isinstance(make_type1_pair(65 * RHO * RHO * delta, y1_0, 2 * RHO * RHO * delta,
-                                              V2.j * RHO, RHO, delta, c0), AdmissiblePair)
+        runs = runs + [[0, 0], [1, 0]]
         grown = int(_pairs_before(*runs, i_lo, t_lo, t_hi, i_hi - i_lo + 1))
         assert grown > total
         broken = [(y1_0, runs, i_lo, i_hi, t_lo, t_hi, grown)]
