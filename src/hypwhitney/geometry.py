@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from typing import Iterator, Union
 
 import numpy as np
@@ -503,15 +504,13 @@ class PairTable:
 
 
 def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float):
-    """Index the type-1 pair stream without materializing it.
-
-    One record per fine-grid row y1_0 that admits pairs:
-    (y1_0, runs, i_lo, i_hi, t_lo, t_hi, total): column i of i_lo..i_hi
-    admits the row's window offsets d with t_lo <= i + d <= t_hi; runs, an
-    int64 array (a, b) of shape (2, K), holds those offsets as K runs
-    [a_k, b_k] of consecutive integers (K <= 3 on the benchmark's strips),
-    and total = F(i_hi - i_lo + 1) of `_pairs_before`.  The stream runs over
-    the records in order, then the columns, then the offsets."""
+    """Index the type-1 pair stream without materializing it: one record
+    (y1_0, runs, i_lo, i_hi, t_lo, t_hi, total) per fine-grid row y1_0 with
+    pairs.  Column i of i_lo..i_hi admits the row's offsets d with
+    t_lo <= i + d <= t_hi; runs holds the offsets' runs of consecutive ints
+    as pairs (a_k, b_k), at most 3 on the benchmark's strips, and total is
+    F(i_hi - i_lo + 1) of `_pairs_before`.  The stream runs over the
+    records, then the columns, then the offsets, in order."""
     if V1.rho != V2.rho:
         raise ValueError("strips must share one scale")
     rho = V1.rho
@@ -536,60 +535,64 @@ def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float):
         if d_valid.size == 0:
             continue
         cut = np.flatnonzero(np.diff(d_valid) != 1)
-        runs = np.stack([d_valid[np.r_[0, cut + 1]], d_valid[np.r_[cut, -1]]])
+        runs = tuple(zip(d_valid[np.r_[0, cut + 1]].tolist(), d_valid[np.r_[cut, -1]].tolist()))
         i_lo = math.floor((-1.0 - g - abs(y1_0) * h) / g)
         i_hi = math.floor((1.0 + abs(y1_0) * h) / g)
         t_lo, t_hi = _long_box_snap_range(y1_0, j2, rho, g)
-        total = int(_pairs_before(*runs, i_lo, t_lo, t_hi, i_hi - i_lo + 1))
+        total = _pairs_before(runs, i_lo, t_lo, t_hi, i_hi - i_lo + 1)
         if total > 0:
             rows.append((y1_0, runs, i_lo, i_hi, t_lo, t_hi, total))
     return rows
 
 
-def _pairs_before(a, b, i_lo, t_lo, t_hi, c):
+def _upto(runs, x) -> tuple:
+    """#{d <= x} and the sum over y <= x of #{d <= y} for the members d of the
+    runs (a, b).  Arguments here and below are all ints (a sampled column) or
+    all broadcasting int64 arrays (the decoder's queries): no numpy calls."""
+    n = s = 0
+    for a, b in runs:
+        m = x - (x > b) * (x - b)
+        m = m + (m < a - 1) * (a - 1 - m)  # min(max(x, a - 1), b)
+        n, s = n + m - a + 1, s + (m - a + 1) * (2 * x + 2 - a - m) // 2
+    return n, s
+
+
+def _pairs_before(runs, i_lo, t_lo, t_hi, c):
     """F(c), the pairs in a row's first c columns: the sum over i in
-    [i_lo, i_lo + c) of #{d : t_lo <= i + d <= t_hi}, for the offsets d of
-    the runs [a, b].  Runs lie along the last axis of the int64 arrays a, b;
-    the other arguments broadcast against the leading axes.  Exact in int64."""
-    def ramp(x):  # the sum over y <= x of #{d <= y}, i.e. of x + 1 - d over d <= x
-        x = np.asarray(x)[..., None]
-        m = np.clip(x, a - 1, b)
-        n = m - a + 1
-        return (n * (x + 1) - (a + m) * n // 2).sum(-1)
-    hi, lo = t_hi - i_lo, t_lo - 1 - i_lo
-    return ramp(hi) - ramp(hi - c) - ramp(lo) + ramp(lo - c)
+    [i_lo, i_lo + c) of #{d : t_lo <= i + d <= t_hi}."""
+    ramp = [_upto(runs, x - i_lo)[1] for x in (t_hi, t_hi - c, t_lo - 1, t_lo - 1 - c)]
+    return ramp[0] - ramp[1] - ramp[2] + ramp[3]
+
+
+def _run_member(runs, k):
+    """The k-th run member, counted from 0 in ascending order."""
+    d = 0
+    for a, b in runs:
+        d, k = d + (0 <= k) * (k <= b - a) * (a + k), k - (b - a + 1)
+    return d
 
 
 def _decode(rows, q, y2_0: float, rho: float, delta: float, C0: float) -> tuple:
-    """Canonical columns of the pairs at positions q of the stream indexed
-    by the `_type1_rows` records; see `_checked_columns`.  One bisection
-    over all queries finds each one's column c, F(c) <= local < F(c + 1)
-    for its position local in its row; its offset is the (local - F(c))-th
-    run member >= t_lo - i.  Memory is O(queries x runs)."""
-    q = np.asarray(q, dtype=np.int64)
+    """Canonical columns of the pairs at the int64 positions q of the
+    `_type1_rows` stream (see `_checked_columns`).  One bisection finds each
+    query's column c, F(c) <= local < F(c + 1) for its position local in its
+    row; its offset is the (local - F(c))-th run member >= t_lo - i."""
     fields = np.array([row[2:] for row in rows], dtype=np.int64).reshape(-1, 5)
     row_pos = np.r_[0, np.cumsum(fields[:, 4])]
     r = np.searchsorted(row_pos, q, side="right") - 1
     local = q - row_pos[r]
     i_lo, i_hi, t_lo, t_hi, _ = fields[r].T
-    runs = np.full((len(rows), 2, max((row[1].shape[1] for row in rows), default=0)), [[1], [0]])
-    for m, row in enumerate(rows):  # padded with the empty run [1, 0]
-        runs[m, :, :row[1].shape[1]] = row[1]
-    a, b = runs[r, 0], runs[r, 1]
+    # each query's runs (a, b) as arrays, padded with the empty run (1, 0)
+    runs = [np.array(ends, dtype=np.int64)[r].T
+            for ends in zip_longest(*(row[1] for row in rows), fillvalue=(1, 0))]
     c, c_end = np.zeros_like(q), i_hi - i_lo + 1
     while np.any(c_end - c > 1):
         mid = (c + c_end) // 2
-        below = _pairs_before(a, b, i_lo, t_lo, t_hi, mid) <= local
+        below = _pairs_before(runs, i_lo, t_lo, t_hi, mid) <= local
         c, c_end = np.where(below, mid, c), np.where(below, c_end, mid)
-    k = local - _pairs_before(a, b, i_lo, t_lo, t_hi, c)
-    # the k-th member of the runs clipped to the column's offsets >= t_lo - i
-    a = np.maximum(a, (t_lo - i_lo - c)[:, None])
-    n = np.maximum(b - a + 1, 0)
-    before = np.cumsum(n, -1) - n
-    run = (before <= k[:, None]).sum(-1, keepdims=True) - 1
-    d = np.take_along_axis(a - before, run, -1)[:, 0] + k
+    k = _upto(runs, t_lo - i_lo - c - 1)[0] + local - _pairs_before(runs, i_lo, t_lo, t_hi, c)
     cy1 = np.array([row[0] for row in rows], dtype=np.float64)[r]
-    return _checked_columns(i_lo + c, cy1, d, y2_0, rho, delta, C0)
+    return _checked_columns(i_lo + c, cy1, _run_member(runs, k), y2_0, rho, delta, C0)
 
 
 def _checked_columns(i, cy1, d, y2_0: float, rho: float, delta: float, C0: float) -> tuple:
@@ -646,27 +649,24 @@ def _sample_pairs(rng, V1: Strip, V2: Strip, C0: float, delta: float, count: int
     rows = _type1_rows(V1, V2, delta, C0)
     if not rows:
         raise ValueError("no admissible pairs at this scale")
-    row_pos = np.cumsum([0] + [row[-1] for row in rows])
     picks, guard = [], 0
     while len(picks) < count:
         guard += 1
         if guard > 200 * count + 1000:
             raise ValueError("sampling stalled; configuration too sparse")
-        r = int(rng.integers(len(rows)))
-        _, runs, i_lo, i_hi, t_lo, t_hi, _ = rows[r]
+        y1_0, runs, i_lo, i_hi, t_lo, t_hi, _ = rows[int(rng.integers(len(rows)))]
         c_lo, c_hi = 0, i_hi - i_lo
         if x_band:
             c_lo, c_hi = max(0, -i_lo), min(c_hi, math.floor(1.0 / delta) - i_lo)
         if c_hi < c_lo:
             continue
-        col = int(rng.integers(c_lo, c_hi + 1))
-        # the column's pairs are the stream positions [lo, hi) of its row
-        lo, hi = _pairs_before(*runs, i_lo, t_lo, t_hi, np.array([col, col + 1]))
-        if hi == lo:
-            continue
-        picks.append(row_pos[r] + lo + int(rng.integers(int(hi - lo))))
+        i = i_lo + int(rng.integers(c_lo, c_hi + 1))
+        lo, hi = _upto(runs, t_lo - i - 1)[0], _upto(runs, t_hi - i)[0]
+        if hi > lo:
+            picks.append((i, y1_0, _run_member(runs, lo + int(rng.integers(hi - lo)))))
     rho = float(V1.rho)
-    return PairTable(1, rho, delta, float(C0), count, 1, *_decode(rows, picks, V2.j * rho, rho, delta, C0))
+    cols = _checked_columns(*map(np.array, zip(*picks)), V2.j * rho, rho, delta, C0)
+    return PairTable(1, rho, delta, float(C0), count, 1, *cols)
 
 
 def _check_strips(V1: Strip, V2: Strip, C0: float) -> float:

@@ -357,7 +357,7 @@ class TestAuditTauBounds:
 
 def run_offsets(runs):
     """The offsets of a `_type1_rows` record's runs [a_k, b_k], ascending."""
-    return np.concatenate([np.arange(a, b + 1) for a, b in runs.T])
+    return np.concatenate([np.arange(a, b + 1) for a, b in runs])
 
 
 def decode_oracle(rows, q, y2_0, rho, delta, c0):
@@ -529,9 +529,9 @@ class TestEnumerate:
         # full table decodes them and the decoder raises
         V1, V2, delta, c0 = self.small_config()
         (y1_0, runs, i_lo, i_hi, t_lo, t_hi, total), = _type1_rows(V1, V2, delta, c0)
-        assert runs.tolist() == [[-1023, 64], [-64, 1023]]
-        runs = runs + [[0, 0], [1, 0]]
-        grown = int(_pairs_before(*runs, i_lo, t_lo, t_hi, i_hi - i_lo + 1))
+        assert runs == ((-1023, -64), (64, 1023))
+        runs = ((-1023, -63), (64, 1023))
+        grown = _pairs_before(runs, i_lo, t_lo, t_hi, i_hi - i_lo + 1)
         assert grown > total
         broken = [(y1_0, runs, i_lo, i_hi, t_lo, t_hi, grown)]
         monkeypatch.setattr(geometry, "_type1_rows", lambda *args: broken)

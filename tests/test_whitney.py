@@ -59,7 +59,7 @@ def stream_oracle(V1, V2, delta, c0):
     rho, g = V1.rho, V1.rho * V1.rho * delta
     out = []
     for y1_0, runs, i_lo, i_hi, t_lo, t_hi, total in _type1_rows(V1, V2, delta, c0):
-        d_valid = np.concatenate([np.arange(a, b + 1) for a, b in runs.T])
+        d_valid = np.concatenate([np.arange(a, b + 1) for a, b in runs])
         row = [(i, int(d)) for i in range(i_lo, i_hi + 1)
                for d in d_valid[(t_lo <= i + d_valid) & (i + d_valid <= t_hi)]]
         assert len(row) == total
