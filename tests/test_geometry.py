@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypwhitney import geometry
@@ -394,10 +394,12 @@ SEPARATED = [(2.0**-4, 32.0, -12, 12), (2.0**-4, 32.0, -16, 1),
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(strips=st.sampled_from(SEPARATED), swap=st.booleans(), k=st.integers(-8, 1),
        draws=st.lists(st.integers(0, 2**62), max_size=40))
+@example(strips=SEPARATED[2], swap=False, k=-3, draws=[])
 def test_decode_matches_oracle(strips, swap, k, draws):
     # positions 0 and total - 1, every row boundary +-1 and random draws;
-    # delta >= 2^-3 reaches rows of 3 runs, and delta = 2 rows of 270
-    # columns against 8,190 offsets
+    # delta >= 2^-3 reaches rows of 3 runs, delta = 2 rows of 270 columns
+    # against 8,190 offsets, and the explicit example rows of 2 and 3 runs
+    # in one table, so the decoder pads the shorter rows
     rho, c0, j1, j2 = strips
     if swap:
         j1, j2 = j2, j1
