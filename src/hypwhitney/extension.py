@@ -34,6 +34,7 @@ from .geometry import (
     _long_member,
     _sample_pairs,
     _small_member,
+    _steps,
 )
 from .reports import AuditReport
 from .surface import BASE, PhaseFamily, phase_eval
@@ -407,7 +408,12 @@ def audit_sumset_x(V1: Strip, V2: Strip, C0, delta, n: int, seed,
     (N+1) rho^2] for N = floor(i*delta)) and z2 of the long box:
     x1+x2 must lie in 2N rho^2 +- 10 C0^2 rho^2 and y1+y2 in [0, 2 C0 rho].
     window_shrink divides both window widths (negative-control knob).
+    Each of the n // members_per_pair sampled pairs (at least one) gets
+    min(members_per_pair, n) members, all checked at once as (pair, member)
+    arrays.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     C0, delta = float(C0), float(delta)
     rho = _check_strips(V1, V2, C0)
     if delta > 0.125:
@@ -415,49 +421,38 @@ def audit_sumset_x(V1: Strip, V2: Strip, C0, delta, n: int, seed,
     rng = np.random.default_rng(seed)
     n_pairs = max(1, n // members_per_pair)
     pairs = _sample_pairs(rng, V1, V2, C0, delta, n_pairs)
+    take = min(members_per_pair, n)
+    # one draw in C order is the per-pair (4, take) draws back to back
+    u1, v1, u2, v2 = (rng.random((n_pairs, 4, take)) * OPEN_SCALE).transpose(1, 0, 2)
+    h, g = _steps(rho, delta)
+    cx1, cy1, ct2, cy2 = (col[:, None] for col in (pairs.cx1, pairs.cy1, pairs.ct2, pairs.cy2))
+    x1, y1 = _small_member(cx1, cy1, h, g, u1, v1)
+    x2, y2 = _long_member(ct2, cy1, cy2, rho, g, u2, v2)
+    N = np.floor(np.rint(cx1 / g) * delta)
+    x_off = np.abs(x1 + x2 - 2.0 * N * rho * rho)
+    y_sum = y1 + y2
     x_half = 10.0 * C0 * C0 * rho * rho / window_shrink
     y_hi = 2.0 * C0 * rho / window_shrink
-    failures = []
-    violations = 0
-    checked = 0
-    max_x_off = 0.0
-    max_y_sum = -math.inf
-    min_y_sum = math.inf
-    for pair in pairs:
-        take = min(members_per_pair, n - checked)
-        if take <= 0:
-            break
-        offs = rng.random((4, take)) * OPEN_SCALE
-        (x1, y1), (x2, y2) = pair.member_at(offs)
-        i = int(round(pair.cx1 / pair.g))
-        N = math.floor(i * delta)
-        x_off = np.abs(x1 + x2 - 2.0 * N * rho * rho)
-        y_sum = y1 + y2
-        max_x_off = max(max_x_off, float(x_off.max()))
-        max_y_sum = max(max_y_sum, float(y_sum.max()))
-        min_y_sum = min(min_y_sum, float(y_sum.min()))
-        bad = (x_off > x_half) | (y_sum < 0.0) | (y_sum > y_hi)
-        violations += int(bad.sum())
-        for t in np.nonzero(bad)[0][:5 - len(failures)]:
-            failures.append({
-                "z1": [float(x1[t]), float(y1[t])],
-                "z2": [float(x2[t]), float(y2[t])],
-                "N": N,
-                "x_offset": float(x_off[t]),
-                "y_sum": float(y_sum[t]),
-            })
-        checked += take
+    bad = (x_off > x_half) | (y_sum < 0.0) | (y_sum > y_hi)
+    failures = [{
+        "z1": [float(x1[p, t]), float(y1[p, t])],
+        "z2": [float(x2[p, t]), float(y2[p, t])],
+        "N": int(N[p, 0]),
+        "x_offset": float(x_off[p, t]),
+        "y_sum": float(y_sum[p, t]),
+    } for p, t in zip(*(ix[:5] for ix in np.nonzero(bad)))]
+    violations = int(bad.sum())
     return AuditReport(
         name="sumset_x_window",
         passed=violations == 0,
-        samples=checked,
+        samples=bad.size,
         stats={
             "delta": delta,
             "violations": violations,
             "x_window_halfwidth": x_half,
             "y_window": [0.0, y_hi],
-            "max_x_offset": max_x_off,
-            "y_sum_range": [min_y_sum, max_y_sum],
+            "max_x_offset": float(x_off.max()),
+            "y_sum_range": [float(y_sum.min()), float(y_sum.max())],
         },
         failures=failures,
     )
@@ -473,6 +468,11 @@ def _cube_multiplicity(pts, centers, r) -> np.ndarray:
     return np.bincount(i[inside], minlength=len(pts))
 
 
+def _surface_sum(x1, y1, x2, y2) -> np.ndarray:
+    """phi(z1) + phi(z2) for the base phase, elementwise."""
+    return phase_eval(BASE, (x1, y1)) + phase_eval(BASE, (x2, y2))
+
+
 def audit_sumset_cubes(V1: Strip, V2: Strip, C0, delta, n: int, seed,
                        side_factor: float = 4.0, members_per_tuple: int = 4,
                        multiplicity_points: int = 4096) -> AuditReport:
@@ -483,9 +483,13 @@ def audit_sumset_cubes(V1: Strip, V2: Strip, C0, delta, n: int, seed,
     surface sum (z1, phi(z1)) + (z2, phi(z2)), after the inverse dilation
     (x/rho^2, y/rho, z/rho^3), must land within the cube of side
     side_factor*delta centered at the image of the base sum of its tuple.
-    The overlap multiplicity of these cubes at sampled points is recorded
-    along with the smallest enclosing side actually observed.
+    The overlap multiplicity of these cubes at the first multiplicity_points
+    sampled points is recorded along with the smallest enclosing side
+    actually observed.  Each of the n // members_per_tuple tuples (at least
+    one) gets min(members_per_tuple, n) members.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     C0, delta = float(C0), float(delta)
     rho = _check_strips(V1, V2, C0)
     if not 0.0 < delta <= 0.5:
@@ -496,59 +500,50 @@ def audit_sumset_cubes(V1: Strip, V2: Strip, C0, delta, n: int, seed,
     slab = rho * delta
     slabs_per_box = int(round(1.0 / delta))
     half = side_factor * delta / 2.0
+    take = min(members_per_tuple, n)
+    # each tuple's slab draw precedes its member draw in the stream
+    integers, random = rng.integers, rng.random
+    slab_draws, offsets = [], []
+    for _ in range(n_tuples):
+        slab_draws.append(integers(slabs_per_box))
+        offsets.append(random((4, take)))
+    u1, v1, u2, v2 = (np.array(offsets) * OPEN_SCALE).transpose(1, 0, 2)
 
-    centers = []
-    points = []
-    failures = []
-    violations = 0
-    checked = 0
-    max_off = 0.0
-    seen = set()
-    for pair in pairs:
-        k0 = int(round(pair.cy2 / slab))
-        k = k0 + int(rng.integers(slabs_per_box))
-        y2k = k * slab
-        z2k = _long_member(pair.ct2, pair.cy1, y2k, slab, pair.g, 0.0, 0.0)
-        base_z = float(phase_eval(BASE, (pair.cx1, pair.cy1)) + phase_eval(BASE, z2k))
-        center = ((pair.cx1 + z2k[0]) / rho**2, (pair.cy1 + y2k) / rho, base_z / rho**3)
-        key = (pair.cx1, pair.cy1, pair.ct2, k)
-        if key not in seen:
-            seen.add(key)
-            centers.append(center)
+    k = np.rint(pairs.cy2 / slab) + np.array(slab_draws)
+    h, g = _steps(rho, delta)
+    x2k, y2k = _long_member(pairs.ct2, pairs.cy1, k * slab, slab, g, 0.0, 0.0)
+    # The base sums take Python float arithmetic through object arrays:
+    # numpy's vectorized pow can differ from libm pow in the last bit.
+    base_z = _surface_sum(pairs.cx1, pairs.cy1.astype(object), x2k, y2k.astype(object))
+    center = np.stack([(pairs.cx1 + x2k) / rho**2, (pairs.cy1 + y2k) / rho,
+                       base_z.astype(float) / rho**3], axis=1)
+    x1, y1 = _small_member(pairs.cx1[:, None], pairs.cy1[:, None], h, g, u1, v1)
+    x2, y2 = _long_member(pairs.ct2[:, None], pairs.cy1[:, None], y2k[:, None], slab, g, u2, v2)
+    w = np.stack([(x1 + x2) / rho**2, (y1 + y2) / rho, _surface_sum(x1, y1, x2, y2) / rho**3],
+                 axis=2)
+    off = np.abs(w - center[:, None, :]).max(axis=2)
+    max_off = float(off.max())
+    bad = off > half + 1e-12
+    failures = [{
+        "z1": [float(x1[p, t]), float(y1[p, t])],
+        "z2": [float(x2[p, t]), float(y2[p, t])],
+        "offset_over_delta": float(off[p, t] / delta),
+    } for p, t in zip(*(ix[:5] for ix in np.nonzero(bad)))]
+    violations = int(bad.sum())
 
-        take = min(members_per_tuple, n - checked)
-        if take <= 0:
-            break
-        offs = rng.random((4, take)) * OPEN_SCALE
-        x1, y1 = _small_member(pair.cx1, pair.cy1, pair.h, pair.g, offs[0], offs[1])
-        x2, y2 = _long_member(pair.ct2, pair.cy1, y2k, slab, pair.g, offs[2], offs[3])
-        w = np.stack([(x1 + x2) / rho**2, (y1 + y2) / rho,
-                      (phase_eval(BASE, (x1, y1)) + phase_eval(BASE, (x2, y2))) / rho**3], axis=1)
-        off = np.abs(w - center).max(axis=1)
-        max_off = max(max_off, float(off.max()))
-        bad = off > half + 1e-12
-        violations += int(bad.sum())
-        for t in np.nonzero(bad)[0][:5 - len(failures)]:
-            failures.append({
-                "z1": [float(x1[t]), float(y1[t])],
-                "z2": [float(x2[t]), float(y2[t])],
-                "offset_over_delta": float(off[t] / delta),
-            })
-        if len(points) * members_per_tuple < multiplicity_points:
-            points.append(w)
-        checked += take
-
-    pts = np.concatenate(points, axis=0)[:multiplicity_points]
-    mult = _cube_multiplicity(pts, np.asarray(centers), half + 1e-12)
+    keys = np.stack([pairs.cx1, pairs.cy1, pairs.ct2, k], axis=1)
+    first = np.unique(keys, axis=0, return_index=True)[1]
+    pts = w.reshape(-1, 3)[:multiplicity_points]
+    mult = _cube_multiplicity(pts, center[first], half + 1e-12)
     return AuditReport(
         name="sumset_cubes",
         passed=violations == 0,
-        samples=checked,
+        samples=bad.size,
         stats={
             "delta": delta,
             "cube_side": side_factor * delta,
             "violations": violations,
-            "tuples": len(seen),
+            "tuples": len(first),
             "max_offset_over_delta": max_off / delta,
             "min_enclosing_side_over_delta": 2.0 * max_off / delta,
             "max_multiplicity": int(mult.max()),

@@ -22,9 +22,19 @@ from hypwhitney.extension import (
     lp_norm,
     sumset_cube_stability,
 )
-from hypwhitney.geometry import DyadicInterval, Strip, make_type1_pair
+from hypwhitney.geometry import (
+    OPEN_SCALE,
+    DyadicInterval,
+    Strip,
+    _check_strips,
+    _long_member,
+    _sample_pairs,
+    _small_member,
+    make_type1_pair,
+)
+from hypwhitney.reports import AuditReport
 from hypwhitney.scaling import prototype
-from hypwhitney.surface import BASE, PhaseFamily
+from hypwhitney.surface import BASE, PhaseFamily, phase_eval
 
 RHO = 2.0**-4
 C0 = 32.0
@@ -357,6 +367,188 @@ class TestSumsetCubes:
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
             b.to_json_dict(), sort_keys=True
         )
+
+
+def loop_sumset_x(V1, V2, C0, delta, n, seed, window_shrink=1.0, members_per_pair=8):
+    """One pair at a time, with Python-int column arithmetic: the oracle of
+    the batched `audit_sumset_x`."""
+    C0, delta = float(C0), float(delta)
+    rho = _check_strips(V1, V2, C0)
+    rng = np.random.default_rng(seed)
+    n_pairs = max(1, n // members_per_pair)
+    pairs = _sample_pairs(rng, V1, V2, C0, delta, n_pairs)
+    x_half = 10.0 * C0 * C0 * rho * rho / window_shrink
+    y_hi = 2.0 * C0 * rho / window_shrink
+    failures = []
+    violations = 0
+    checked = 0
+    max_x_off = 0.0
+    max_y_sum = -math.inf
+    min_y_sum = math.inf
+    for pair in pairs:
+        take = min(members_per_pair, n - checked)
+        if take <= 0:
+            break
+        offs = rng.random((4, take)) * OPEN_SCALE
+        (x1, y1), (x2, y2) = pair.member_at(offs)
+        i = int(round(pair.cx1 / pair.g))
+        N = math.floor(i * delta)
+        x_off = np.abs(x1 + x2 - 2.0 * N * rho * rho)
+        y_sum = y1 + y2
+        max_x_off = max(max_x_off, float(x_off.max()))
+        max_y_sum = max(max_y_sum, float(y_sum.max()))
+        min_y_sum = min(min_y_sum, float(y_sum.min()))
+        bad = (x_off > x_half) | (y_sum < 0.0) | (y_sum > y_hi)
+        violations += int(bad.sum())
+        for t in np.nonzero(bad)[0][:5 - len(failures)]:
+            failures.append({
+                "z1": [float(x1[t]), float(y1[t])],
+                "z2": [float(x2[t]), float(y2[t])],
+                "N": N,
+                "x_offset": float(x_off[t]),
+                "y_sum": float(y_sum[t]),
+            })
+        checked += take
+    return AuditReport(
+        name="sumset_x_window",
+        passed=violations == 0,
+        samples=checked,
+        stats={
+            "delta": delta,
+            "violations": violations,
+            "x_window_halfwidth": x_half,
+            "y_window": [0.0, y_hi],
+            "max_x_offset": max_x_off,
+            "y_sum_range": [min_y_sum, max_y_sum],
+        },
+        failures=failures,
+    )
+
+
+def loop_sumset_cubes(V1, V2, C0, delta, n, seed, side_factor=4.0, members_per_tuple=4,
+                      multiplicity_points=4096):
+    """One tuple at a time, with scalar base sums and a set of tuple keys:
+    the oracle of the batched `audit_sumset_cubes`."""
+    C0, delta = float(C0), float(delta)
+    rho = _check_strips(V1, V2, C0)
+    rng = np.random.default_rng(seed)
+    n_tuples = max(1, n // members_per_tuple)
+    pairs = _sample_pairs(rng, V1, V2, C0, delta, n_tuples, x_band=True)
+    slab = rho * delta
+    slabs_per_box = int(round(1.0 / delta))
+    half = side_factor * delta / 2.0
+
+    centers = []
+    points = []
+    failures = []
+    violations = 0
+    checked = 0
+    max_off = 0.0
+    seen = set()
+    for pair in pairs:
+        k0 = int(round(pair.cy2 / slab))
+        k = k0 + int(rng.integers(slabs_per_box))
+        y2k = k * slab
+        z2k = _long_member(pair.ct2, pair.cy1, y2k, slab, pair.g, 0.0, 0.0)
+        base_z = float(phase_eval(BASE, (pair.cx1, pair.cy1)) + phase_eval(BASE, z2k))
+        center = ((pair.cx1 + z2k[0]) / rho**2, (pair.cy1 + y2k) / rho, base_z / rho**3)
+        key = (pair.cx1, pair.cy1, pair.ct2, k)
+        if key not in seen:
+            seen.add(key)
+            centers.append(center)
+
+        take = min(members_per_tuple, n - checked)
+        if take <= 0:
+            break
+        offs = rng.random((4, take)) * OPEN_SCALE
+        x1, y1 = _small_member(pair.cx1, pair.cy1, pair.h, pair.g, offs[0], offs[1])
+        x2, y2 = _long_member(pair.ct2, pair.cy1, y2k, slab, pair.g, offs[2], offs[3])
+        w = np.stack([(x1 + x2) / rho**2, (y1 + y2) / rho,
+                      (phase_eval(BASE, (x1, y1)) + phase_eval(BASE, (x2, y2))) / rho**3], axis=1)
+        off = np.abs(w - center).max(axis=1)
+        max_off = max(max_off, float(off.max()))
+        bad = off > half + 1e-12
+        violations += int(bad.sum())
+        for t in np.nonzero(bad)[0][:5 - len(failures)]:
+            failures.append({
+                "z1": [float(x1[t]), float(y1[t])],
+                "z2": [float(x2[t]), float(y2[t])],
+                "offset_over_delta": float(off[t] / delta),
+            })
+        if len(points) * members_per_tuple < multiplicity_points:
+            points.append(w)
+        checked += take
+
+    pts = np.concatenate(points, axis=0)[:multiplicity_points]
+    mult = _cube_multiplicity(pts, np.asarray(centers), half + 1e-12)
+    return AuditReport(
+        name="sumset_cubes",
+        passed=violations == 0,
+        samples=checked,
+        stats={
+            "delta": delta,
+            "cube_side": side_factor * delta,
+            "violations": violations,
+            "tuples": len(seen),
+            "max_offset_over_delta": max_off / delta,
+            "min_enclosing_side_over_delta": 2.0 * max_off / delta,
+            "max_multiplicity": int(mult.max()),
+            "mean_multiplicity": float(mult.mean()),
+        },
+        failures=failures,
+    )
+
+
+SAMPLE_SIZES = (1, 3, 4, 5, 9, 37, 2000)
+
+
+class TestBatchedAuditsMatchLoops:
+    """The batched sumset audits against the per-pair loops, key for key and
+    bit for bit: both consume the generator in the same order."""
+
+    @pytest.mark.parametrize("n", SAMPLE_SIZES)
+    @pytest.mark.parametrize("k", range(3, 7))
+    def test_sumset_x(self, k, n):
+        for seed, kwargs in ((5 * n + k, {}), ([k, n], dict(members_per_pair=3)),
+                             (n, dict(members_per_pair=1, window_shrink=2.0))):
+            want = loop_sumset_x(V1, V2, C0, 2.0**-k, n, seed, **kwargs).to_json_dict()
+            assert audit_sumset_x(V1, V2, C0, 2.0**-k, n, seed, **kwargs).to_json_dict() == want
+
+    @pytest.mark.parametrize("n", SAMPLE_SIZES)
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_sumset_cubes(self, k, n):
+        for seed, kwargs in ((5 * n + k, {}), ([k, n], dict(members_per_tuple=3)),
+                             (n, dict(members_per_tuple=5, multiplicity_points=1003,
+                                      side_factor=64.0))):
+            want = loop_sumset_cubes(V1, V2, C0, 2.0**-k, n, seed, **kwargs).to_json_dict()
+            assert audit_sumset_cubes(V1, V2, C0, 2.0**-k, n, seed, **kwargs).to_json_dict() == want
+
+    def test_capped_failures_in_pair_order(self):
+        # shrunken windows: thousands of violations, the first five kept
+        for seed in (101, 102):
+            want = loop_sumset_x(V1, V2, C0, 2.0**-4, 2000, seed, window_shrink=64.0)
+            got = audit_sumset_x(V1, V2, C0, 2.0**-4, 2000, seed, window_shrink=64.0)
+            assert want.stats["violations"] > 5 and len(want.failures) == 5
+            assert got.to_json_dict() == want.to_json_dict()
+        want = loop_sumset_cubes(V1, V2, C0, 2.0**-4, 2000, 23)
+        assert want.stats["violations"] > 5 and len(want.failures) == 5
+        assert audit_sumset_cubes(V1, V2, C0, 2.0**-4, 2000, 23).to_json_dict() == want.to_json_dict()
+
+    def test_criterion_sized_run(self):
+        want = loop_sumset_cubes(V1, V2, C0, 2.0**-3, 20000, 88, multiplicity_points=4097)
+        got = audit_sumset_cubes(V1, V2, C0, 2.0**-3, 20000, 88, multiplicity_points=4097)
+        assert got.to_json_dict() == want.to_json_dict()
+
+
+@pytest.mark.parametrize("audit", [
+    lambda n: audit_sumset_x(V1, V2, C0, 2.0**-4, n, 1),
+    lambda n: audit_sumset_cubes(V1, V2, C0, 2.0**-4, n, 1),
+    lambda n: sumset_cube_stability(V1, V2, C0, [2.0**-4, 2.0**-5], n, 1),
+], ids=["sumset_x", "sumset_cubes", "sumset_cube_stability"])
+@pytest.mark.parametrize("n", [0, -3])
+def test_sumset_audits_need_a_sample(audit, n):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        audit(n)
 
 
 def dense_cube_multiplicity(pts, centers, r):

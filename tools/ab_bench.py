@@ -44,15 +44,21 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run: its result line, or the error that ended it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          timeout=max(600.0, 20 * seconds))
+    try:
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                              timeout=max(600.0, 20 * seconds))
+    except subprocess.TimeoutExpired as exc:
+        return {"error": f"timed out after {exc.timeout:g} s"}
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-400:]}"}
-    result = json.loads(lines[-1])
-    return {"correct": result["correct"], "attempted": result["attempted"],
-            "failed": result["failed"],
-            "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+    try:
+        result = json.loads(lines[-1])
+        return {"correct": result["correct"], "attempted": result["attempted"],
+                "failed": result["failed"],
+                "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+        return {"error": f"malformed result line ({exc!r}): {lines[-1][-400:]}"}
 
 
 def _summary(values: list) -> dict:
