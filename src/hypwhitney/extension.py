@@ -490,6 +490,8 @@ def audit_sumset_cubes(V1: Strip, V2: Strip, C0, delta, n: int, seed,
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if multiplicity_points < 1:
+        raise ValueError("need multiplicity_points >= 1")
     C0, delta = float(C0), float(delta)
     rho = _check_strips(V1, V2, C0)
     if not 0.0 < delta <= 0.5:

@@ -551,6 +551,12 @@ def test_sumset_audits_need_a_sample(audit, n):
         audit(n)
 
 
+@pytest.mark.parametrize("points", [0, -3])
+def test_cube_multiplicity_needs_a_point(points):
+    with pytest.raises(ValueError, match="need multiplicity_points >= 1"):
+        audit_sumset_cubes(V1, V2, C0, 2.0**-4, 40, 1, multiplicity_points=points)
+
+
 def dense_cube_multiplicity(pts, centers, r):
     """Every point against every center, in blocks: the oracle of
     `_cube_multiplicity`."""
