@@ -473,6 +473,19 @@ def _surface_sum(x1, y1, x2, y2) -> np.ndarray:
     return phase_eval(BASE, (x1, y1)) + phase_eval(BASE, (x2, y2))
 
 
+def _tuple_draws(rng, count: int, slabs: int, take: int) -> tuple:
+    """count slab indices below slabs and count (4, take) unit offsets in
+    [0, 1), as arrays, drawn in the stream's order: each slab index, then
+    its offsets.  The per-draw lists die on return, before the audit's
+    array work, which keeps the audit's peak memory down."""
+    integers, random = rng.integers, rng.random
+    slab_draws, offsets = [], []
+    for _ in range(count):
+        slab_draws.append(integers(slabs))
+        offsets.append(random((4, take)))
+    return np.array(slab_draws), np.array(offsets) * OPEN_SCALE
+
+
 def audit_sumset_cubes(V1: Strip, V2: Strip, C0, delta, n: int, seed,
                        side_factor: float = 4.0, members_per_tuple: int = 4,
                        multiplicity_points: int = 4096) -> AuditReport:
@@ -502,16 +515,10 @@ def audit_sumset_cubes(V1: Strip, V2: Strip, C0, delta, n: int, seed,
     slab = rho * delta
     slabs_per_box = int(round(1.0 / delta))
     half = side_factor * delta / 2.0
-    take = min(members_per_tuple, n)
-    # each tuple's slab draw precedes its member draw in the stream
-    integers, random = rng.integers, rng.random
-    slab_draws, offsets = [], []
-    for _ in range(n_tuples):
-        slab_draws.append(integers(slabs_per_box))
-        offsets.append(random((4, take)))
-    u1, v1, u2, v2 = (np.array(offsets) * OPEN_SCALE).transpose(1, 0, 2)
+    slab_draws, offsets = _tuple_draws(rng, n_tuples, slabs_per_box, min(members_per_tuple, n))
+    u1, v1, u2, v2 = offsets.transpose(1, 0, 2)
 
-    k = np.rint(pairs.cy2 / slab) + np.array(slab_draws)
+    k = np.rint(pairs.cy2 / slab) + slab_draws
     h, g = _steps(rho, delta)
     x2k, y2k = _long_member(pairs.ct2, pairs.cy1, k * slab, slab, g, 0.0, 0.0)
     # The base sums take Python float arithmetic through object arrays:
