@@ -10,12 +10,14 @@ only needed along y: Gauss-Legendre panels sized so the phase varies by at
 most pi/2 per panel.
 
 On the tensor frequency grid of `extend_grid`, xi2 enters the integrand only
-through exp(-i xi2 y), so the exp/sinc factor is evaluated once per
-(xi1, xi3, y) and one complex matrix product with w(y) exp(-i xi2 y) sums
-over y for every xi2: n1*n3*ny transcendental evaluations instead of
-n1*n2*n3*ny.  `extend_points`, the dense path for arbitrary frequencies, uses
-the same nodes and weights and is the oracle the grid kernel is tested
-against.
+through exp(-i xi2 y), so one complex matrix product with w(y) exp(-i xi2 y)
+sums over y for every xi2.  The rest of the phase splits into an xi1 part and
+an xi3 part, whose exponentials are two per-axis tables; only the sinc of the
+u-integral is evaluated per (xi1, xi3, y).  A field thus takes n1*ny + n3*ny
+complex exponentials and n1*n3*ny sines, where the dense form takes
+n1*n2*n3*ny of each.  `extend_points`, the dense path for arbitrary
+frequencies, uses the same nodes and weights, evaluates the phase unfactored,
+and is the oracle the grid kernel is tested against.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .geometry import (
     AdmissiblePair,
     Strip,
     _check_strips,
-    _in_ranges,
     _long_member,
     _sample_pairs,
     _small_member,
@@ -324,11 +325,22 @@ def _grid_axes(quad: QuadratureSpec) -> tuple:
     return tuple(axes)
 
 
+# Elements of one (xi1, xi3, y) block of `extend_grid`: 1 MiB of complex
+# values, so a block and its temporaries stay in cache through the product.
+GRID_BLOCK = 2**16
+
+
 def extend_grid(f: TestFunction, family: PhaseFamily, quad: QuadratureSpec = QuadratureSpec()) -> FrequencyField:
     """Extension of f on the midpoint grid of quad, separably in xi2 (see
-    the module docstring), one complex matrix product per block of xi1 rows.
-    With k = xi - modulation, the panel count, nodes and weights are those
-    `extend_points` uses on the same grid points.
+    the module docstring).  With om = k1 + k3 y the phase splits as
+    k1 (s(y) + u_mid) + k3 (h(y) + y u_mid), so its exponential is the
+    product of an (n1, ny) and an (n3, ny) table: n1*ny + n3*ny complex
+    exponentials and n1*n3*ny sines per field.  Blocks of at most
+    GRID_BLOCK (xi1, xi3, y) elements, or one (xi1, xi3) pair where ny is
+    larger, multiply the tables and the sinc, and one complex matrix product
+    per block sums over y for every xi2.  With k = xi - modulation, the
+    panel count, nodes and weights are those `extend_points` uses on the
+    same grid points.
     """
     axes = _grid_axes(quad)
     car = f.carrier
@@ -340,17 +352,25 @@ def extend_grid(f: TestFunction, family: PhaseFamily, quad: QuadratureSpec = Qua
     y, w, sy, hy, u_mid = _y_nodes(f, family, xi_max, quad)
 
     xi2_factor = w[:, None] * np.exp(-1j * (y[:, None] * k2[None, :]))
-    a3 = k3[None, :, None]
+    e1 = np.exp(-1j * (k1[:, None] * (sy + u_mid)[None, :]))
+    e3 = np.exp(-1j * (k3[:, None] * (hy + y * u_mid)[None, :]))
+    half = car.du / 2.0
     n1, n2, n3 = len(k1), len(k2), len(k3)
     vals = np.empty((n1, n2, n3), dtype=complex)
-    rows = max(1, min(n1, 1 + 2**22 // max(1, n3 * y.size)))
+    cols = max(1, min(n3, GRID_BLOCK // y.size))
+    rows = max(1, min(n1, GRID_BLOCK // (cols * y.size)))
     for lo in range(0, n1, rows):
-        a1 = k1[lo:lo + rows, None, None]
-        om = a1 + a3 * y
-        phase = a1 * sy + a3 * hy + om * u_mid
-        block = np.exp(-1j * phase) * np.sinc(om * (car.du / (2.0 * math.pi)))
-        out = block.reshape(-1, y.size) @ xi2_factor
-        vals[lo:lo + rows] = out.reshape(-1, n3, n2).transpose(0, 2, 1)
+        for c0 in range(0, n3, cols):
+            # sin per element: splitting sin(t) by the addition formula
+            # would cancel catastrophically near om = 0
+            t = (k1[lo:lo + rows, None, None] + k3[None, c0:c0 + cols, None] * y) * half
+            with np.errstate(invalid="ignore"):
+                sinc = np.sin(t) / t
+            sinc[t == 0.0] = 1.0
+            block = e1[lo:lo + rows, None, :] * e3[c0:c0 + cols]
+            block *= sinc
+            out = (block.reshape(-1, y.size) @ xi2_factor).reshape(-1, block.shape[1], n2)
+            vals[lo:lo + rows, :, c0:c0 + cols] = out.transpose(0, 2, 1)
     return FrequencyField(axes, f.amplitude * car.du * vals, quad.truncation)
 
 
@@ -410,10 +430,12 @@ def audit_sumset_x(V1: Strip, V2: Strip, C0, delta, n: int, seed,
     window_shrink divides both window widths (negative-control knob).
     Each of the n // members_per_pair sampled pairs (at least one) gets
     min(members_per_pair, n) members, all checked at once as (pair, member)
-    arrays.
+    arrays.  n and members_per_pair below 1 raise ValueError.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if members_per_pair < 1:
+        raise ValueError("need members_per_pair >= 1")
     C0, delta = float(C0), float(delta)
     rho = _check_strips(V1, V2, C0)
     if delta > 0.125:
@@ -458,14 +480,26 @@ def audit_sumset_x(V1: Strip, V2: Strip, C0, delta, n: int, seed,
     )
 
 
+# Most (point, center) candidates `_cube_multiplicity` tests at once: about
+# 16 MB of temporaries, and about three times the default audit's 45,000.
+CUBE_CANDIDATES = 2**17
+
+
 def _cube_multiplicity(pts, centers, r) -> np.ndarray:
     """How many centers lie within r of each point in every coordinate; only
-    the x-sorted centers within 2r in x, a margin for rounding, are tested."""
+    the x-sorted centers within 2r in x, a margin for rounding, are tested,
+    at most CUBE_CANDIDATES (point, center) candidates at a time."""
     ctr = centers[np.argsort(centers[:, 0], kind="stable")]
-    i, j = _in_ranges(np.searchsorted(ctr[:, 0], pts[:, 0] - 2.0 * r),
-                      np.searchsorted(ctr[:, 0], pts[:, 0] + 2.0 * r, side="right"))
-    inside = (np.abs(pts[i] - ctr[j]) <= r).all(axis=1)
-    return np.bincount(i[inside], minlength=len(pts))
+    hi = np.searchsorted(ctr[:, 0], pts[:, 0] + 2.0 * r, side="right")
+    ends = np.cumsum(hi - np.searchsorted(ctr[:, 0], pts[:, 0] - 2.0 * r))
+    mult = np.zeros(len(pts), dtype=np.int64)
+    for first in range(0, int(ends[-1]), CUBE_CANDIDATES):
+        # candidate c is center hi[i] - (ends[i] - c) of point i
+        c = np.arange(first, min(first + CUBE_CANDIDATES, int(ends[-1])))
+        i = np.searchsorted(ends, c, side="right")
+        inside = (np.abs(pts[i] - ctr[hi[i] - ends[i] + c]) <= r).all(axis=1)
+        mult += np.bincount(i[inside], minlength=len(pts))
+    return mult
 
 
 def _surface_sum(x1, y1, x2, y2) -> np.ndarray:
@@ -499,10 +533,13 @@ def audit_sumset_cubes(V1: Strip, V2: Strip, C0, delta, n: int, seed,
     The overlap multiplicity of these cubes at the first multiplicity_points
     sampled points is recorded along with the smallest enclosing side
     actually observed.  Each of the n // members_per_tuple tuples (at least
-    one) gets min(members_per_tuple, n) members.
+    one) gets min(members_per_tuple, n) members.  n, members_per_tuple and
+    multiplicity_points below 1 raise ValueError.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if members_per_tuple < 1:
+        raise ValueError("need members_per_tuple >= 1")
     if multiplicity_points < 1:
         raise ValueError("need multiplicity_points >= 1")
     C0, delta = float(C0), float(delta)

@@ -57,6 +57,13 @@ def closed_rect(a, b, xi):
     return (b - a) * np.exp(-1j * xi * (a + b) / 2) * np.sinc(xi * (b - a) / (2 * math.pi))
 
 
+def dense_field(f, family, field, quad):
+    """`extend_points` at every point of the grid of field."""
+    mesh = np.meshgrid(*field.axes, indexing="ij")
+    xis = np.column_stack([m.ravel() for m in mesh])
+    return extend_points(f, family, xis, quad).reshape(field.values.shape)
+
+
 class TestCarrier:
     def test_rectangle_area(self):
         car = Carrier.rectangle(-0.25, 0.75, 0.0, 0.5)
@@ -282,6 +289,41 @@ class TestGridAndNorms:
             dense = extend_points(f, BASE, np.column_stack([a.ravel() for a in g]), quad)
             dense = dense.reshape(field.values.shape)
             assert np.abs(field.values - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_grid_where_the_sinc_argument_is_zero(self):
+        # odd grids with dyadic steps hold xi1 = xi3 = 0 exactly, so there
+        # om = 0 at every y-node and sin(t)/t would be 0/0
+        pair = sample_pair()
+        quad = QuadratureSpec(truncation=(10.0, 6.0, 5.0), freq_grid=(5, 3, 5))
+        for slot in (1, 2):
+            f = TestFunction.indicator(Carrier.from_pair(pair, slot))
+            field = extend_grid(f, BASE, quad)
+            assert 0.0 in field.axes[0] and 0.0 in field.axes[2]
+            assert np.isfinite(field.values).all()
+            dense = dense_field(f, BASE, field, quad)
+            assert np.abs(field.values - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 3), (2, 4)])
+    def test_grid_blocks_match_dense_oracle(self, monkeypatch, rows, cols):
+        # a budget of rows*cols*ny elements makes blocks of rows xi1 by cols
+        # xi3 values; the 5 x 4 grid leaves a short last block on an axis
+        pair = sample_pair()
+        quad = QuadratureSpec(truncation=(96.0, 48.0, 64.0), freq_grid=(5, 7, 4))
+        f = TestFunction(Carrier.from_pair(pair, 2), (3.0, -21.0), 2.0 - 1.0j)
+        nodes = []
+        real = extension._y_nodes
+
+        def recording(*args):
+            out = real(*args)
+            nodes.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(extension, "_y_nodes", recording)
+        extend_grid(f, BASE, quad)
+        monkeypatch.setattr(extension, "GRID_BLOCK", rows * cols * nodes[0])
+        field = extend_grid(f, BASE, quad)
+        dense = dense_field(f, BASE, field, quad)
+        assert np.abs(field.values - dense).max() <= 1e-12 * np.abs(dense).max()
 
     def test_bilinear_field_checks_carriers(self):
         pair = sample_pair()
@@ -551,6 +593,18 @@ def test_sumset_audits_need_a_sample(audit, n):
         audit(n)
 
 
+@pytest.mark.parametrize("audit, name", [
+    (lambda m: audit_sumset_x(V1, V2, C0, 2.0**-4, 40, 1, members_per_pair=m),
+     "members_per_pair"),
+    (lambda m: audit_sumset_cubes(V1, V2, C0, 2.0**-4, 40, 1, members_per_tuple=m),
+     "members_per_tuple"),
+], ids=["sumset_x", "sumset_cubes"])
+@pytest.mark.parametrize("members", [0, -1])
+def test_sumset_audits_need_a_member(audit, name, members):
+    with pytest.raises(ValueError, match=f"need {name} >= 1"):
+        audit(members)
+
+
 @pytest.mark.parametrize("points", [0, -3])
 def test_cube_multiplicity_needs_a_point(points):
     with pytest.raises(ValueError, match="need multiplicity_points >= 1"):
@@ -581,13 +635,21 @@ class TestCubeMultiplicity:
         for delta, side in ((2.0**-3, 4.0), (2.0**-6, 4.0), (2.0**-4, 2048.0)):
             audit_sumset_cubes(V1, V2, C0, delta, 4096, 23, side_factor=side)
         assert len(calls) == 3
+        # the side-4 delta audits' candidates fit in one chunk
+        for pts, centers, r in calls[:2]:
+            window = np.abs(pts[:, None, 0] - centers[None, :, 0]) <= 2.0 * r
+            assert window.sum() < extension.CUBE_CANDIDATES
+        # 4099 candidates a chunk splits every count into many chunks
+        budgets = (extension.CUBE_CANDIDATES, 4099)
         for pts, centers, r in calls:
             want = dense_cube_multiplicity(pts, centers, r)
             assert want.max() >= 1
-            assert np.array_equal(_cube_multiplicity(pts, centers, r), want)
+            for budget in budgets:
+                monkeypatch.setattr(extension, "CUBE_CANDIDATES", budget)
+                assert np.array_equal(_cube_multiplicity(pts, centers, r), want)
         assert want.min() >= 2  # side 2048 delta: every point in several cubes
 
-    def test_points_at_distance_r(self):
+    def test_points_at_distance_r(self, monkeypatch):
         # dyadic centers (many sharing an x) and radius: c +- r is exact, so
         # these points sit exactly on cube faces, edges and corners
         rng = np.random.default_rng(61)
@@ -597,7 +659,10 @@ class TestCubeMultiplicity:
         signs = rng.choice([-1.0, 0.0, 1.0], size=near.shape)
         on_faces = near + signs * r
         nudged = on_faces + rng.integers(-2, 3, size=near.shape) * np.abs(np.spacing(on_faces))
+        budgets = (extension.CUBE_CANDIDATES, 777)
         for radius, pts in ((r, on_faces), (r, nudged), (r + 1e-12, near + signs * (r + 1e-12))):
             want = dense_cube_multiplicity(pts, centers, radius)
-            assert np.array_equal(_cube_multiplicity(pts, centers, radius), want)
+            for budget in budgets:
+                monkeypatch.setattr(extension, "CUBE_CANDIDATES", budget)
+                assert np.array_equal(_cube_multiplicity(pts, centers, radius), want)
         assert _cube_multiplicity(on_faces, centers, r).min() >= 1
