@@ -253,6 +253,30 @@ class TestRunScalingLaw:
                 dense = extend_points(h, family, xis, quad).reshape(field.values.shape)
                 assert np.abs(field.values - dense).max() <= 1e-12 * np.abs(dense).max()
 
+    # (ratio, refinement_delta) of the default sweeps from the grid kernel
+    # with the unfactored phase.  The factored kernel rounds differently, so
+    # ratio is held within 1e-12 and refinement_delta, a difference of two
+    # norms, within 1e-9 relative.
+    RECORDED_SWEEPS = {
+        "prototype": [(0.09474999698765162, 1.2048576567767106e-06),
+                      (0.04606433608007799, 2.0557075316309118e-05),
+                      (0.013938594703571118, 0.00012625994371354265),
+                      (0.0035658098773992996, 0.0014029785287171912),
+                      (0.0008713637753758988, 0.0031194125282122663)],
+        "straight": [(0.39820426083506116, 0.0011406812897853504),
+                     (0.4260177479125556, 0.03162723285850168),
+                     (0.41335793023204165, 0.09287082089888095)],
+    }
+
+    @pytest.mark.parametrize("regime", ["prototype", "straight"])
+    def test_default_sweep_matches_recorded_rows(self, regime):
+        rows = run_scaling_law(ExperimentConfig(), regime)["rows"]
+        want = self.RECORDED_SWEEPS[regime]
+        assert len(rows) == len(want)
+        for row, (ratio, refinement) in zip(rows, want):
+            assert row["ratio"] == pytest.approx(ratio, rel=1e-12, abs=0.0)
+            assert row["refinement_delta"] == pytest.approx(refinement, rel=1e-9, abs=0.0)
+
 
 class TestMain:
     def write_config(self, tmp_path, **overrides):
