@@ -492,10 +492,11 @@ def _cube_multiplicity(pts, centers, r) -> np.ndarray:
     ctr = centers[np.argsort(centers[:, 0], kind="stable")]
     hi = np.searchsorted(ctr[:, 0], pts[:, 0] + 2.0 * r, side="right")
     ends = np.cumsum(hi - np.searchsorted(ctr[:, 0], pts[:, 0] - 2.0 * r))
+    total = int(ends[-1])
     mult = np.zeros(len(pts), dtype=np.int64)
-    for first in range(0, int(ends[-1]), CUBE_CANDIDATES):
+    for first in range(0, total, CUBE_CANDIDATES):
         # candidate c is center hi[i] - (ends[i] - c) of point i
-        c = np.arange(first, min(first + CUBE_CANDIDATES, int(ends[-1])))
+        c = np.arange(first, min(first + CUBE_CANDIDATES, total))
         i = np.searchsorted(ends, c, side="right")
         inside = (np.abs(pts[i] - ctr[hi[i] - ends[i] + c]) <= r).all(axis=1)
         mult += np.bincount(i[inside], minlength=len(pts))
