@@ -23,6 +23,7 @@ and is the oracle the grid kernel is tested against.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -143,23 +144,9 @@ class TestFunction:
     modulation: tuple = (0.0, 0.0)
     amplitude: complex = 1.0
 
-    @property
-    def kind(self) -> str:
-        if self.modulation != (0.0, 0.0):
-            return "ModulatedIndicator"
-        return "Indicator"
-
     @classmethod
     def indicator(cls, carrier: Carrier) -> "TestFunction":
         return cls(carrier)
-
-    @classmethod
-    def modulated(cls, carrier: Carrier, lam) -> "TestFunction":
-        return cls(carrier, (float(lam[0]), float(lam[1])))
-
-    @classmethod
-    def subbox_indicator(cls, carrier: Carrier, u_range, y_range) -> "TestFunction":
-        return cls(carrier.subbox(u_range, y_range))
 
     def norm(self, q: float) -> float:
         if q < 1:
@@ -169,6 +156,11 @@ class TestFunction:
 
 # ---------------------------------------------------------------------------
 # Quadrature
+
+
+def _positive(v, kind) -> bool:
+    """v is a finite positive number of the given numbers ABC (bools excluded)."""
+    return isinstance(v, kind) and not isinstance(v, bool) and 0 < v < math.inf
 
 
 @dataclass(frozen=True)
@@ -184,14 +176,14 @@ class QuadratureSpec:
 
     def __post_init__(self):
         for name in ("nodes_per_panel", "refinement", "node_budget"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if not self.max_panel_phase > 0:
-            raise ValueError("max_panel_phase must be positive")
-        for name in ("truncation", "freq_grid"):
-            entries = getattr(self, name)
-            if len(entries) != 3 or not all(v > 0 for v in entries):
-                raise ValueError(f"{name} needs exactly 3 positive entries")
+            if not _positive(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer of at least 1")
+        if not _positive(self.max_panel_phase, numbers.Real):
+            raise ValueError("max_panel_phase must be positive and finite")
+        if len(self.freq_grid) != 3 or not all(_positive(v, numbers.Integral) for v in self.freq_grid):
+            raise ValueError("freq_grid needs exactly 3 integer entries of at least 1")
+        if len(self.truncation) != 3 or not all(_positive(v, numbers.Real) for v in self.truncation):
+            raise ValueError("truncation needs exactly 3 positive finite entries")
 
     def refine(self) -> "QuadratureSpec":
         return replace(self, refinement=2 * self.refinement)
@@ -219,15 +211,20 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
+# Elements of one block of (frequency, y) values in `extend_points` and of
+# (xi1, xi3, y) values in `extend_grid`: 1 MiB of complex values, so a block
+# and its temporaries stay in cache through the product over y.
+GRID_BLOCK = 2**16
+
+
 def _y_panels(f: TestFunction, family: PhaseFamily, xi_max, quad: QuadratureSpec) -> int:
     """Panels needed so the phase varies <= max_panel_phase per panel."""
     car = f.carrier
     s0, s1, s2 = car.shear
-    m = family.cubic_divisor
     ys = (car.y0, car.y0 + car.dy)
     # d/dy of the y-only phase block: xi1*s'(y) + xi2 + xi3*(q(y) + u_mid),
-    # q(y) = s0 + 2 s1 y + (3 s2 + 1/m) y^2
-    a2 = 3.0 * s2 + 1.0 / m
+    # q(y) = s0 + 2 s1 y + (3 s2 + c) y^2
+    a2 = 3.0 * s2 + family.cubic
     cand = [abs(s0 + 2.0 * s1 * y + a2 * y * y) for y in ys]
     if a2 != 0.0 and ys[0] < -s1 / a2 < ys[1]:
         yv = -s1 / a2
@@ -249,7 +246,7 @@ def _y_panels(f: TestFunction, family: PhaseFamily, xi_max, quad: QuadratureSpec
 def _y_nodes(f: TestFunction, family: PhaseFamily, xi_max, quad: QuadratureSpec):
     """Gauss-Legendre y-nodes y and weights w on the panels `_y_panels` sets
     at the frequency bound xi_max, with the shear s(y), the y-only phase
-    h(y) = s(y) y + y^3/(3m) and the u-midpoint of the carrier."""
+    h(y) = s(y) y + c y^3/3 and the u-midpoint of the carrier."""
     car = f.carrier
     panels = _y_panels(f, family, xi_max, quad)
     base, wts = _leggauss(quad.nodes_per_panel)
@@ -259,7 +256,7 @@ def _y_nodes(f: TestFunction, family: PhaseFamily, xi_max, quad: QuadratureSpec)
     w = np.tile(wts * width / 2.0, panels)
     s0, s1, s2 = car.shear
     sy = s0 + s1 * y + s2 * y * y
-    hy = sy * y + y ** 3 / (3.0 * family.cubic_divisor)
+    hy = sy * y + family.cubic * y ** 3 / 3.0
     return y, w, sy, hy, car.u0 + car.du / 2.0
 
 
@@ -269,8 +266,9 @@ def extend_points(f: TestFunction, family: PhaseFamily, xis, quad: QuadratureSpe
     The u-integral of the indicator against exp(-i u (xi1 + xi3 y)) is exact;
     Gauss-Legendre panels discretize y only, with the panel count set by the
     largest |xi| in the batch (uniform across the batch for determinism).
-    This dense path serves arbitrary points and is the oracle for
-    `extend_grid`.
+    Points run in blocks of at most GRID_BLOCK (point, y-node) elements, at
+    least one point each.  This dense path serves arbitrary points and is
+    the oracle for `extend_grid`.
     """
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     if xis.shape[1] != 3:
@@ -285,7 +283,7 @@ def extend_points(f: TestFunction, family: PhaseFamily, xis, quad: QuadratureSpe
     y, w, sy, hy, u_mid = _y_nodes(f, family, xi_max, quad)
 
     out = np.empty(len(xis), dtype=complex)
-    chunk = max(1, min(len(xis), 1 + 2**22 // max(1, y.size)))
+    chunk = max(1, GRID_BLOCK // y.size)
     for lo in range(0, len(xis), chunk):
         a1 = k1[lo:lo + chunk, None]
         a2 = k2[lo:lo + chunk, None]
@@ -323,11 +321,6 @@ def _grid_axes(quad: QuadratureSpec) -> tuple:
         step = 2.0 * r / n
         axes.append(-r + step * (np.arange(n) + 0.5))
     return tuple(axes)
-
-
-# Elements of one (xi1, xi3, y) block of `extend_grid`: 1 MiB of complex
-# values, so a block and its temporaries stay in cache through the product.
-GRID_BLOCK = 2**16
 
 
 def extend_grid(f: TestFunction, family: PhaseFamily, quad: QuadratureSpec = QuadratureSpec()) -> FrequencyField:

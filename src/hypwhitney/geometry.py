@@ -1,18 +1,10 @@
-"""Dyadic strips, strip-pair tilings, and admissible box pairs.
+"""Dyadic strips and the admissible box pairs on a strip pair.
 
-Two separate constructions live here.
-
-1. A classical Whitney decomposition of the off-diagonal {y1 != y2}: pairs of
-   equal-length dyadic intervals whose parents are adjacent but which are not
-   adjacent themselves, each subdivided into C0/8 subintervals of length rho.
-   Products of the resulting strip pairs, over all dyadic rho, tile
-   {y1 != y2} within Q x Q exactly once.
-
-2. For a fixed pair of strips at scale rho whose members are vertically
-   separated at scale C0*rho, the type-1/type-2 box pairs at scale delta: a
-   small sheared parallelogram U1 paired with a long (straight or curved) box
-   U2, constrained so that both endpoint transversality values have a fixed
-   dyadic size.
+For a fixed pair of strips at scale rho whose members are vertically
+separated at scale C0*rho, the type-1/type-2 box pairs at scale delta are a
+small sheared parallelogram U1 paired with a long (straight or curved) box
+U2, constrained so that both endpoint transversality values have a fixed
+dyadic size.
 
 All membership predicates are half-open and evaluated with exact double
 comparisons; every grid quantity here is a power of two, so snapping and
@@ -39,8 +31,6 @@ __all__ = [
     "PairTable",
     "Rejected",
     "is_dyadic",
-    "related_intervals",
-    "admissible_strip_pairs",
     "separated_strip_pair",
     "make_type1_pair",
     "sample_members",
@@ -92,10 +82,6 @@ class DyadicInterval:
         """Elementwise on arrays."""
         return (self.left <= y) & (y < self.right)
 
-    def parent(self) -> "DyadicInterval":
-        # floor division also handles negative indices correctly
-        return DyadicInterval(self.j // 2, 2.0 * self.rho)
-
 
 @dataclass(frozen=True)
 class Strip:
@@ -117,50 +103,12 @@ class Strip:
         return (-1.0 <= x) & (x <= 1.0) & self.interval.contains(y)
 
 
-def related_intervals(J: DyadicInterval, Jp: DyadicInterval) -> bool:
-    """Parents adjacent, intervals themselves not adjacent (and not equal)."""
-    if J.rho != Jp.rho:
-        raise ValueError("related_intervals needs intervals of equal scale")
-    parents_adjacent = abs(J.parent().j - Jp.parent().j) == 1
-    not_adjacent = abs(J.j - Jp.j) >= 2
-    return parents_adjacent and not_adjacent
-
-
-def admissible_strip_pairs(rho, C0) -> list:
-    """All admissible strip pairs at scale rho inside Q.
-
-    Each pair of related intervals of length rho*C0/8 is subdivided into C0/8
-    subintervals of length rho; every subinterval pair is emitted.  Emitted
-    index offsets satisfy C0/8 < |j2 - j1| < C0/2, and the products over all
-    dyadic rho tile {y1 != y2} within Q x Q exactly once.
-    """
-    rho, C0 = float(rho), float(C0)
-    _require_dyadic(rho=rho, C0=C0)
-    if C0 < 16:
-        raise ValueError("C0 must be >= 16")
-    if rho > 4.0 / C0:
-        raise ValueError("rho must be <= 4/C0")
-    sub = int(C0) // 8
-    big = rho * C0 / 8.0
-    # parent-level intervals of length `big` whose subintervals meet [-1, 1]
-    n_big = math.ceil(1.0 / big)
-    n_sub = int(round(1.0 / rho))
-    out = []
-    for a in range(-n_big, n_big):
-        for b in range(-n_big, n_big):
-            if not related_intervals(DyadicInterval(a, big), DyadicInterval(b, big)):
-                continue
-            for j1 in range(max(a * sub, -n_sub), min((a + 1) * sub, n_sub)):
-                for j2 in range(max(b * sub, -n_sub), min((b + 1) * sub, n_sub)):
-                    out.append((Strip(DyadicInterval(j1, rho)), Strip(DyadicInterval(j2, rho))))
-    return out
-
-
 def separated_strip_pair(j1: int, j2: int, rho, C0) -> tuple:
     """Strip pair whose members all satisfy C0*rho/2 <= |y2-y1| <= C0*rho.
 
-    Box pairs live on such strips; the first-stage tiling pairs from
-    admissible_strip_pairs are closer together and never host any.
+    Box pairs live on such strips only: the strip pairs of the classical
+    Whitney tiling of {y1 != y2} (parents adjacent, intervals not adjacent)
+    are closer together and never host any.
     """
     rho, C0 = float(rho), float(C0)
     _require_dyadic(rho=rho, C0=C0)

@@ -116,7 +116,7 @@ class ReductionResult:
     def in_image2(self, zp):
         w = min(1.0, self.delta)
         x, y = np.asarray(zp[0], float), np.asarray(zp[1], float)
-        u = x + y * y / max(1.0, self.delta) - self.scaled_a
+        u = x + y * y * self.family.cubic - self.scaled_a
         dy = y - self.scaled_b
         return (0.0 <= dy) & (dy < 1.0) & (0.0 <= u) & (u < w)
 

@@ -1,38 +1,32 @@
 """Phase family for the perturbed saddle and its transversality functionals.
 
-The base phase is phi(x, y) = x*y + y**3/3.  Two rescaled variants share the
-same mixed term and differ only in the divisor of the cubic term, so the
-whole family is handled by one parameter (the "cubic divisor" m):
+The base phase is phi(x, y) = x*y + y**3/3.  Its rescaled variants share the
+same mixed term and differ only in the coefficient c of the cubic term, so
+the whole family is x*y + c*y**3/3, one field per member:
 
-    base            m = 1
-    rescaled(d)     m = max(1, d)
-    prototype(d)    m = d
+    BASE            c = 1
+    rescaled(d)     c = 1/max(1, d)
+    prototype(d)    c = 1/d
 
-All functionals below accept either scalar points or numpy arrays of
-coordinates and broadcast componentwise.
+c = 0 is the saddle x*y.  All functionals below accept either scalar points
+or numpy arrays of coordinates and broadcast componentwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
-    "PhaseKind",
     "PhaseFamily",
     "BASE",
     "GradHess",
-    "TransversalityFrame",
-    "DegenerateGradient",
     "phase_eval",
     "grad_hess",
     "tau",
     "gamma2",
-    "gamma4",
-    "tv_pair",
     "tv_values",
 ]
 
@@ -40,49 +34,33 @@ __all__ = [
 DEGENERATE_GRADIENT_TOL = 1e-14
 
 
-class PhaseKind(Enum):
-    BASE = "base"
-    RESCALED = "rescaled"
-    PROTOTYPE = "prototype"
+def _positive_delta(delta) -> float:
+    delta = float(delta)
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"phase needs a finite delta > 0, got {delta}")
+    return delta
 
 
 @dataclass(frozen=True)
 class PhaseFamily:
-    """One member of the phase family x*y + y**3/(3*m)."""
+    """One member of the phase family x*y + cubic*y**3/3."""
 
-    kind: PhaseKind
-    delta: float | None = None
+    cubic: float = 1.0
 
     def __post_init__(self):
-        if self.kind is PhaseKind.BASE:
-            if self.delta is not None:
-                raise ValueError("base phase takes no delta")
-        else:
-            if self.delta is None or not (self.delta > 0) or not math.isfinite(self.delta):
-                raise ValueError(f"{self.kind.value} phase needs a finite delta > 0")
-
-    @classmethod
-    def base(cls) -> "PhaseFamily":
-        return cls(PhaseKind.BASE)
+        if not math.isfinite(self.cubic):
+            raise ValueError(f"cubic coefficient must be finite, got {self.cubic}")
 
     @classmethod
     def rescaled(cls, delta: float) -> "PhaseFamily":
-        return cls(PhaseKind.RESCALED, float(delta))
+        return cls(1.0 / max(1.0, _positive_delta(delta)))
 
     @classmethod
     def prototype(cls, delta: float) -> "PhaseFamily":
-        return cls(PhaseKind.PROTOTYPE, float(delta))
-
-    @property
-    def cubic_divisor(self) -> float:
-        if self.kind is PhaseKind.BASE:
-            return 1.0
-        if self.kind is PhaseKind.RESCALED:
-            return max(1.0, self.delta)
-        return self.delta
+        return cls(1.0 / _positive_delta(delta))
 
 
-BASE = PhaseFamily.base()
+BASE = PhaseFamily()
 
 
 @dataclass(frozen=True)
@@ -90,19 +68,6 @@ class GradHess:
     grad: np.ndarray
     hess: np.ndarray
     det: float
-
-
-@dataclass(frozen=True)
-class TransversalityFrame:
-    omega: np.ndarray
-    normal1: np.ndarray
-    normal2: np.ndarray
-    tv1: float
-    tv2: float
-
-
-class DegenerateGradient(ValueError):
-    """The two gradients coincide; no tangent direction is defined."""
 
 
 def _xy(z):
@@ -121,8 +86,7 @@ def phase_eval(family: PhaseFamily, z) -> float:
     x, y = _xy(z)
     if np.isscalar(x) or isinstance(x, float):
         _check_finite(float(x), float(y))
-    m = family.cubic_divisor
-    return x * y + y**3 / (3.0 * m)
+    return x * y + family.cubic * y**3 / 3.0
 
 
 def grad_hess(family: PhaseFamily, z) -> GradHess:
@@ -132,9 +96,9 @@ def grad_hess(family: PhaseFamily, z) -> GradHess:
     """
     x, y = _xy(z)
     _check_finite(float(x), float(y))
-    m = family.cubic_divisor
-    grad = np.array([y, x + y * y / m], dtype=float)
-    hess = np.array([[0.0, 1.0], [1.0, 2.0 * y / m]], dtype=float)
+    c = family.cubic
+    grad = np.array([y, x + y * y * c], dtype=float)
+    hess = np.array([[0.0, 1.0], [1.0, 2.0 * y * c]], dtype=float)
     det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]
     return GradHess(grad=grad, hess=hess, det=float(det))
 
@@ -157,29 +121,12 @@ def gamma2(z_base, z1, z2, family: PhaseFamily = BASE):
 
     Equals <H^{-1}(z_base) (grad(z2) - grad(z1)), grad(z2) - grad(z1)>.
     For the base phase this collapses to 2*(y2 - y1)*tau(z_base, z1, z2);
-    for divisor m the separation term picks up a 1/m.
+    for cubic coefficient c the separation term picks up a factor c.
     """
     _, yb = _xy(z_base)
     x1, y1 = _xy(z1)
     x2, y2 = _xy(z2)
-    m = family.cubic_divisor
-    return 2.0 * (y2 - y1) * ((x2 - x1) + (y1 + y2 - yb) * (y2 - y1) / m)
-
-
-def gamma4(z_base, z1, z2, z1p, z2p, family: PhaseFamily = BASE):
-    """Bilinear form <H^{-1}(z_base)(grad(z2)-grad(z1)), grad(z2p)-grad(z1p)>."""
-    _, yb = _xy(z_base)
-    m = family.cubic_divisor
-
-    def gdiff(za, zb):
-        xa, ya = _xy(za)
-        xb_, yb_ = _xy(zb)
-        return (yb_ - ya), (xb_ - xa) + (yb_ * yb_ - ya * ya) / m
-
-    d1, d2 = gdiff(z1, z2)
-    e1, e2 = gdiff(z1p, z2p)
-    # H^{-1} = [[-2y/m, 1], [1, 0]]
-    return (-2.0 * yb / m * d1 + d2) * e1 + d1 * e2
+    return 2.0 * (y2 - y1) * ((x2 - x1) + (y1 + y2 - yb) * (y2 - y1) * family.cubic)
 
 
 def _omega_from_gdiff(gx, gy):
@@ -194,9 +141,9 @@ def _omega_from_gdiff(gx, gy):
 
 def tv_values(family: PhaseFamily, x1, y1, x2, y2):
     """Vectorized (tv1, tv2) for point pairs; nan where the gradients coincide."""
-    m = family.cubic_divisor
-    g1x, g1y = np.asarray(y1, float), np.asarray(x1 + y1 * y1 / m, float)
-    g2x, g2y = np.asarray(y2, float), np.asarray(x2 + y2 * y2 / m, float)
+    c = family.cubic
+    g1x, g1y = np.asarray(y1, float), np.asarray(x1 + y1 * y1 * c, float)
+    g2x, g2y = np.asarray(y2, float), np.asarray(x2 + y2 * y2 * c, float)
     dx, dy = g2x - g1x, g2y - g1y
     bad = np.hypot(dx, dy) < DEGENERATE_GRADIENT_TOL
     dxs = np.where(bad, 1.0, dx)
@@ -205,9 +152,9 @@ def tv_values(family: PhaseFamily, x1, y1, x2, y2):
 
     out = []
     for yc in (y1, y2):
-        # H(z_i) omega with H = [[0, 1], [1, 2y/m]]
+        # H(z_i) omega with H = [[0, 1], [1, 2cy]]
         wx = oy
-        wy = ox + 2.0 * yc / m * oy
+        wy = ox + 2.0 * yc * c * oy
         wnorm = np.hypot(wx, wy)
         # (grad2 - grad1) . J . (H omega), J = [[0, 1], [-1, 0]]
         num = dx * wy - dy * wx
@@ -216,30 +163,3 @@ def tv_values(family: PhaseFamily, x1, y1, x2, y2):
     tv1 = np.where(bad, np.nan, tv1)
     tv2 = np.where(bad, np.nan, tv2)
     return tv1, tv2
-
-
-def tv_pair(family: PhaseFamily, z1, z2) -> TransversalityFrame:
-    """Tangent direction and both normalized-determinant transversalities.
-
-    omega is the unit tangent of the projected intersection direction,
-    orthogonal to the gradient difference, oriented per _omega_from_gdiff.
-    tv_i uses the Hessian at z_i.
-    """
-    x1, y1 = _xy(z1)
-    x2, y2 = _xy(z2)
-    _check_finite(float(x1), float(y1), float(x2), float(y2))
-    m = family.cubic_divisor
-    g1 = np.array([y1, x1 + y1 * y1 / m])
-    g2 = np.array([y2, x2 + y2 * y2 / m])
-    d = g2 - g1
-    if float(np.hypot(d[0], d[1])) < DEGENERATE_GRADIENT_TOL:
-        raise DegenerateGradient(f"gradient difference {d} below {DEGENERATE_GRADIENT_TOL}")
-    tv1, tv2 = tv_values(family, x1, y1, x2, y2)
-    ox, oy = _omega_from_gdiff(d[0], d[1])
-    return TransversalityFrame(
-        omega=np.array([float(ox), float(oy)]),
-        normal1=np.array([g1[0], g1[1], -1.0]),
-        normal2=np.array([g2[0], g2[1], -1.0]),
-        tv1=float(tv1),
-        tv2=float(tv2),
-    )

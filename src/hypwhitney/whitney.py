@@ -51,7 +51,6 @@ __all__ = [
     "decompose",
     "locate_pair",
     "containing_pairs",
-    "classes_and_chi",
     "audit_disjoint",
     "audit_overlap",
     "audit_locate",
@@ -66,7 +65,9 @@ BOUNDARY_TOL = 2.0**-40
 
 
 class DegenerateTau(ValueError):
-    """Both anchored discrepancies vanish (or nearly so); no scale fits."""
+    """No scale fits: either anchored discrepancy lies below
+    DEGENERATE_TAU_TOL, or the anchor's would need a scale below
+    2^LOG2_DELTA_FLOOR."""
 
 
 class LocationFailed(RuntimeError):
@@ -210,15 +211,6 @@ def _signed_sum(n_a: int, n_t: int) -> int:
                 continue
             total += (-1) ** (a + b + 1) * math.comb(n_a, a) * math.comb(n_t, b)
     return total
-
-
-def classes_and_chi(decomp: "WhitneyDecomposition", z1, z2) -> int:
-    """The signed sum over the ten type-1 and the ten type-2 scale classes
-    of the point's containing products: 1 exactly when some product of
-    either type contains it, 0 otherwise, by exact integer counting."""
-    type1, type2 = containing_pairs(z1, z2, decomp.V1, decomp.V2, decomp.C0)
-    return _signed_sum(len({_class_index(p.delta) for p in type1}),
-                       len({_class_index(p.delta) for p in type2}))
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +578,10 @@ def _class_counts(scan) -> np.ndarray:
 
 
 def audit_chi(decomp: WhitneyDecomposition, n: int, seed) -> AuditReport:
-    """classes_and_chi must be exactly 1 on interior non-degenerate samples
-    and exactly 0 once a coordinate leaves the strip product."""
+    """The signed sum over the ten type-1 and the ten type-2 scale classes
+    of a point's containing products must be exactly 1 on interior
+    non-degenerate samples and exactly 0 once a coordinate leaves the strip
+    product."""
     rng = np.random.default_rng(seed)
     V1, V2, C0 = decomp.V1, decomp.V2, decomp.C0
     rho = V1.rho

@@ -84,6 +84,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_json_dict({"quad": {"bogus": 1}})
 
+    @pytest.mark.parametrize("quad", [
+        {"freq_grid": [4.5, 4, 4]},
+        {"truncation": [math.inf] * 3},
+        {"nodes_per_panel": 2.5},
+        {"refinement": 2.0},
+        {"node_budget": 1e6},
+        {"max_panel_phase": math.inf},
+    ])
+    def test_bad_quadrature_rejected(self, quad):
+        data = json.loads(json.dumps({"quad": quad}))
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_json_dict(data)
+
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": 9, "samples": 5}))

@@ -151,7 +151,7 @@ class TestExtendOracles:
         car = Carrier.from_pair(sample_pair(), 2)
         whole = TestFunction.indicator(car)
         parts = [
-            TestFunction.subbox_indicator(car, (a, a + 0.5), (c, c + 0.5))
+            TestFunction(car.subbox((a, a + 0.5), (c, c + 0.5)))
             for a in (0.0, 0.5)
             for c in (0.0, 0.5)
         ]
@@ -171,7 +171,7 @@ class TestExtendOracles:
     def test_modulation_shifts_frequency(self):
         car = Carrier.from_pair(sample_pair(), 1)
         lam = (7.5, -2.25)
-        fm = TestFunction.modulated(car, lam)
+        fm = TestFunction(car, lam)
         f = TestFunction.indicator(car)
         xi = np.array([[12.0, 3.0, -9.0]])
         shifted = xi.copy()
@@ -226,10 +226,51 @@ class TestExtendOracles:
         {"truncation": (1.0, 0.0, 1.0)},
         {"freq_grid": (8, 8, 8, 8)},
         {"freq_grid": (8, -8, 8)},
+        {"freq_grid": (4.5, 4, 4)},
+        {"freq_grid": (4.0, 4, 4)},
+        {"freq_grid": (True, 4, 4)},
+        {"truncation": (math.inf,) * 3},
+        {"truncation": (1.0, math.nan, 1.0)},
+        {"max_panel_phase": math.inf},
+        {"max_panel_phase": math.nan},
+        {"nodes_per_panel": 2.5},
+        {"refinement": 1.5},
+        {"node_budget": 2.0**20},
     ])
     def test_quadrature_spec_validated(self, bad):
         with pytest.raises(ValueError):
             QuadratureSpec(**bad)
+
+    def test_quadrature_spec_takes_numpy_scalars(self):
+        quad = QuadratureSpec(truncation=tuple(np.full(3, 8.0)), freq_grid=tuple(np.full(3, 4)),
+                              nodes_per_panel=np.int64(4), max_panel_phase=np.float64(1.0))
+        f = TestFunction.indicator(Carrier.rectangle(0, 1, 0, 1))
+        assert extend_grid(f, BASE, quad).values.shape == (4, 4, 4)
+
+    def test_points_blocks_are_bounded(self, monkeypatch):
+        # extend_points works in blocks of at most GRID_BLOCK (point, y-node)
+        # elements, at least one point each; the block size changes only the
+        # rounding of the product over y (a one-row block takes another BLAS
+        # path), by a few units in the last place
+        f = TestFunction(Carrier.from_pair(sample_pair(), 2), (3.0, -1.5))
+        xis = np.random.default_rng(13).normal(scale=40.0, size=(50, 3))
+        whole = extend_points(f, BASE, xis, QUAD)
+        sizes = []
+        sinc = np.sinc
+
+        def spy(x):
+            sizes.append(x.size)
+            return sinc(x)
+
+        monkeypatch.setattr(np, "sinc", spy)
+        ny = extension._y_nodes(f, BASE, np.abs(xis - [3.0, -1.5, 0.0]).max(axis=0), QUAD)[0].size
+        for block in (1, ny, 3 * ny + 1, 7 * ny):
+            monkeypatch.setattr(extension, "GRID_BLOCK", block)
+            sizes.clear()
+            vals = extend_points(f, BASE, xis, QUAD)
+            assert np.abs(vals - whole).max() <= 1e-14 * np.abs(whole).max()
+            rows = max(1, block // ny)
+            assert sizes == [min(rows, 50 - lo) * ny for lo in range(0, 50, rows)]
 
     def test_flat_slice_plancherel(self):
         # (2 pi)^-2 int |F(xi1, xi2, 0)|^2 over a large box recovers the area

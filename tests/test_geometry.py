@@ -1,7 +1,6 @@
 """Tests for strips, strip-pair tilings, and admissible box pairs."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -15,13 +14,11 @@ from hypwhitney.geometry import (
     DyadicInterval,
     Rejected,
     Strip,
-    admissible_strip_pairs,
     audit_tau_bounds,
     count_pairs,
     is_dyadic,
     make_type1_pair,
     pair_sample,
-    related_intervals,
     sample_members,
     separated_strip_pair,
     _checked_columns,
@@ -37,16 +34,6 @@ RHO = 2.0**-4
 C0 = 32.0
 
 
-def strip_pair_mask(y1, y2, rho, C0):
-    # floor-arithmetic restatement of "subinterval pair of a related pair",
-    # used as the cross-check predicate for the materialized lists
-    s = int(C0) // 8
-    j1 = np.floor(np.asarray(y1) / rho).astype(np.int64)
-    j2 = np.floor(np.asarray(y2) / rho).astype(np.int64)
-    a1, a2 = j1 // s, j2 // s
-    return (np.abs(a1 // 2 - a2 // 2) == 1) & (np.abs(a1 - a2) >= 2)
-
-
 class TestDyadicInterval:
     def test_half_open(self):
         I = DyadicInterval(3, 0.25)
@@ -54,11 +41,6 @@ class TestDyadicInterval:
         assert I.contains(0.75)
         assert I.contains(0.999)
         assert not I.contains(1.0)
-
-    def test_parent_indices(self):
-        assert DyadicInterval(2, 0.25).parent() == DyadicInterval(1, 0.5)
-        assert DyadicInterval(-1, 0.25).parent() == DyadicInterval(-1, 0.5)
-        assert DyadicInterval(-3, 0.25).parent() == DyadicInterval(-2, 0.5)
 
     def test_non_dyadic_scale_rejected(self):
         with pytest.raises(ValueError):
@@ -70,82 +52,7 @@ class TestDyadicInterval:
         assert not is_dyadic(float("inf"))
 
 
-class TestRelatedIntervals:
-    def test_examples(self):
-        def rel(j, jp):
-            return related_intervals(DyadicInterval(j, 0.25), DyadicInterval(jp, 0.25))
-
-        assert rel(0, 3)
-        assert rel(0, 2)
-        assert not rel(0, 1)
-        assert not rel(0, 0)
-        assert not rel(1, 4)  # parents 0 and 2 are not adjacent
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            j, jp = rng.integers(-40, 40, 2)
-            a = related_intervals(DyadicInterval(int(j), 0.125), DyadicInterval(int(jp), 0.125))
-            b = related_intervals(DyadicInterval(int(jp), 0.125), DyadicInterval(int(j), 0.125))
-            assert a == b
-
-    def test_scale_mismatch(self):
-        with pytest.raises(ValueError):
-            related_intervals(DyadicInterval(0, 0.25), DyadicInterval(0, 0.5))
-
-
 class TestStripPairs:
-    def test_counts(self):
-        # rho = 1/8: related length-1/2 intervals in [-1,1]: 6 ordered pairs,
-        # each contributing (C0/8)^2 = 16 subinterval pairs
-        assert len(admissible_strip_pairs(2.0**-3, 32)) == 96
-        # rho = 1/16: 3 adjacent parent pairs x 6 x 16
-        assert len(admissible_strip_pairs(RHO, 32)) == 288
-
-    def test_emitted_offsets(self):
-        pairs = admissible_strip_pairs(RHO, 32)
-        offs = {abs(V2.j - V1.j) for V1, V2 in pairs}
-        assert min(offs) == 5 and max(offs) == 15  # C0/8 < |dj| < C0/2
-        got = {(V1.j, V2.j) for V1, V2 in pairs}
-        assert (3, 9) in got
-        # (0, 6) satisfies the offset inequality but its length-1/4 intervals
-        # share a parent, so it is not emitted; emitting it would double-cover
-        assert (0, 6) not in got
-
-    def test_matches_predicate(self):
-        for rho in (2.0**-3, 2.0**-4):
-            got = {(V1.j, V2.j) for V1, V2 in admissible_strip_pairs(rho, 32)}
-            n = int(round(1.0 / rho))
-            want = set()
-            for j1 in range(-n, n):
-                for j2 in range(-n, n):
-                    y1, y2 = (j1 + 0.5) * rho, (j2 + 0.5) * rho
-                    if strip_pair_mask(y1, y2, rho, 32):
-                        want.add((j1, j2))
-            assert got == want
-
-    def test_tiles_off_diagonal_once(self):
-        # products over all dyadic scales cover each off-diagonal point once
-        rng = np.random.default_rng(11)
-        m = rng.integers(-4096, 4096, size=(2, 20000))
-        keep = m[0] != m[1]
-        y1 = (m[0, keep] + 0.5) * 2.0**-12
-        y2 = (m[1, keep] + 0.5) * 2.0**-12
-        for c0 in (16, 32):
-            kmax = int(math.log2(c0 / 4))  # largest scale is rho = 4/C0
-            total = np.zeros(y1.shape, dtype=np.int64)
-            for k in range(kmax, 16):
-                total += strip_pair_mask(y1, y2, 2.0**-k, c0)
-            assert total.min() == 1 and total.max() == 1
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            admissible_strip_pairs(RHO, 8)  # C0 too small
-        with pytest.raises(ValueError):
-            admissible_strip_pairs(0.25, 32)  # rho > 4/C0
-        with pytest.raises(ValueError):
-            admissible_strip_pairs(RHO, 24)  # not a power of two
-
     def test_separated_strip_pair(self):
         V1, V2 = separated_strip_pair(-12, 12, RHO, C0)
         assert V1.interval.left == -0.75 and V2.interval.left == 0.75

@@ -26,15 +26,16 @@ from hypwhitney.geometry import (
     separated_strip_pair,
 )
 from hypwhitney.whitney import (
+    _class_index,
     _containment_counts,
     _interior_samples,
+    _signed_sum,
     DegenerateTau,
     LocationFailed,
     audit_chi,
     audit_disjoint,
     audit_locate,
     audit_overlap,
-    classes_and_chi,
     containing_pairs,
     decompose,
     locate_pair,
@@ -50,6 +51,15 @@ def strip(j, rho=RHO):
 
 V1 = strip(-12)
 V2 = strip(12)
+
+
+def classes_and_chi(decomp, z1, z2) -> int:
+    """Scalar oracle of the chi audit: the signed sum over the ten type-1 and
+    the ten type-2 scale classes of the point's containing products, 1
+    exactly when some product of either type contains it, 0 otherwise."""
+    type1, type2 = containing_pairs(z1, z2, decomp.V1, decomp.V2, decomp.C0)
+    return _signed_sum(len({_class_index(p.delta) for p in type1}),
+                       len({_class_index(p.delta) for p in type2}))
 
 
 def stream_oracle(V1, V2, delta, c0):
