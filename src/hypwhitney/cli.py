@@ -25,6 +25,7 @@ from .extension import (
     Carrier,
     QuadratureSpec,
     TestFunction,
+    _positive,
     audit_sumset_x,
     bilinear_field,
     lp_norm,
@@ -51,7 +52,15 @@ from .scaling import (
     reduce,
 )
 from .surface import BASE, PhaseFamily, gamma2, grad_hess, tau
-from .whitney import audit_chi, audit_disjoint, audit_locate, audit_overlap, decompose
+from .whitney import (
+    _dyadic_label,
+    _floor_log2,
+    audit_chi,
+    audit_disjoint,
+    audit_locate,
+    audit_overlap,
+    decompose,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -63,10 +72,9 @@ __all__ = [
 
 SCHEMA = "hypwhitney/1"
 SWEEP_HEADER = "delta,rho,p,q,ratio,truncation,refinement_delta"
-
-
-def _dyadic_label(x: float) -> str:
-    return f"2^{int(round(math.log2(x)))}"
+# The scale grids of ExperimentConfig, each a tuple of powers of two.
+GRID_FIELDS = ("rho_grid", "delta_grid", "scaling_delta_grid",
+               "straight_delta_grid", "tv_delta_grid")
 
 
 @dataclass
@@ -99,11 +107,6 @@ class ExperimentConfig:
     whitney_cap: int = 4096
 
     def __post_init__(self):
-        self.rho_grid = tuple(float(v) for v in self.rho_grid)
-        self.delta_grid = tuple(float(v) for v in self.delta_grid)
-        self.scaling_delta_grid = tuple(float(v) for v in self.scaling_delta_grid)
-        self.straight_delta_grid = tuple(float(v) for v in self.straight_delta_grid)
-        self.tv_delta_grid = tuple(float(v) for v in self.tv_delta_grid)
         if not self.p > 5.0 / 3.0:
             raise ValueError(f"p={self.p} must exceed 5/3")
         if not self.q >= 2.0:
@@ -111,13 +114,15 @@ class ExperimentConfig:
         for name in ("C0", "c0", "straight_rho", "straight_truncation"):
             if not is_dyadic(getattr(self, name)):
                 raise ValueError(f"{name} must be a positive power of two")
-        for name in ("rho_grid", "delta_grid", "scaling_delta_grid",
-                     "straight_delta_grid", "tv_delta_grid"):
+        for name in GRID_FIELDS:
             grid = getattr(self, name)
-            if any(not is_dyadic(v) for v in grid):
-                raise ValueError(f"every entry of {name} must be a power of two")
-        if self.samples < 1 or self.threads < 1 or self.whitney_cap < 1:
-            raise ValueError("samples, threads and whitney_cap must be positive")
+            if not isinstance(grid, (tuple, list)) or not all(
+                    isinstance(v, numbers.Real) and is_dyadic(v) for v in grid):
+                raise ValueError(f"{name} must be a sequence of powers of two")
+            setattr(self, name, tuple(float(v) for v in grid))
+        for name in ("samples", "threads", "whitney_cap"):
+            if not _positive(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer of at least 1")
         if not self.exponent_tolerance >= 0.0:
             raise ValueError(f"exponent_tolerance={self.exponent_tolerance} must be >= 0")
         band = self.straight_band
@@ -125,6 +130,7 @@ class ExperimentConfig:
                 and all(isinstance(v, numbers.Real) and math.isfinite(v) for v in band)
                 and band[0] <= band[1]):
             raise ValueError(f"straight_band={band!r} must be two finite numbers lo <= hi")
+        self.straight_band = tuple(band)
 
     def to_json_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -146,14 +152,7 @@ class ExperimentConfig:
             unknown = set(qd) - {f.name for f in dataclasses.fields(QuadratureSpec)}
             if unknown:
                 raise ValueError(f"unknown config keys: {sorted('quad.' + k for k in unknown)}")
-            for key in ("truncation", "freq_grid"):
-                if key in qd:
-                    qd[key] = tuple(qd[key])
             kwargs["quad"] = QuadratureSpec(**qd)
-        for key in ("rho_grid", "delta_grid", "scaling_delta_grid",
-                    "straight_delta_grid", "tv_delta_grid", "straight_band"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 
 
@@ -352,6 +351,15 @@ def _audit_tasks(config: ExperimentConfig) -> list:
     return tasks
 
 
+def _map(threads: int, fn, items) -> list:
+    """[fn(x) for x in items], on a pool of `threads` threads when more than
+    one; the results keep the order of items."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def _run_tasks(config: ExperimentConfig, kind: str, selected: list) -> dict:
     """Run the (index, task) pairs of `selected`, seeding each task with
     [config.seed, index], and assemble the JSON-ready report.
@@ -363,11 +371,7 @@ def _run_tasks(config: ExperimentConfig, kind: str, selected: list) -> dict:
         idx, (_, _, fn) = item
         return fn([config.seed, idx])
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            reports = list(pool.map(run_task, selected))
-    else:
-        reports = [run_task(item) for item in selected]
+    reports = _map(config.threads, run_task, selected)
 
     audits = []
     passed = True
@@ -426,7 +430,6 @@ def run_scaling_law(config: ExperimentConfig, regime: str = "prototype") -> dict
     theoretical exponent 2(1 - 1/p - 1/q), two-sided band.
     """
     p, q = config.p, config.q
-    rows = []
     if regime == "prototype":
         grid = config.scaling_delta_grid
         if len(grid) < 4:
@@ -438,8 +441,8 @@ def run_scaling_law(config: ExperimentConfig, regime: str = "prototype") -> dict
         work = []
         for delta in grid:
             scene = prototype(delta, config.c0, delta, 1.0)
-            f = TestFunction.indicator(Carrier.from_prototype(scene, 1))
-            g = TestFunction.indicator(Carrier.from_prototype(scene, 2))
+            f = TestFunction(Carrier.from_prototype(scene, 1))
+            g = TestFunction(Carrier.from_prototype(scene, 2))
             work.append((delta, 1.0, scene, f, g, scene.family, quad))
     elif regime == "straight":
         grid = config.straight_delta_grid
@@ -453,8 +456,8 @@ def run_scaling_law(config: ExperimentConfig, regime: str = "prototype") -> dict
         work = []
         for delta in grid:
             pair = _matched_straight_pair(config, delta)
-            f = TestFunction.indicator(Carrier.from_pair(pair, 1))
-            g = TestFunction.indicator(Carrier.from_pair(pair, 2))
+            f = TestFunction(Carrier.from_pair(pair, 1))
+            g = TestFunction(Carrier.from_pair(pair, 2))
             work.append((delta, config.straight_rho, pair, f, g, BASE, quad))
     else:
         raise ValueError(f"unknown regime {regime!r}")
@@ -474,12 +477,7 @@ def run_scaling_law(config: ExperimentConfig, regime: str = "prototype") -> dict
             "refinement_delta": est.refinement_delta,
         }
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(one, work))
-    else:
-        rows = [one(job) for job in work]
-
+    rows = _map(config.threads, one, work)
     fit = fit_power_law([r["delta"] for r in rows], [r["ratio"] for r in rows])
     if regime == "prototype":
         band = [theory - config.exponent_tolerance, None]
@@ -605,7 +603,7 @@ def main(argv=None) -> int:
         for rho in config.rho_grid if config.delta_grid else ():
             decomp = decomposition(rho)
             payload["decompositions"].append(decomp.to_json_dict())
-            with open(out / f"pairs_rho_{-int(round(math.log2(rho)))}.jsonl",
+            with open(out / f"pairs_rho_{-_floor_log2(rho)}.jsonl",
                       "w", encoding="utf-8", newline="\n") as fh:
                 decomp.dump_pairs(fh)
         _write_json(out / "decomposition.json", payload)

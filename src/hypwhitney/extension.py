@@ -82,10 +82,6 @@ class Carrier:
         return self.du * self.dy
 
     @classmethod
-    def rectangle(cls, x0, x1, y0, y1) -> "Carrier":
-        return cls(float(x0), float(x1) - float(x0), float(y0), float(y1) - float(y0))
-
-    @classmethod
     def from_pair(cls, pair: AdmissiblePair, slot: int) -> "Carrier":
         """Box holding z1 (slot 1) or z2 (slot 2) of an admissible pair."""
         if slot not in (1, 2):
@@ -144,10 +140,6 @@ class TestFunction:
     modulation: tuple = (0.0, 0.0)
     amplitude: complex = 1.0
 
-    @classmethod
-    def indicator(cls, carrier: Carrier) -> "TestFunction":
-        return cls(carrier)
-
     def norm(self, q: float) -> float:
         if q < 1:
             raise ValueError("norm exponent must be >= 1")
@@ -180,10 +172,12 @@ class QuadratureSpec:
                 raise ValueError(f"{name} must be an integer of at least 1")
         if not _positive(self.max_panel_phase, numbers.Real):
             raise ValueError("max_panel_phase must be positive and finite")
-        if len(self.freq_grid) != 3 or not all(_positive(v, numbers.Integral) for v in self.freq_grid):
-            raise ValueError("freq_grid needs exactly 3 integer entries of at least 1")
-        if len(self.truncation) != 3 or not all(_positive(v, numbers.Real) for v in self.truncation):
-            raise ValueError("truncation needs exactly 3 positive finite entries")
+        for name, kind, what in (("freq_grid", numbers.Integral, "integer entries of at least 1"),
+                                 ("truncation", numbers.Real, "positive finite entries")):
+            v = getattr(self, name)
+            if not isinstance(v, (tuple, list)) or len(v) != 3 or not all(_positive(x, kind) for x in v):
+                raise ValueError(f"{name} needs exactly 3 {what}")
+            object.__setattr__(self, name, tuple(v))
 
     def refine(self) -> "QuadratureSpec":
         return replace(self, refinement=2 * self.refinement)
@@ -191,20 +185,8 @@ class QuadratureSpec:
 
 @dataclass
 class NormEstimate:
-    p: float
     value: float
-    truncation: tuple
     refinement_delta: float
-    cells: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "value": self.value,
-            "truncation": list(self.truncation),
-            "refinement_delta": self.refinement_delta,
-            "cells": self.cells,
-        }
 
 
 def _leggauss(n: int):
@@ -383,8 +365,7 @@ def lp_norm(field: FrequencyField, p: float) -> NormEstimate:
     cells_per_coarse = absv.size / coarse_vals.size
     coarse = float((coarse_vals ** p).sum() * field.cell_volume * cells_per_coarse) ** (1.0 / p)
     delta = abs(fine - coarse) / fine if fine > 0 else 0.0
-    return NormEstimate(p=p, value=fine, truncation=field.truncation,
-                        refinement_delta=delta, cells=int(absv.size))
+    return NormEstimate(value=fine, refinement_delta=delta)
 
 
 def _slot_carrier(pair, slot: int) -> Carrier:

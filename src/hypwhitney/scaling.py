@@ -72,15 +72,6 @@ class AffineMap2:
         m, c = self.linear, self.offset
         return np.stack([m[0, 0] * x + m[0, 1] * y + c[0], m[1, 0] * x + m[1, 1] * y + c[1]])
 
-    def compose(self, other: "AffineMap2") -> "AffineMap2":
-        """self after other: (self.compose(other))(z) = self(other(z))."""
-        return AffineMap2(self.linear @ other.linear, self.linear @ other.offset + self.offset)
-
-    def invert(self) -> "AffineMap2":
-        m, d = self.linear, self.det
-        inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / d
-        return AffineMap2(inv, -inv @ self.offset)
-
 
 @dataclass(frozen=True, eq=False)
 class ReductionResult:
@@ -91,10 +82,8 @@ class ReductionResult:
     remainder_coeffs: tuple
     scaled_a: float
     scaled_b: float
-    images: dict
     rho: float
     delta: float
-    C0: float
 
     @property
     def phase_factor(self) -> float:
@@ -120,27 +109,13 @@ class ReductionResult:
         dy = y - self.scaled_b
         return (0.0 <= dy) & (dy < 1.0) & (0.0 <= u) & (u < w)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "linear": [list(map(float, row)) for row in self.map.linear],
-            "offset": [float(v) for v in self.map.offset],
-            "remainder_coeffs": [float(v) for v in self.remainder_coeffs],
-            "scaled_a": float(self.scaled_a),
-            "scaled_b": float(self.scaled_b),
-            "rho": self.rho,
-            "delta": self.delta,
-            "C0": self.C0,
-            "images": self.images,
-        }
-
 
 def reduce(pair: AdmissiblePair) -> ReductionResult:
     """Reduction of a pair to unit scales; type 2 reduces with roles swapped."""
     if pair.pair_type == 2:
         return reduce(pair.swapped())
     rho, delta = pair.rho, pair.delta
-    vee, wedge = max(1.0, delta), min(1.0, delta)
-    s = 1.0 / (vee * rho * rho)
+    s = 1.0 / (max(1.0, delta) * rho * rho)
     x10, y10 = pair.cx1, pair.cy1
     T = AffineMap2(
         [[s, s * y10], [0.0, 1.0 / rho]],
@@ -150,20 +125,14 @@ def reduce(pair: AdmissiblePair) -> ReductionResult:
     coeffs = (-(x10 * y10) - 2.0 * y10**3 / 3.0, y10, x10 + y10 * y10)
     a = s * (pair.ct2 - x10)
     b = (pair.cy2 - y10) / rho
-    images = {
-        "U1": {"x": [0.0, wedge], "y": [0.0, wedge]},
-        "U2": {"y": [b, b + 1.0], "shifted_x": [a, a + wedge], "curvature_divisor": vee},
-    }
     return ReductionResult(
         map=T,
         family=PhaseFamily.rescaled(delta),
         remainder_coeffs=coeffs,
         scaled_a=a,
         scaled_b=b,
-        images=images,
         rho=rho,
         delta=delta,
-        C0=pair.C0,
     )
 
 

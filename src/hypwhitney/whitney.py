@@ -81,6 +81,11 @@ def _floor_log2(x):
     return k if np.ndim(k) else int(k)
 
 
+def _dyadic_label(x: float) -> str:
+    """The label "2^k" of a scale x = 2^k."""
+    return f"2^{_floor_log2(x)}"
+
+
 def _ceil_log2(x: float) -> int:
     mant, exp = math.frexp(x)
     return exp - 1 if mant == 0.5 else exp
@@ -250,7 +255,7 @@ class WhitneyDecomposition:
         scales = {}
         for delta in sorted(self.scales):
             t1, t2 = self.scales[delta]
-            scales[f"2^{_floor_log2(delta)}"] = {
+            scales[_dyadic_label(delta)] = {
                 "delta": delta,
                 "type1_total": t1.total,
                 "type2_total": t2.total,

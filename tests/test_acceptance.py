@@ -207,15 +207,15 @@ def test_criterion_07_quadrature_correctness():
     rng = np.random.default_rng(7)
     pairs = spanning_pairs(2, per_cell=1)
     carriers = [
-        Carrier.rectangle(-1.0, 1.0, -1.0, 1.0),
+        Carrier(-1.0, 2.0, -1.0, 2.0),
         Carrier.from_pair(pairs[0], 1),
         Carrier.from_pair(pairs[0], 2),
         Carrier.from_prototype(prototype(2.0**-3, 2.0**-5, 2.0**-3, 1.0), 2),
     ]
-    e_zero = max(abs(extend_points(TestFunction.indicator(c), BASE, (0.0, 0.0, 0.0),
+    e_zero = max(abs(extend_points(TestFunction(c), BASE, (0.0, 0.0, 0.0),
                                    quad)[0] - c.area) for c in carriers)
     e_refine = 0.0
-    f = TestFunction.indicator(carriers[0])
+    f = TestFunction(carriers[0])
     for _ in range(10):
         xi = rng.standard_normal(3)
         xi = tuple(xi / np.linalg.norm(xi) * rng.uniform(1.0, 2.0**6))
@@ -227,8 +227,8 @@ def test_criterion_07_quadrature_correctness():
     e_linear = 0.0
     for _ in range(10):
         xi = tuple(rng.uniform(-64, 64, 3))
-        whole = extend_points(TestFunction.indicator(c), BASE, xi, quad)[0]
-        total = sum(extend_points(TestFunction.indicator(p), BASE, xi, quad)[0]
+        whole = extend_points(TestFunction(c), BASE, xi, quad)[0]
+        total = sum(extend_points(TestFunction(p), BASE, xi, quad)[0]
                     for p in parts)
         e_linear = max(e_linear, abs(whole - total))
     ok = e_zero <= 1e-10 and e_refine <= 1e-8 and e_linear <= 1e-12

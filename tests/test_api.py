@@ -1,8 +1,10 @@
 """Every name a module exports resolves, so a deletion cannot leave a stale
-entry in `__all__` behind, and every exported name has a caller in the
-package itself, so no public function exists only for its tests."""
+entry in `__all__` behind, and every exported name and every public member
+of an exported class has a reader in the package itself, so no public
+function, method or field exists only for its tests."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -19,16 +21,26 @@ UNCALLED = {
     "containing_pairs": "names the per-layer benchmark metric whitney.containing_pairs.calls",
 }
 
+# Public class members with no reader in the package, each kept on purpose.
+UNREAD_MEMBERS = {
+    "PrototypeScene.in_U1": "test oracle of the unscaled small box",
+    "PrototypeScene.in_U1s": "test oracle of the scaled small box",
+    "PrototypeScene.in_U2s": "test oracle of the scaled curved box",
+    "Carrier.subbox": "the sub-carriers of acceptance criterion 7",
+    "QuadratureSpec.refine": "the y-refinement step of ROADMAP item 1",
+}
+
 
 def _package_names() -> set:
     """Every identifier the package source reads: `Name` ids and
-    `Attribute` attrs, over all modules."""
+    `Attribute` attrs in load context, over all modules (a field's own
+    declaration or an assignment is not a read)."""
     names = set()
     for path in Path(hypwhitney.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 names.add(node.attr)
     return names
 
@@ -51,3 +63,30 @@ def test_every_export_has_a_package_caller():
     # an exception that gains a caller, or stops being exported, is dropped
     assert sorted(set(UNCALLED) & used) == []
     assert set(UNCALLED) <= exported
+
+
+def _public_members() -> dict:
+    """Map "Class.member" to the member name, for every public name in the
+    namespace of each exported non-exception class and every public
+    dataclass field (a field without a default is not in the namespace)."""
+    members = {}
+    for name in MODULES:
+        module = importlib.import_module(f"hypwhitney.{name}")
+        for export in module.__all__:
+            cls = getattr(module, export)
+            if not isinstance(cls, type) or issubclass(cls, BaseException):
+                continue
+            fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+            for attr in set(vars(cls)) | fields:
+                if not attr.startswith("_"):
+                    members[f"{export}.{attr}"] = attr
+    return members
+
+
+def test_every_public_member_has_a_package_reader():
+    used = _package_names()
+    members = _public_members()
+    unread = {key for key, attr in members.items() if attr not in used}
+    assert sorted(unread - set(UNREAD_MEMBERS)) == []
+    # an exception that gains a reader, or stops existing, is dropped
+    assert sorted(set(UNREAD_MEMBERS) - unread) == []

@@ -91,9 +91,23 @@ class TestConfig:
         {"refinement": 2.0},
         {"node_budget": 1e6},
         {"max_panel_phase": math.inf},
+        {"freq_grid": 4},
+        {"truncation": 1024.0},
     ])
     def test_bad_quadrature_rejected(self, quad):
         data = json.loads(json.dumps({"quad": quad}))
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_json_dict(data)
+
+    @pytest.mark.parametrize("data", [
+        {"samples": 2.5},
+        {"samples": True},
+        {"threads": 1.5},
+        {"whitney_cap": 10.5},
+        {"rho_grid": 0.0625},
+    ])
+    def test_bad_count_or_grid_rejected(self, data):
+        data = json.loads(json.dumps(data))
         with pytest.raises(ValueError):
             ExperimentConfig.from_json_dict(data)
 

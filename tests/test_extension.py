@@ -66,7 +66,7 @@ def dense_field(f, family, field, quad):
 
 class TestCarrier:
     def test_rectangle_area(self):
-        car = Carrier.rectangle(-0.25, 0.75, 0.0, 0.5)
+        car = Carrier(-0.25, 1.0, 0.0, 0.5)
         assert car.area == pytest.approx(0.5)
 
     def test_pair_carriers_match_membership(self):
@@ -98,7 +98,7 @@ class TestCarrier:
         assert sc.in_U2((x, y)).all()
 
     def test_subbox_and_covers(self):
-        car = Carrier.rectangle(0, 1, 0, 1)
+        car = Carrier(0.0, 1.0, 0.0, 1.0)
         sub = car.subbox((0.25, 0.5), (0.0, 1.0))
         assert car.covers(sub) and not sub.covers(car)
         assert sub.area == pytest.approx(0.25)
@@ -109,17 +109,17 @@ class TestCarrier:
 class TestExtendOracles:
     def test_zero_frequency_gives_area(self):
         carriers = [
-            Carrier.rectangle(0, 1, 0, 1),
+            Carrier(0.0, 1.0, 0.0, 1.0),
             Carrier.from_pair(sample_pair(), 1),
             Carrier.from_pair(sample_pair(), 2),
             Carrier.from_prototype(prototype(2.0**-4, 2.0**-5, 2.0**-4, 1.0), 2),
         ]
         for car in carriers:
-            v = extend_points(TestFunction.indicator(car), BASE, (0.0, 0.0, 0.0), QUAD)[0]
+            v = extend_points(TestFunction(car), BASE, (0.0, 0.0, 0.0), QUAD)[0]
             assert abs(v - car.area) <= 1e-10 * max(1.0, car.area)
 
     def test_flat_slice_matches_product_of_line_integrals(self):
-        f = TestFunction.indicator(Carrier.rectangle(-0.5, 0.75, 0.25, 1.0))
+        f = TestFunction(Carrier(-0.5, 1.25, 0.25, 0.75))
         rng = np.random.default_rng(11)
         for _ in range(20):
             a, b = rng.normal(scale=20.0, size=2)
@@ -128,11 +128,11 @@ class TestExtendOracles:
             assert abs(got - want) <= 1e-12
 
     def test_full_period_vanishes(self):
-        f = TestFunction.indicator(Carrier.rectangle(0, 1, 0, 1))
+        f = TestFunction(Carrier(0.0, 1.0, 0.0, 1.0))
         assert abs(extend_points(f, BASE, (2 * math.pi, 0.0, 0.0), QUAD)[0]) <= 1e-13
 
     def test_conjugate_symmetry(self):
-        f = TestFunction.indicator(Carrier.from_pair(sample_pair(), 2))
+        f = TestFunction(Carrier.from_pair(sample_pair(), 2))
         rng = np.random.default_rng(3)
         xis = rng.normal(scale=30.0, size=(25, 3))
         plus = extend_points(f, BASE, xis, QUAD)
@@ -142,14 +142,14 @@ class TestExtendOracles:
     def test_modulus_bounded_by_area(self):
         pair = sample_pair()
         for slot in (1, 2):
-            f = TestFunction.indicator(Carrier.from_pair(pair, slot))
+            f = TestFunction(Carrier.from_pair(pair, slot))
             xis = np.random.default_rng(slot).normal(scale=200.0, size=(50, 3))
             vals = extend_points(f, BASE, xis, QUAD)
             assert np.abs(vals).max() <= f.carrier.area * (1 + 1e-12)
 
     def test_linearity_partition(self):
         car = Carrier.from_pair(sample_pair(), 2)
-        whole = TestFunction.indicator(car)
+        whole = TestFunction(car)
         parts = [
             TestFunction(car.subbox((a, a + 0.5), (c, c + 0.5)))
             for a in (0.0, 0.5)
@@ -161,8 +161,8 @@ class TestExtendOracles:
         assert np.abs(vw - vp).max() <= 1e-12
 
     def test_amplitude_scales_linearly(self):
-        car = Carrier.rectangle(0, 1, 0, 1)
-        f = TestFunction.indicator(car)
+        car = Carrier(0.0, 1.0, 0.0, 1.0)
+        f = TestFunction(car)
         g = TestFunction(car, amplitude=2.5 - 1.0j)
         xi = (3.0, -4.0, 5.0)
         vg, vf = (extend_points(h, BASE, xi, QUAD)[0] for h in (g, f))
@@ -172,7 +172,7 @@ class TestExtendOracles:
         car = Carrier.from_pair(sample_pair(), 1)
         lam = (7.5, -2.25)
         fm = TestFunction(car, lam)
-        f = TestFunction.indicator(car)
+        f = TestFunction(car)
         xi = np.array([[12.0, 3.0, -9.0]])
         shifted = xi.copy()
         shifted[0, 0] -= lam[0]
@@ -187,10 +187,10 @@ class TestExtendOracles:
         # factor and shears the frequency: ext_shift(xi) =
         # exp(-i xi1 dx) ext(xi1, xi2 + dx*xi3, xi3)
         dx = 0.375
-        base_car = Carrier.rectangle(0.0, 0.5, 0.25, 0.75)
-        shift_car = Carrier.rectangle(dx, 0.5 + dx, 0.25, 0.75)
-        f0 = TestFunction.indicator(base_car)
-        f1 = TestFunction.indicator(shift_car)
+        base_car = Carrier(0.0, 0.5, 0.25, 0.5)
+        shift_car = Carrier(dx, 0.5 + dx - dx, 0.25, 0.5)
+        f0 = TestFunction(base_car)
+        f1 = TestFunction(shift_car)
         rng = np.random.default_rng(9)
         for _ in range(10):
             xi = rng.normal(scale=15.0, size=3)
@@ -205,14 +205,14 @@ class TestExtendOracles:
         rng = np.random.default_rng(17)
         xis = rng.normal(size=(40, 3))
         xis *= (64.0 * rng.random((40, 1))) / np.linalg.norm(xis, axis=1, keepdims=True)
-        for car in (Carrier.rectangle(0, 1, 0, 1), Carrier.from_pair(sample_pair(), 2)):
-            f = TestFunction.indicator(car)
+        for car in (Carrier(0.0, 1.0, 0.0, 1.0), Carrier.from_pair(sample_pair(), 2)):
+            f = TestFunction(car)
             v1 = extend_points(f, BASE, xis, QUAD)
             v2 = extend_points(f, BASE, xis, QUAD.refine())
             assert np.abs(v1 - v2).max() <= 1e-8
 
     def test_unresolved_oscillation_raises(self):
-        f = TestFunction.indicator(Carrier.rectangle(0, 1, 0, 1))
+        f = TestFunction(Carrier(0.0, 1.0, 0.0, 1.0))
         with pytest.raises(UnresolvedOscillation):
             extend_points(f, BASE, (0.0, 0.0, 2.0**25), QUAD)
 
@@ -244,7 +244,7 @@ class TestExtendOracles:
     def test_quadrature_spec_takes_numpy_scalars(self):
         quad = QuadratureSpec(truncation=tuple(np.full(3, 8.0)), freq_grid=tuple(np.full(3, 4)),
                               nodes_per_panel=np.int64(4), max_panel_phase=np.float64(1.0))
-        f = TestFunction.indicator(Carrier.rectangle(0, 1, 0, 1))
+        f = TestFunction(Carrier(0.0, 1.0, 0.0, 1.0))
         assert extend_grid(f, BASE, quad).values.shape == (4, 4, 4)
 
     def test_points_blocks_are_bounded(self, monkeypatch):
@@ -274,7 +274,7 @@ class TestExtendOracles:
 
     def test_flat_slice_plancherel(self):
         # (2 pi)^-2 int |F(xi1, xi2, 0)|^2 over a large box recovers the area
-        f = TestFunction.indicator(Carrier.rectangle(0, 1, 0, 1))
+        f = TestFunction(Carrier(0.0, 1.0, 0.0, 1.0))
         R, n = 128.0, 256
         ax = -R + (2 * R / n) * (np.arange(n) + 0.5)
         g1, g2 = np.meshgrid(ax, ax, indexing="ij")
@@ -284,7 +284,7 @@ class TestExtendOracles:
         assert mass == pytest.approx(1.0, abs=0.03)
 
     def test_cubic_divisor_changes_value(self):
-        f = TestFunction.indicator(Carrier.rectangle(0, 1, 0, 1))
+        f = TestFunction(Carrier(0.0, 1.0, 0.0, 1.0))
         xi = (0.0, 0.0, 40.0)
         v_base = extend_points(f, BASE, xi, QUAD)[0]
         v_proto = extend_points(f, PhaseFamily.prototype(2.0**-3), xi, QUAD)[0]
@@ -294,7 +294,7 @@ class TestExtendOracles:
 class TestGridAndNorms:
     def test_grid_axes_are_midpoints(self):
         quad = QuadratureSpec(truncation=(4.0, 2.0, 1.0), freq_grid=(4, 2, 2))
-        f = TestFunction.indicator(Carrier.rectangle(0, 1, 0, 1))
+        f = TestFunction(Carrier(0.0, 1.0, 0.0, 1.0))
         field = extend_grid(f, BASE, quad)
         assert np.allclose(field.axes[0], [-3.0, -1.0, 1.0, 3.0])
         assert np.allclose(field.axes[1], [-1.0, 1.0])
@@ -309,7 +309,6 @@ class TestGridAndNorms:
         est = lp_norm(field, 2.0)
         assert est.value == pytest.approx((4.0 * 8.0) ** 0.5)
         assert est.refinement_delta <= 1e-12
-        assert est.cells == 512
 
     def test_lp_norm_of_flat_field_on_odd_grid(self):
         shape = (3, 5, 1)
@@ -318,7 +317,6 @@ class TestGridAndNorms:
         est = lp_norm(field, 2.0)
         assert est.value == pytest.approx((4.0 * 8.0) ** 0.5)
         assert est.refinement_delta <= 1e-12
-        assert est.cells == 15
 
     def test_grid_matches_dense_oracle_for_sheared_modulated_function(self):
         pair = sample_pair()
@@ -337,7 +335,7 @@ class TestGridAndNorms:
         pair = sample_pair()
         quad = QuadratureSpec(truncation=(10.0, 6.0, 5.0), freq_grid=(5, 3, 5))
         for slot in (1, 2):
-            f = TestFunction.indicator(Carrier.from_pair(pair, slot))
+            f = TestFunction(Carrier.from_pair(pair, slot))
             field = extend_grid(f, BASE, quad)
             assert 0.0 in field.axes[0] and 0.0 in field.axes[2]
             assert np.isfinite(field.values).all()
@@ -368,8 +366,8 @@ class TestGridAndNorms:
 
     def test_bilinear_field_checks_carriers(self):
         pair = sample_pair()
-        f = TestFunction.indicator(Carrier.from_pair(pair, 1))
-        g = TestFunction.indicator(Carrier.from_pair(pair, 2))
+        f = TestFunction(Carrier.from_pair(pair, 1))
+        g = TestFunction(Carrier.from_pair(pair, 2))
         quad = QuadratureSpec(truncation=(8.0, 8.0, 8.0), freq_grid=(4, 4, 4))
         with pytest.raises(ValueError):
             bilinear_field(pair, g, f, BASE, quad)

@@ -1,7 +1,5 @@
 """Tests for the unit-scale reduction and the prototype scaling."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -41,26 +39,6 @@ class TestAffineMap2:
         m = AffineMap2([[2.0, 1.0], [0.0, 3.0]], [1.0, -1.0])
         out = m.apply((1.0, 2.0))
         assert out[0] == 5.0 and out[1] == 5.0
-
-    def test_compose_matches_sequential(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            A = AffineMap2(rng.normal(size=(2, 2)) + 2 * np.eye(2), rng.normal(size=2))
-            B = AffineMap2(rng.normal(size=(2, 2)) + 2 * np.eye(2), rng.normal(size=2))
-            z = rng.normal(size=(2, 20))
-            lhs = A.compose(B).apply(z)
-            rhs = A.apply(B.apply(z))
-            assert np.abs(lhs - rhs).max() <= 1e-12
-
-    def test_invert_round_trip(self):
-        rng = np.random.default_rng(1)
-        m = AffineMap2([[3.0, 1.0], [1.0, 2.0]], [0.5, -0.25])
-        z = rng.uniform(-10, 10, size=(2, 100000))
-        back = m.invert().apply(m.apply(z))
-        assert np.abs(back - z).max() <= 1e-13
-        ident = m.compose(m.invert())
-        assert np.abs(ident.linear - np.eye(2)).max() <= 1e-14
-        assert np.abs(ident.offset).max() <= 1e-14
 
     def test_det_and_validation(self):
         assert AffineMap2([[2.0, 0.0], [0.0, 0.5]], [0, 0]).det == 1.0
@@ -151,12 +129,10 @@ class TestReduce:
         assert r1.remainder_coeffs == r2.remainder_coeffs
         assert np.array_equal(r1.map.linear, r2.map.linear)
 
-    def test_json_round_trip(self):
+    def test_worked_example_coefficients(self):
         red = reduce(pair_at(2.0**-3))
-        d = json.loads(json.dumps(red.to_json_dict()))
-        assert d["remainder_coeffs"] == [0.28125, -0.75, 0.5625]
-        assert d["scaled_b"] == 24.0
-        assert d["images"]["U1"]["x"] == [0.0, 0.125]
+        assert red.remainder_coeffs == (0.28125, -0.75, 0.5625)
+        assert red.scaled_b == 24.0
 
 
 class TestScaledGamma:
