@@ -15,6 +15,7 @@ import math
 import numbers
 import sys
 import threading
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .extension import (
+    SUMSET_CUBES_DELTA_MAX,
+    SUMSET_X_DELTA_MAX,
     Carrier,
     QuadratureSpec,
     TestFunction,
@@ -35,6 +38,8 @@ from .geometry import (
     AdmissiblePair,
     DyadicInterval,
     Strip,
+    _dyadic_label,
+    _floor_log2,
     _steps,
     audit_tau_bounds,
     is_dyadic,
@@ -53,8 +58,6 @@ from .scaling import (
 )
 from .surface import BASE, PhaseFamily, gamma2, grad_hess, tau
 from .whitney import (
-    _dyadic_label,
-    _floor_log2,
     audit_chi,
     audit_disjoint,
     audit_locate,
@@ -75,6 +78,16 @@ SWEEP_HEADER = "delta,rho,p,q,ratio,truncation,refinement_delta"
 # The scale grids of ExperimentConfig, each a tuple of powers of two.
 GRID_FIELDS = ("rho_grid", "delta_grid", "scaling_delta_grid",
                "straight_delta_grid", "tv_delta_grid")
+
+
+def _finite_real(v) -> bool:
+    """v is a finite real number (bools excluded)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _dyadic(v) -> bool:
+    """v is a real power of two (bools excluded)."""
+    return _finite_real(v) and is_dyadic(v)
 
 
 @dataclass
@@ -107,28 +120,38 @@ class ExperimentConfig:
     whitney_cap: int = 4096
 
     def __post_init__(self):
+        for name in ("p", "q", "exponent_tolerance"):
+            if not _finite_real(getattr(self, name)):
+                raise ValueError(f"{name}={getattr(self, name)!r} must be a finite number")
         if not self.p > 5.0 / 3.0:
             raise ValueError(f"p={self.p} must exceed 5/3")
         if not self.q >= 2.0:
             raise ValueError(f"q={self.q} must be at least 2")
         for name in ("C0", "c0", "straight_rho", "straight_truncation"):
-            if not is_dyadic(getattr(self, name)):
+            if not _dyadic(getattr(self, name)):
                 raise ValueError(f"{name} must be a positive power of two")
         for name in GRID_FIELDS:
             grid = getattr(self, name)
-            if not isinstance(grid, (tuple, list)) or not all(
-                    isinstance(v, numbers.Real) and is_dyadic(v) for v in grid):
+            if not isinstance(grid, (tuple, list)) or not all(_dyadic(v) for v in grid):
                 raise ValueError(f"{name} must be a sequence of powers of two")
             setattr(self, name, tuple(float(v) for v in grid))
         for name in ("samples", "threads", "whitney_cap"):
             if not _positive(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer of at least 1")
+        seed = self.seed
+        if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
+            raise ValueError(f"seed={self.seed!r} must be a non-negative integer")
+        if not isinstance(self.quad, QuadratureSpec):
+            raise ValueError("quad must be a mapping or a QuadratureSpec")
+        if not isinstance(self.negative_controls, bool):
+            raise ValueError(f"negative_controls={self.negative_controls!r} must be a bool")
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir={self.output_dir!r} must be a string")
         if not self.exponent_tolerance >= 0.0:
             raise ValueError(f"exponent_tolerance={self.exponent_tolerance} must be >= 0")
         band = self.straight_band
         if not (isinstance(band, (tuple, list)) and len(band) == 2
-                and all(isinstance(v, numbers.Real) and math.isfinite(v) for v in band)
-                and band[0] <= band[1]):
+                and all(_finite_real(v) for v in band) and band[0] <= band[1]):
             raise ValueError(f"straight_band={band!r} must be two finite numbers lo <= hi")
         self.straight_band = tuple(band)
 
@@ -147,7 +170,7 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
-        if "quad" in kwargs:
+        if isinstance(kwargs.get("quad"), Mapping):
             qd = dict(kwargs["quad"])
             unknown = set(qd) - {f.name for f in dataclasses.fields(QuadratureSpec)}
             if unknown:
@@ -323,13 +346,13 @@ def _audit_tasks(config: ExperimentConfig) -> list:
         tasks.append(("whitney_chi" + tag, False,
                       lambda s, r=rho: audit_chi(decomposition(r), min(n, 2000), s)))
         for delta in config.delta_grid:
-            if delta <= 0.125:
+            if delta <= SUMSET_X_DELTA_MAX:
                 tasks.append((
                     f"sumset_x:rho={_dyadic_label(rho)},delta={_dyadic_label(delta)}",
                     False,
                     lambda s, v1=V1, v2=V2, d=delta: audit_sumset_x(v1, v2, C0, d, n, s),
                 ))
-        cube_grid = [d for d in config.delta_grid if d <= 0.5]
+        cube_grid = [d for d in config.delta_grid if d <= SUMSET_CUBES_DELTA_MAX]
         if cube_grid:
             tasks.append((f"sumset_cubes_stability:rho={_dyadic_label(rho)}", False,
                           lambda s, v1=V1, v2=V2, cg=tuple(cube_grid):
@@ -341,7 +364,7 @@ def _audit_tasks(config: ExperimentConfig) -> list:
         tasks.append(("nc:tau_bounds_corrupted", True,
                       lambda s: audit_tau_bounds(_corrupted_pair(rho0, d0, C0),
                                                  min(n, 1000), s)))
-        if d0 <= 0.125:
+        if d0 <= SUMSET_X_DELTA_MAX:
             tasks.append(("nc:sumset_x_shrunken", True,
                           lambda s: audit_sumset_x(V1, V2, C0, d0, n, s,
                                                    window_shrink=64.0)))
@@ -434,8 +457,6 @@ def run_scaling_law(config: ExperimentConfig, regime: str = "prototype") -> dict
         grid = config.scaling_delta_grid
         if len(grid) < 4:
             raise ValueError("prototype sweep needs at least 4 scale points")
-        if any(d > 0.5 for d in grid):
-            raise ValueError("prototype sweep needs delta <= 1/2")
         theory = 3.5 - 6.0 / p if q == 2.0 else 5.0 - 3.0 / q - 6.0 / p
         quad = config.quad
         work = []
@@ -534,16 +555,13 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    """The config file's (or the default) config with the flags applied,
+    validated again as a whole."""
     config = load_config(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.output_dir = args.out
-    if args.threads is not None:
-        config.threads = max(1, args.threads)
-    if args.negative_controls:
-        config.negative_controls = True
-    return config
+    overrides = {"seed": args.seed, "output_dir": args.out,
+                 "threads": None if args.threads is None else max(1, args.threads),
+                 "negative_controls": args.negative_controls or None}
+    return dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
 
 
 # Audit subcommands: the output file, and the task-name prefixes each one

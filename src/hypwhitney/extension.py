@@ -394,6 +394,12 @@ def bilinear_field(pair, f: TestFunction, g: TestFunction, family: PhaseFamily,
 # Sumset audits
 
 
+# The coarsest scales the sumset audits apply at: the x-sumset window holds
+# in the curved regime, and the cube audit's slabs need delta <= 1/2.
+SUMSET_X_DELTA_MAX = 0.125
+SUMSET_CUBES_DELTA_MAX = 0.5
+
+
 def audit_sumset_x(V1: Strip, V2: Strip, C0, delta, n: int, seed,
                    window_shrink: float = 1.0, members_per_pair: int = 8) -> AuditReport:
     """Coordinate sums of admissible-pair members stay in the stated bands.
@@ -412,7 +418,7 @@ def audit_sumset_x(V1: Strip, V2: Strip, C0, delta, n: int, seed,
         raise ValueError("need members_per_pair >= 1")
     C0, delta = float(C0), float(delta)
     rho = _check_strips(V1, V2, C0)
-    if delta > 0.125:
+    if delta > SUMSET_X_DELTA_MAX:
         raise ValueError("the x-sumset window applies to the curved regime delta <= 1/8")
     rng = np.random.default_rng(seed)
     n_pairs = max(1, n // members_per_pair)
@@ -519,7 +525,7 @@ def audit_sumset_cubes(V1: Strip, V2: Strip, C0, delta, n: int, seed,
         raise ValueError("need multiplicity_points >= 1")
     C0, delta = float(C0), float(delta)
     rho = _check_strips(V1, V2, C0)
-    if not 0.0 < delta <= 0.5:
+    if not 0.0 < delta <= SUMSET_CUBES_DELTA_MAX:
         raise ValueError("slab decomposition needs delta <= 1/2")
     rng = np.random.default_rng(seed)
     n_tuples = max(1, n // members_per_tuple)

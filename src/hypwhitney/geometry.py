@@ -43,7 +43,11 @@ __all__ = [
 # member formulas cannot push a sample onto the excluded upper boundary.
 OPEN_SCALE = 1.0 - 2.0**-30
 
+# The finest enumerated scale: `pair_sample` gives empty tables below it.
 DELTA_MIN = 2.0**-20
+# The finest located scale.  Location snaps one candidate per scale and needs
+# no pair stream, so it reaches far below DELTA_MIN.
+LOG2_DELTA_FLOOR = -40
 
 
 def is_dyadic(x) -> bool:
@@ -52,6 +56,23 @@ def is_dyadic(x) -> bool:
     if not math.isfinite(x) or x <= 0.0:
         return False
     return math.frexp(x)[0] == 0.5
+
+
+def _floor_log2(x):
+    """floor(log2(x)) for positive x: an int for a scalar, elementwise on
+    arrays."""
+    k = np.frexp(x)[1] - 1
+    return k if np.ndim(k) else int(k)
+
+
+def _ceil_log2(x: float) -> int:
+    mant, exp = math.frexp(x)
+    return exp - 1 if mant == 0.5 else exp
+
+
+def _dyadic_label(x: float) -> str:
+    """The label "2^k" of a scale x = 2^k."""
+    return f"2^{_floor_log2(x)}"
 
 
 def _require_dyadic(**kwargs):
@@ -144,6 +165,12 @@ def _steps(rho, delta) -> tuple:
     boxes and the x-grid."""
     # a conditional rather than min(): this runs for every candidate pair
     return rho * (delta if delta < 1.0 else 1.0), rho * rho * delta
+
+
+def _coarsest_exponent(rho) -> int:
+    """log2 of the coarsest scale at the dyadic strip scale rho, the largest
+    delta with rho^2*delta <= 4: no box is wider than Q."""
+    return 2 - 2 * _floor_log2(rho)
 
 
 # Member maps of the two canonical boxes and their inverses; all broadcast.
@@ -462,9 +489,9 @@ def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float):
     if V1.rho != V2.rho:
         raise ValueError("strips must share one scale")
     rho = V1.rho
-    h, g = _steps(rho, delta)
-    if g > 4.0:
+    if _floor_log2(delta) > _coarsest_exponent(rho):
         raise ValueError("delta out of range: rho^2*delta must be <= 4")
+    h, g = _steps(rho, delta)
     rows = []
     if delta < DELTA_MIN:
         return rows

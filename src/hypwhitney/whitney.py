@@ -6,31 +6,37 @@ non-degenerate point (z1, z2) lies in at least one product, within one scale
 and type it lies in at most one, and the scales that can contain it are
 pinned to a narrow dyadic window by the size of its anchored discrepancies.
 This module materializes bounded snapshots of that family (decompose: one
-`geometry.PairTable` per scale and type, columns of canonical parameters
-with the exact stream size and the stride of the stored subset) and
-audits the covering claims on random samples.  One containment scan over
-point arrays (`_covering`) snaps each point onto the grids of the seven
-scales of that window, for both types, and checks each snapped candidate
-once; locate_pair (the anchor type's middle row), containing_pairs (the
-containing rows of one point) and the location, overlap and chi audits
-are views of it.
+`geometry.PairTable` per scale and type) and audits the covering claims on
+random samples.  One containment scan over point arrays (`_covering`) snaps
+each point onto the grids of the seven scales of that window, for both
+types, and checks each snapped candidate once; locate_pair, containing_pairs
+and the location, overlap and chi audits are views of it.  Scales lie in
+[2^LOG2_DELTA_FLOOR, the coarsest scale rho^2 delta = 4], and an anchored
+discrepancy below DEGENERATE_TAU_TOL is degenerate: it has no candidate of
+its type (`_anchor_exponents` holds both rules).
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import (
-    OPEN_SCALE,
     DELTA_MIN,
+    LOG2_DELTA_FLOOR,
+    OPEN_SCALE,
     AdmissiblePair,
     Rejected,
     Strip,
     _canonical_contains,
+    _ceil_log2,
     _check_strips,
+    _coarsest_exponent,
+    _dyadic_label,
+    _floor_log2,
     _long_coords,
     _long_member,
     _conditions,
@@ -57,10 +63,8 @@ __all__ = [
     "audit_chi",
 ]
 
+# An anchored discrepancy below this is degenerate: in no pair of its type.
 DEGENERATE_TAU_TOL = 1e-14
-# No pair is located below this scale; discrepancies that small are treated
-# as degenerate rather than mapped to astronomically fine grids.
-LOG2_DELTA_FLOOR = -40
 BOUNDARY_TOL = 2.0**-40
 
 
@@ -72,23 +76,6 @@ class DegenerateTau(ValueError):
 
 class LocationFailed(RuntimeError):
     """The snapped candidate was rejected or does not contain the point."""
-
-
-def _floor_log2(x):
-    """floor(log2(x)) for positive x: an int for a scalar, elementwise on
-    arrays."""
-    k = np.frexp(x)[1] - 1
-    return k if np.ndim(k) else int(k)
-
-
-def _dyadic_label(x: float) -> str:
-    """The label "2^k" of a scale x = 2^k."""
-    return f"2^{_floor_log2(x)}"
-
-
-def _ceil_log2(x: float) -> int:
-    mant, exp = math.frexp(x)
-    return exp - 1 if mant == 0.5 else exp
 
 
 def _class_index(delta: float) -> int:
@@ -105,6 +92,16 @@ def _snap(zs, zl, rho, delta):
     cx1 = g * np.floor(_small_coords(0.0, cy1, zs[0], zs[1])[0] / g)
     ct2 = g * np.floor(_long_coords(0.0, cy1, 0.0, zl[0], zl[1])[0] / g)
     return cx1, cy1, ct2, rho * np.floor(zl[1] / rho)
+
+
+def _anchor_exponents(t, rho, C0, offsets=0):
+    """Exponents k + offsets, C0^2 rho^2 2^k <= |t| < 2 C0^2 rho^2 2^k, of
+    anchored discrepancies t, and whether each is usable: |t| is at least
+    DEGENERATE_TAU_TOL and k + offsets in [LOG2_DELTA_FLOOR, coarsest]."""
+    a = np.abs(t)
+    # C0^2 rho^2 is a power of two, so the dyadic window test is exact
+    ks = _floor_log2(a / (C0 * C0 * rho * rho)) + offsets
+    return ks, (a >= DEGENERATE_TAU_TOL) & (LOG2_DELTA_FLOOR <= ks) & (ks <= _coarsest_exponent(rho))
 
 
 def _by_scale(ks, mask):
@@ -129,20 +126,16 @@ def _covering(z1, z2, V1: Strip, V2: Strip, C0: float) -> tuple:
     snapped candidate.  Returns, for type 1 (anchor z1) and then type 2
     (anchor z2): the exponents, shape (7, n), and whether the candidate at
     each is admissible and contains the point, shape (7, n), each candidate
-    checked once (`_snap` gives a candidate's columns back).  Points
-    outside the strip product, anchors below 1e-300 and exponents outside
-    [LOG2_DELTA_FLOOR, the coarsest scale] have no candidate.
+    checked once (`_snap` gives a candidate's columns back).  Points outside
+    the strip product and unusable exponents (`_anchor_exponents`) have none.
     """
     rho = V1.rho
     z1, z2 = np.reshape(np.asarray([*z1, *z2], dtype=np.float64), (2, 2, -1))
     inside = V1.contains(z1) & V2.contains(z2)
-    k_max = _floor_log2(4.0 / (rho * rho))
     scans = []
     for zs, zl, t in ((z1, z2, tau(z1, z1, z2)), (z2, z1, tau(z2, z1, z2))):
-        a = np.abs(t)
-        # C0^2 rho^2 is a power of two, so the dyadic window test is exact
-        ks = _floor_log2(a / (C0 * C0 * rho * rho)) + np.arange(-3, 4)[:, None]
-        ok = inside & (a >= 1e-300) & (LOG2_DELTA_FLOOR <= ks) & (ks <= k_max)
+        ks, ok = _anchor_exponents(t, rho, C0, np.arange(-3, 4)[:, None])
+        ok &= inside
         for delta, (r, i) in _by_scale(ks, ok):
             small, long = (zs[0][i], zs[1][i]), (zl[0][i], zl[1][i])
             cand = _snap(small, long, rho, delta)
@@ -172,19 +165,17 @@ def locate_pair(z1, z2, V1: Strip, V2: Strip, C0) -> AdmissiblePair:
     rho = _check_strips(V1, V2, C0)
     if not (V1.contains(z1) and V2.contains(z2)):
         raise ValueError("points must lie in the strip product")
-    t1 = tau(z1, z1, z2)
-    t2 = tau(z2, z1, z2)
+    t1, t2 = tau(z1, z1, z2), tau(z2, z1, z2)
     if min(abs(t1), abs(t2)) < DEGENERATE_TAU_TOL:
         raise DegenerateTau(f"discrepancies {t1:.3e}, {t2:.3e} below tolerance")
     swap = bool(abs(t2) < abs(t1))
     ks, ok = _covering(z1, z2, V1, V2, C0)[swap]
     k = int(ks[3, 0])
     if k < LOG2_DELTA_FLOOR:
-        t = t2 if swap else t1
-        raise DegenerateTau(f"anchor discrepancy {t:.3e} needs a scale below 2^{LOG2_DELTA_FLOOR}")
-    delta = math.ldexp(1.0, k)
-    if rho * rho * delta > 4.0:
+        raise DegenerateTau(f"anchor discrepancy {(t1, t2)[swap]:.3e} needs a scale below 2^{LOG2_DELTA_FLOOR}")
+    if k > _coarsest_exponent(rho):
         raise LocationFailed("anchor discrepancy exceeds the coarsest scale")
+    delta = math.ldexp(1.0, k)
     cols = [float(v) for v in _snap(*((z2, z1) if swap else (z1, z2)), rho, delta)]
     if not ok[3, 0]:
         cand = make_type1_pair(*cols, rho, delta, C0)
@@ -209,13 +200,8 @@ def containing_pairs(z1, z2, V1: Strip, V2: Strip, C0) -> tuple:
 def _signed_sum(n_a: int, n_t: int) -> int:
     """Signed indicator sum over all joint intersections of n_a type-1 and
     n_t type-2 scale classes, the empty-empty term excluded."""
-    total = 0
-    for a in range(n_a + 1):
-        for b in range(n_t + 1):
-            if a == 0 and b == 0:
-                continue
-            total += (-1) ** (a + b + 1) * math.comb(n_a, a) * math.comb(n_t, b)
-    return total
+    return sum((-1) ** (a + b + 1) * math.comb(n_a, a) * math.comb(n_t, b)
+               for a in range(n_a + 1) for b in range(n_t + 1) if a or b)
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +238,11 @@ class WhitneyDecomposition:
         return {r: tuple(v) for r, v in sizes.items()}
 
     def to_json_dict(self) -> dict:
-        scales = {}
-        for delta in sorted(self.scales):
-            t1, t2 = self.scales[delta]
-            scales[_dyadic_label(delta)] = {
-                "delta": delta,
-                "type1_total": t1.total,
-                "type2_total": t2.total,
-                "type1_stored": len(t1),
-                "type2_stored": len(t2),
-                "stride1": t1.stride,
-                "stride2": t2.stride,
-            }
+        scales = {_dyadic_label(delta): {
+            "delta": delta, "type1_total": t1.total, "type2_total": t2.total,
+            "type1_stored": len(t1), "type2_stored": len(t2),
+            "stride1": t1.stride, "stride2": t2.stride,
+        } for delta, (t1, t2) in sorted(self.scales.items())}
         return {
             "strips": {"j1": self.V1.j, "j2": self.V2.j, "rho": self.V1.rho},
             "C0": self.C0,
@@ -276,8 +255,6 @@ class WhitneyDecomposition:
 
     def dump_pairs(self, fh) -> int:
         """Write stored pairs as json-lines in deterministic order."""
-        import json
-
         count = 0
         for delta in sorted(self.scales):
             for slot in (0, 1):
@@ -291,8 +268,8 @@ def decompose(V1: Strip, V2: Strip, C0, delta_min, delta_max,
               cap: int = 4096) -> WhitneyDecomposition:
     """Materialize the pair family for every dyadic scale in the range.
 
-    Scales outside the enumerable window (below 2^-20 or with
-    rho^2 delta > 4) are skipped.  A scale whose stream exceeds cap stores
+    The range is clamped to the enumerable window [DELTA_MIN, the coarsest
+    scale rho^2 delta = 4].  A scale whose stream exceeds cap stores
     an evenly strided subset (full counts stay exact).  An empty range yields
     an empty decomposition.
     """
@@ -306,10 +283,9 @@ def decompose(V1: Strip, V2: Strip, C0, delta_min, delta_max,
     out = WhitneyDecomposition(V1, V2, C0, delta_min, delta_max)
     if delta_min > delta_max:
         return out
-    for k in range(_ceil_log2(delta_min), _floor_log2(delta_max) + 1):
+    for k in range(max(_ceil_log2(delta_min), _floor_log2(DELTA_MIN)),
+                   min(_floor_log2(delta_max), _coarsest_exponent(rho)) + 1):
         delta = math.ldexp(1.0, k)
-        if delta < DELTA_MIN or rho * rho * delta > 4.0:
-            continue
         out.scales[delta] = (pair_sample(V1, V2, delta, C0, 1, cap),
                              pair_sample(V1, V2, delta, C0, 2, cap))
     return out
@@ -331,12 +307,12 @@ def _near_wall(zs, zl, rho, delta):
 
 
 def _interior_samples(rng, V1: Strip, V2: Strip, C0, n: int):
-    """n points of V1 x V2, re-drawn while degenerate or wall-adjacent at
-    the dyadic scale of either anchored discrepancy."""
+    """n points of V1 x V2, re-drawn while either anchored discrepancy is
+    below DEGENERATE_TAU_TOL (the points locate_pair rejects as degenerate)
+    or while wall-adjacent at the dyadic scale of either."""
     if n < 1:
         raise ValueError("need n >= 1")
     rho = V1.rho
-    k_max = _floor_log2(4.0 / (rho * rho))
     out = np.empty((4, n))
     filled = 0
     while filled < n:
@@ -346,12 +322,11 @@ def _interior_samples(rng, V1: Strip, V2: Strip, C0, n: int):
         x2 = rng.uniform(-1.0, 1.0, m)
         y2 = V2.interval.left + rng.random(m) * rho
         z1, z2 = (x1, y1), (x2, y2)
-        t1 = tau(z1, z1, z2)
-        t2 = tau(z2, z1, z2)
-        ok = np.minimum(np.abs(t1), np.abs(t2)) > 1e-12
+        t1, t2 = tau(z1, z1, z2), tau(z2, z1, z2)
+        ok = np.minimum(np.abs(t1), np.abs(t2)) >= DEGENERATE_TAU_TOL
         for t in (t1, t2):
-            ks = _floor_log2(np.abs(t) / (C0 * C0 * rho * rho))
-            for delta, (i,) in _by_scale(ks, ok & (LOG2_DELTA_FLOOR <= ks) & (ks <= k_max)):
+            ks, usable = _anchor_exponents(t, rho, C0)
+            for delta, (i,) in _by_scale(ks, ok & usable):
                 zi1, zi2 = (x1[i], y1[i]), (x2[i], y2[i])
                 ok[i] &= ~(_near_wall(zi1, zi2, rho, delta) | _near_wall(zi2, zi1, rho, delta))
         take = np.nonzero(ok)[0][: n - filled]
@@ -415,10 +390,8 @@ def audit_disjoint(decomp: WhitneyDecomposition, n: int, seed) -> AuditReport:
             cx1, cy1, ct2, cy2 = arrays
             h, g = _steps(rho, delta)
             # canonical small slot lives in V1 for type 1 lists, V2 for type 2
-            Vs = decomp.V1 if slot == 0 else decomp.V2
-            Vl = decomp.V2 if slot == 0 else decomp.V1
-            nu = n // 2
-            nm = n - nu
+            Vs, Vl = (decomp.V1, decomp.V2) if slot == 0 else (decomp.V2, decomp.V1)
+            nu, nm = n // 2, n - n // 2
             us = np.empty((4, nu + nm))
             us[0, :nu] = rng.uniform(-1.0 - g, 1.0 + g, nu)
             us[1, :nu] = Vs.interval.left + rng.random(nu) * rho

@@ -105,6 +105,16 @@ class TestConfig:
         {"threads": 1.5},
         {"whitney_cap": 10.5},
         {"rho_grid": 0.0625},
+        {"seed": 1.5},
+        {"seed": True},
+        {"seed": -1},
+        {"p": math.inf},
+        {"p": "x"},
+        {"negative_controls": "yes"},
+        {"output_dir": 5},
+        {"C0": None},
+        {"exponent_tolerance": None},
+        {"quad": 5},
     ])
     def test_bad_count_or_grid_rejected(self, data):
         data = json.loads(json.dumps(data))
@@ -396,6 +406,11 @@ class TestMain:
         payload = json.loads((out / "transversality.json").read_text())
         assert payload["config"]["seed"] == 99
         assert payload["config"]["threads"] == 2
+        # flags are validated like the config file's fields; threads clamp to 1
+        with pytest.raises(ValueError, match="seed"):
+            main(["transversality", "--config", str(cfgp), "--out", str(out), "--seed", "-1"])
+        main(["transversality", "--config", str(cfgp), "--out", str(out), "--threads", "0"])
+        assert json.loads((out / "transversality.json").read_text())["config"]["threads"] == 1
 
     @pytest.mark.parametrize("negative_controls", [False, True])
     def test_subcommand_entries_equal_report_entries(self, tmp_path, negative_controls):

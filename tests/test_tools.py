@@ -2,6 +2,7 @@
 aborting the comparison."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -47,3 +48,20 @@ def test_timeout_is_an_error_entry(tmp_path, monkeypatch):
     monkeypatch.setattr(ab_bench.subprocess, "run", expire)
     result = ab_bench._run(tmp_path, "audit", 0, 36.0)
     assert result == {"error": "timed out after 720 s"}
+
+
+
+def test_operations_are_summed_per_side(tmp_path):
+    def run(name, attempted, failed):
+        line = json.dumps({"correct": True, "attempted": attempted, "failed": failed,
+                           "metrics": {"wall_s": {"value": 1.0}}})
+        return ab_bench._run(stub_checkout(tmp_path / name, line), "audit", 0, 1.0)
+
+    runs = [{"base": run("b0", 40, 0), "head": run("h0", 40, 2)},
+            {"base": run("b1", 60, 0), "head": {"error": "exit 1: boom"}}]
+    assert ab_bench._operations(runs, ("base", "head")) == {
+        "base": {"attempted": 100, "failed": 0, "failed_share": 0.0},
+        "head": {"attempted": 40, "failed": 2, "failed_share": 0.05},
+    }
+    assert ab_bench._operations(runs[1:], ("head",)) == {
+        "head": {"attempted": 0, "failed": 0, "failed_share": None}}

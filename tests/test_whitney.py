@@ -146,6 +146,34 @@ class TestLocate:
         assert rep.stats["delta_min"] >= 2.0**-40
 
 
+class TestScaleWindow:
+    """The shared limits of location and the containment scan: the
+    degeneracy threshold and the coarsest scale rho^2 delta = 4."""
+
+    def test_sub_tolerance_anchor_has_no_candidate_of_its_type(self):
+        # tau at z1 is 7.5e-15, below DEGENERATE_TAU_TOL, yet its dyadic
+        # scale 2^-39 lies above the location floor at rho = 2^-8
+        V1, V2 = strip(-12, 2.0**-8), strip(12, 2.0**-8)
+        z1 = (-0.0890241423458753, -0.0430757616343909)
+        z2 = (-0.09362224165080572, 0.0496097095498268)
+        type1, type2 = containing_pairs(z1, z2, V1, V2, C0)
+        assert type1 == [] and type2
+        with pytest.raises(DegenerateTau):
+            locate_pair(z1, z2, V1, V2, C0)
+
+    def test_anchor_above_the_coarsest_scale(self):
+        # strips outside Q at rho = 2: the coarsest scale is delta = 1, and
+        # the anchors 207 and 143 sit at the scale C0^2 rho^2 * 2
+        V1, V2 = separated_strip_pair(9, 12, 2.0, 4.0)
+        z1, z2 = (0.3, 18.0), (-0.2, 25.99)
+        with pytest.raises(LocationFailed, match="coarsest scale"):
+            locate_pair(z1, z2, V1, V2, 4.0)
+        type1, type2 = containing_pairs(z1, z2, V1, V2, 4.0)
+        assert type1 and type2
+        assert {p.delta for p in type1 + type2} == {1.0}
+        assert sorted(decompose(V1, V2, 4.0, 0.25, 64.0, cap=16).scales) == [0.25, 0.5, 1.0]
+
+
 class TestContainingPairs:
     def test_member_is_covered_by_original(self):
         pair = window_pair(2.0**-4)

@@ -14,7 +14,9 @@ once in each checkout, T being that file's `run_seconds`; the base runs
 first in even pairs, the head in odd ones.
 The output file holds every run's end-to-end metrics and, for each workload
 and end-to-end metric, each side's median and quartiles and the number of
-pairs the head won (ties count for neither side).
+pairs the head won (ties count for neither side).  Each workload also gets
+each side's attempted and failed operations summed over its runs, and the
+failed share; a run that ended in an error adds to neither.
 """
 
 from __future__ import annotations
@@ -83,6 +85,18 @@ def _workload_summary(runs: list, end_to_end: list) -> dict:
     return out
 
 
+def _operations(runs: list, sides) -> dict:
+    """Each side's attempted and failed operations over the runs, and the
+    failed share (None when nothing was attempted)."""
+    out = {}
+    for side in sides:
+        attempted = sum(r[side].get("attempted", 0) for r in runs)
+        failed = sum(r[side].get("failed", 0) for r in runs)
+        out[side] = {"attempted": attempted, "failed": failed,
+                     "failed_share": failed / attempted if attempted else None}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="tools/ab_bench.py", description=__doc__.split("\n")[0])
     parser.add_argument("--base", default="HEAD~1", help="base revision (default HEAD~1)")
@@ -118,6 +132,7 @@ def main(argv=None) -> int:
             report["workloads"][workload] = {
                 "correct": {side: sum(r[side].get("correct") is True for r in runs)
                             for side in commits},
+                "operations": _operations(runs, commits),
                 "metrics": _workload_summary(runs, spec["end_to_end"]),
                 "runs": runs,
             }
