@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import numbers
 import sys
 import threading
@@ -81,8 +80,9 @@ GRID_FIELDS = ("rho_grid", "delta_grid", "scaling_delta_grid",
 
 
 def _finite_real(v) -> bool:
-    """v is a finite real number (bools excluded)."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    """v is a real number within the float range (bools, infinities, nan and
+    ints too large for a float excluded)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _dyadic(v) -> bool:

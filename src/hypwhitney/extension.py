@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -151,8 +152,9 @@ class TestFunction:
 
 
 def _positive(v, kind) -> bool:
-    """v is a finite positive number of the given numbers ABC (bools excluded)."""
-    return isinstance(v, kind) and not isinstance(v, bool) and 0 < v < math.inf
+    """v is a positive number of the given numbers ABC within the float range
+    (bools excluded); an int too large for a float is not."""
+    return isinstance(v, kind) and not isinstance(v, bool) and 0 < v <= sys.float_info.max
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from itertools import zip_longest
+from itertools import product, zip_longest
 from typing import Iterator, Union
 
 import numpy as np
@@ -483,8 +483,11 @@ def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float):
     (y1_0, runs, i_lo, i_hi, t_lo, t_hi, total) per fine-grid row y1_0 with
     pairs.  Column i of i_lo..i_hi admits the row's offsets d with
     t_lo <= i + d <= t_hi; runs holds the offsets' runs of consecutive ints
-    as pairs (a_k, b_k), at most 3 on the benchmark's strips, and total is
-    F(i_hi - i_lo + 1) of `_pairs_before`.  The stream runs over the
+    as pairs (a_k, b_k), at most 3: window 1's offsets +-[d_lo, d_hi) in
+    window 2, lo2 <= |d*g - s^2| < hi2 with s = y2_0 - y1_0, by floors and
+    ceilings that are exact, as s^2 = (k*h)^2, g and the bounds are powers of
+    two times small integers within 53 bits for delta >= 2^-17 at C0 = 256.
+    total is F(i_hi - i_lo + 1) of `_pairs_before`.  The stream runs over the
     records, then the columns, then the offsets, in order."""
     if V1.rho != V2.rho:
         raise ValueError("strips must share one scale")
@@ -498,19 +501,21 @@ def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float):
     j1, j2 = V1.j, V2.j
     y2_0 = j2 * rho
     lo1, hi1, lo2, hi2 = _windows(rho, delta, C0)
-    # window 1 in units of g; exact, as every factor is a power of two
-    d_lo, d_hi = int(math.ceil(lo1 / g)), int(math.ceil(hi1 / g))
-    d_all = np.concatenate([np.arange(-d_hi + 1, -d_lo + 1), np.arange(d_lo, d_hi)])
-    for m in range(int(round(rho / h))):
+    d_lo, d_hi = math.ceil(lo1 / g), math.ceil(hi1 / g)
+    window1 = ((1 - d_hi, -d_lo), (d_lo, d_hi - 1))
+    for m in range(round(rho / h)):
         y1_0 = j1 * rho + m * h
-        if not _separation_ok(y2_0 - y1_0, h, rho, C0):
+        s = y2_0 - y1_0
+        if not _separation_ok(s, h, rho, C0):
             continue
-        tau2 = d_all * g - (y2_0 - y1_0) ** 2
-        d_valid = d_all[_in_window(np.abs(tau2), lo2, hi2)]
-        if d_valid.size == 0:
-            continue
-        cut = np.flatnonzero(np.diff(d_valid) != 1)
-        runs = tuple(zip(d_valid[np.r_[0, cut + 1]].tolist(), d_valid[np.r_[cut, -1]].tolist()))
+        s2 = s * s
+        below, above = math.floor((s2 - lo2) / g), math.ceil((s2 + lo2) / g)
+        outer = (math.floor((s2 - hi2) / g) + 1, math.ceil((s2 + hi2) / g) - 1)
+        # window 2's two intervals, one if no offset lies between them; in order, as window 2's
+        # upper interval never meets window 1's lower one while its lower meets window 1's upper
+        window2 = ((outer[0], below), (above, outer[1])) if above > below + 1 else (outer,)
+        runs = tuple((max(a1, a2), min(b1, b2)) for (a1, b1), (a2, b2) in product(window1, window2)
+                     if max(a1, a2) <= min(b1, b2))
         i_lo = math.floor((-1.0 - g - abs(y1_0) * h) / g)
         i_hi = math.floor((1.0 + abs(y1_0) * h) / g)
         t_lo, t_hi = _long_box_snap_range(y1_0, j2, rho, g)
@@ -549,23 +554,46 @@ def _run_member(runs, k):
 
 def _decode(rows, q, y2_0: float, rho: float, delta: float, C0: float) -> tuple:
     """Canonical columns of the pairs at the int64 positions q of the
-    `_type1_rows` stream (see `_checked_columns`).  One bisection finds each
-    query's column c, F(c) <= local < F(c + 1) for its position local in its
-    row; its offset is the (local - F(c))-th run member >= t_lo - i."""
-    fields = np.array([row[2:] for row in rows], dtype=np.int64).reshape(-1, 5)
-    row_pos = np.r_[0, np.cumsum(fields[:, 4])]
-    r = np.searchsorted(row_pos, q, side="right") - 1
-    local = q - row_pos[r]
-    i_lo, i_hi, t_lo, t_hi, _ = fields[r].T
-    # each query's runs (a, b) as arrays, padded with the empty run (1, 0)
-    runs = [np.array(ends, dtype=np.int64)[r].T
+    `_type1_rows` stream (see `_checked_columns`).  A row's pair count in
+    column i = i_lo + c is linear in c between breakpoints, where t_hi - i or
+    t_lo - 1 - i crosses a run end.  A search puts each query in a piece
+    [c0, c0 + span) between them, where F(c0 + j) = F(c0) + n0*j +
+    beta*j*(j - 1)/2; its column c is c0 + j for the largest j < span with
+    F(c0 + j) <= local, its position in its row (float root, then exact int64
+    steps and a check), and its offset the (local - F(c))-th run member >= t_lo - i."""
+    i_lo, i_hi, t_lo, t_hi, total = np.array([r[2:] for r in rows], np.int64).reshape(-1, 5).T[..., None]
+    # each row's runs (a, b) as (rows, 1) arrays, padded with the empty run (1, 0)
+    runs = [np.array(ends, dtype=np.int64).T[..., None]
             for ends in zip_longest(*(row[1] for row in rows), fillvalue=(1, 0))]
-    c, c_end = np.zeros_like(q), i_hi - i_lo + 1
-    while np.any(c_end - c > 1):
-        mid = (c + c_end) // 2
-        below = _pairs_before(runs, i_lo, t_lo, t_hi, mid) <= local
-        c, c_end = np.where(below, mid, c), np.where(below, c_end, mid)
-    k = _upto(runs, t_lo - i_lo - c - 1)[0] + local - _pairs_before(runs, i_lo, t_lo, t_hi, c)
+    n_cols = i_hi - i_lo + 1
+    ends = [t - i_lo - e for t in (t_hi, t_lo - 1) for a, b in runs for e in (a - 1, b)]
+    breaks = np.sort(np.clip(np.concatenate([0 * n_cols, n_cols, *ends], axis=1), 0, n_cols), axis=1)
+    # the pieces' first positions in stream order; a piece without pairs
+    # starts where the next one does, so the search never picks it
+    starts = (np.r_[0, np.cumsum(total)][:-1, None]
+              + _pairs_before(runs, i_lo, t_lo, t_hi, breaks[:, :-1])).ravel()
+    piece = np.searchsorted(starts, q, side="right") - 1
+    r, p = np.divmod(piece, breaks.shape[1] - 1)
+    c0, span, rest = breaks[r, p], breaks[r, p + 1] - breaks[r, p], q - starts[piece]
+    i_lo, t_lo, t_hi = i_lo[r, 0], t_lo[r, 0], t_hi[r, 0]
+    runs = [(a[r, 0], b[r, 0]) for a, b in runs]
+    n0, n1 = (_upto(runs, t_hi - i_lo - c)[0] - _upto(runs, t_lo - 1 - i_lo - c)[0] for c in (c0, c0 + 1))
+    beta, half = n1 - n0, (3 * n0 - n1) / 2.0  # half = n0 - beta/2
+
+    def before(j):  # F(c0 + j) - F(c0)
+        return n0 * j + beta * (j * (j - 1) // 2)
+
+    root = np.where(beta == 0, rest / np.maximum(n0, 1),
+                    (np.sqrt(np.maximum(half * half + 2.0 * beta * rest, 0.0)) - half)
+                    / np.where(beta == 0, 1, beta))
+    j = np.clip(np.floor(root), 0, span - 1).astype(np.int64)
+    for _ in range(2):
+        j = j - (before(j) > rest)
+        j = j + ((j + 1 < span) & (before(j + 1) <= rest))
+    if not np.all((before(j) <= rest) & ((j + 1 == span) | (before(j + 1) > rest))):
+        raise RuntimeError("column search left an inexact column")
+    c = c0 + j
+    k = _upto(runs, t_lo - i_lo - c - 1)[0] + rest - before(j)
     cy1 = np.array([row[0] for row in rows], dtype=np.float64)[r]
     return _checked_columns(i_lo + c, cy1, _run_member(runs, k), y2_0, rho, delta, C0)
 
@@ -591,9 +619,10 @@ def pair_sample(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1,
     small-box x-parameter ascending, then the window offset
     d = (t2_0 - x1_0)/g ascending; the type-2 stream is the type-1 stream of
     (V2, V1) with the slots interchanged.  total is the exact stream size and
-    stride = max(1, ceil(total/max_pairs)).  Each row keeps its offsets as
-    runs of consecutive integers, and only the stored positions are decoded,
-    in closed form, so this stays cheap even for 1e8+ members.  Scales below
+    stride = max(1, ceil(total/max_pairs)).  Each fine row's offsets are at
+    most 3 runs in closed form, and each stored position is decoded by one
+    search over the rows' pieces and one quadratic, so the cost grows with
+    rows and max_pairs, not with total (1e8+ members are cheap).  Scales below
     2^-20 give an empty table; rho^2*delta > 4 is an error."""
     delta, C0 = float(delta), float(C0)
     _require_dyadic(delta=delta, C0=C0)

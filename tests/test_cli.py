@@ -121,6 +121,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_json_dict(data)
 
+    @pytest.mark.parametrize("data", [
+        *({name: 10**400} for name in ("C0", "c0", "straight_rho", "straight_truncation", "p", "q",
+                                      "exponent_tolerance", "samples", "threads", "whitney_cap")),
+        {"straight_band": [0.0, 10**400]},
+        *({name: [1.0, 10**400]} for name in cli.GRID_FIELDS),
+        {"quad": {"truncation": [10**400, 1.0, 1.0]}},
+        {"quad": {"max_panel_phase": 10**400}},
+        {"quad": {"freq_grid": [10**400, 4, 4]}},
+        {"quad": {"node_budget": 10**400}},
+    ])
+    def test_number_too_large_for_a_float_rejected(self, data):
+        # an int past the float range is a ValueError like any bad value, not
+        # an OverflowError from a float conversion, and is never stored
+        data = json.loads(json.dumps(data))
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_json_dict(data)
+
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": 9, "samples": 5}))

@@ -1,6 +1,7 @@
 """Tests for strips, strip-pair tilings, and admissible box pairs."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -267,6 +268,36 @@ def run_offsets(runs):
     return np.concatenate([np.arange(a, b + 1) for a, b in runs])
 
 
+def rows_oracle(V1, V2, delta, c0, ms=None):
+    """The masked row builder that the closed form replaced: every window-1
+    offset of each fine row (only the rows m in ms, if given) masked by
+    window 2, and the runs read off the surviving offsets."""
+    rho = V1.rho
+    h, g = geometry._steps(rho, delta)
+    y2_0 = V2.j * rho
+    lo1, hi1, lo2, hi2 = geometry._windows(rho, delta, c0)
+    d_lo, d_hi = int(math.ceil(lo1 / g)), int(math.ceil(hi1 / g))
+    d_all = np.concatenate([np.arange(-d_hi + 1, -d_lo + 1), np.arange(d_lo, d_hi)])
+    rows = []
+    for m in range(int(round(rho / h))) if ms is None else ms:
+        y1_0 = V1.j * rho + m * h
+        if not geometry._separation_ok(y2_0 - y1_0, h, rho, c0):
+            continue
+        tau2 = d_all * g - (y2_0 - y1_0) ** 2
+        d_valid = d_all[geometry._in_window(np.abs(tau2), lo2, hi2)]
+        if d_valid.size == 0:
+            continue
+        cut = np.flatnonzero(np.diff(d_valid) != 1)
+        runs = tuple(zip(d_valid[np.r_[0, cut + 1]].tolist(), d_valid[np.r_[cut, -1]].tolist()))
+        i_lo = math.floor((-1.0 - g - abs(y1_0) * h) / g)
+        i_hi = math.floor((1.0 + abs(y1_0) * h) / g)
+        t_lo, t_hi = geometry._long_box_snap_range(y1_0, V2.j, rho, g)
+        total = _pairs_before(runs, i_lo, t_lo, t_hi, i_hi - i_lo + 1)
+        if total > 0:
+            rows.append((y1_0, runs, i_lo, i_hi, t_lo, t_hi, total))
+    return rows
+
+
 def decode_oracle(rows, q, y2_0, rho, delta, c0):
     """The per-column decoder that the closed form replaced: for each queried
     row, the admitted offsets of every column by two searches over the
@@ -293,21 +324,83 @@ def decode_oracle(rows, q, y2_0, rho, delta, c0):
     return _checked_columns(i, cy1, d, y2_0, rho, delta, c0)
 
 
-# separated strip pairs (rho, C0, j1, j2) for the decoder property test
+# separated strip pairs (rho, C0, j1, j2) for the row and decoder property
+# tests; in the last, |j2 - j1| = 13 is odd, so at delta = 2 window 2's
+# one-offset central gap falls between two offsets and its intervals merge
 SEPARATED = [(2.0**-4, 32.0, -12, 12), (2.0**-4, 32.0, -16, 1),
-             (2.0**-3, 16.0, -6, 6), (2.0**-3, 16.0, -7, 3)]
+             (2.0**-3, 16.0, -6, 6), (2.0**-3, 16.0, -7, 3), (2.0**-3, 16.0, -6, 7)]
+C0_256 = (2.0**-7, 256.0, -96, 96)
+# every scale from 2^-8 to the coarsest, rho^2*delta = 4
+ROW_CASES = [(strips, k) for strips in SEPARATED + [C0_256]
+             for k in range(-8, geometry._coarsest_exponent(strips[0]) + 1)]
+# scales with pairs, delta <= 2, whose rows hold 2^21 columns or fewer in all,
+# 2/(rho^2*delta*min(1, delta)), as the oracle expands every column of every
+# row: delta >= 2^-7 at C0 = 16, 2^-6 at C0 = 32 and 2^-3 at C0 = 256
+DECODE_CASES = [(strips, k) for strips in SEPARATED + [C0_256] for k in range(-8, 2)
+                if 2.0 / (strips[0] ** 2 * 2.0**k * min(1.0, 2.0**k)) <= 2**21]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=st.sampled_from(ROW_CASES), swap=st.booleans(), first=st.integers(0, 2**10))
+@example(case=(SEPARATED[0], -8), swap=False, first=0)  # 256 rows of 2 runs
+@example(case=(SEPARATED[2], -3), swap=False, first=0)  # 2 and 3 runs
+@example(case=(SEPARATED[4], 1), swap=True, first=0)  # a merged run
+@example(case=(C0_256, -8), swap=False, first=252)
+@example(case=(C0_256, 0), swap=True, first=0)  # 3 runs
+def test_rows_match_oracle(case, swap, first):
+    # the rows m in [first, first + n) of the strip, n set so the oracle
+    # masks at most 2^22 offsets: every row for C0 <= 32, 8 for C0 = 256
+    (rho, c0, j1, j2), k = case
+    if swap:
+        j1, j2 = j2, j1
+    V1, V2 = separated_strip_pair(j1, j2, rho, c0)
+    delta = 2.0**k
+    h = geometry._steps(rho, delta)[0]
+    n_rows = round(rho / h)
+    first %= n_rows
+    ms = range(first, min(n_rows, first + 2**22 // int(8 * c0 * c0)))
+    ys = {V1.j * rho + m * h for m in ms}
+    got = [row for row in _type1_rows(V1, V2, delta, c0) if row[0] in ys]
+    assert got == rows_oracle(V1, V2, delta, c0, ms)
+
+
+def test_gap_of_one_offset_merges_runs():
+    # s = 13/8, delta = 2: s^2/g = 84.5 and lo2/g = 1/2, so window 2 admits
+    # ..., 84 below s^2/g and 85, ... above it, one run with window 1's [64, 1023]
+    V1, V2 = separated_strip_pair(-6, 7, 2.0**-3, 16.0)
+    (row,) = _type1_rows(V1, V2, 2.0, 16.0)
+    assert row[1] == ((-1023, -64), (64, 1023)) == rows_oracle(V1, V2, 2.0, 16.0)[0][1]
+    assert all(isinstance(make_type1_pair(0.0, row[0], d / 32.0, V2.j / 8.0, 2.0**-3, 2.0, 16.0),
+                          AdmissiblePair) for d in (84, 85))
+
+
+def breakpoint_positions(rows):
+    """Stream positions F(b) - 1, F(b) and F(b) + 1 for every breakpoint b of
+    every row: its ends and each c at which t_hi - i or t_lo - 1 - i, with
+    i = i_lo + c, crosses a run end; clipped to the stream."""
+    pos, start = [], 0
+    for _, runs, i_lo, i_hi, t_lo, t_hi, total in rows:
+        n_cols = i_hi - i_lo + 1
+        ends = {t - i_lo - e for t in (t_hi, t_lo - 1) for a, b in runs for e in (a - 1, b)}
+        for c in {0, n_cols} | {min(max(c, 0), n_cols) for c in ends}:
+            at = start + _pairs_before(runs, i_lo, t_lo, t_hi, c)
+            pos += [at - 1, at, at + 1]
+        start += total
+    return np.clip(pos, 0, start - 1)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(strips=st.sampled_from(SEPARATED), swap=st.booleans(), k=st.integers(-8, 1),
+@given(case=st.sampled_from(DECODE_CASES), swap=st.booleans(),
        draws=st.lists(st.integers(0, 2**62), max_size=40))
-@example(strips=SEPARATED[2], swap=False, k=-3, draws=[])
-def test_decode_matches_oracle(strips, swap, k, draws):
-    # positions 0 and total - 1, every row boundary +-1 and random draws;
-    # delta >= 2^-3 reaches rows of 3 runs, delta = 2 rows of 270 columns
-    # against 8,190 offsets, and the explicit example rows of 2 and 3 runs
-    # in one table, so the decoder pads the shorter rows
-    rho, c0, j1, j2 = strips
+@example(case=(SEPARATED[2], -3), swap=False, draws=[])
+@example(case=(C0_256, -3), swap=True, draws=[])
+def test_decode_matches_oracle(case, swap, draws):
+    # positions 0 and total - 1, every row boundary +-1, the positions around
+    # every breakpoint of the piecewise-linear column count, and random
+    # draws; delta >= 2^-3 reaches rows of 3 runs, delta = 2 rows of 270
+    # columns against 8,190 offsets, and the first explicit example rows of
+    # 2 and 3 runs in one table, so the decoder pads the shorter rows
+    (rho, c0, j1, j2), k = case
     if swap:
         j1, j2 = j2, j1
     V1, V2 = separated_strip_pair(j1, j2, rho, c0)
@@ -317,7 +410,7 @@ def test_decode_matches_oracle(strips, swap, k, draws):
     row_pos = np.cumsum([0] + [row[-1] for row in rows])
     total = int(row_pos[-1])
     q = np.concatenate([[0, total - 1], (row_pos[1:-1, None] + [-1, 0, 1]).ravel(),
-                        np.array(draws, dtype=np.int64) % total])
+                        breakpoint_positions(rows), np.array(draws, dtype=np.int64) % total])
     got = _decode(rows, q, j2 * rho, rho, delta, c0)
     want = decode_oracle(rows, q, j2 * rho, rho, delta, c0)
     for column, expected in zip(got, want):
