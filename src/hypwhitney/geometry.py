@@ -561,13 +561,14 @@ def _decode(rows, q, y2_0: float, rho: float, delta: float, C0: float) -> tuple:
     beta*j*(j - 1)/2; its column c is c0 + j for the largest j < span with
     F(c0 + j) <= local, its position in its row (float root, then exact int64
     steps and a check), and its offset the (local - F(c))-th run member >= t_lo - i."""
-    i_lo, i_hi, t_lo, t_hi, total = np.array([r[2:] for r in rows], np.int64).reshape(-1, 5).T[..., None]
+    i_lo, i_hi, t_lo, t_hi, total = np.array([row[2:] for row in rows], np.int64).reshape(-1, 5).T[..., None]
     # each row's runs (a, b) as (rows, 1) arrays, padded with the empty run (1, 0)
     runs = [np.array(ends, dtype=np.int64).T[..., None]
             for ends in zip_longest(*(row[1] for row in rows), fillvalue=(1, 0))]
     n_cols = i_hi - i_lo + 1
-    ends = [t - i_lo - e for t in (t_hi, t_lo - 1) for a, b in runs for e in (a - 1, b)]
-    breaks = np.sort(np.clip(np.concatenate([0 * n_cols, n_cols, *ends], axis=1), 0, n_cols), axis=1)
+    crossings = [t - i_lo - e for t in (t_hi, t_lo - 1) for a, b in runs for e in (a - 1, b)]
+    breaks = np.concatenate([np.zeros_like(n_cols), n_cols, *crossings], axis=1)
+    breaks = np.sort(np.clip(breaks, 0, n_cols), axis=1)
     # the pieces' first positions in stream order; a piece without pairs
     # starts where the next one does, so the search never picks it
     starts = (np.r_[0, np.cumsum(total)][:-1, None]
