@@ -344,7 +344,7 @@ DECODE_CASES = [(strips, k) for strips in SEPARATED + [C0_256] for k in range(-8
 @given(case=st.sampled_from(ROW_CASES), swap=st.booleans(), first=st.integers(0, 2**10))
 @example(case=(SEPARATED[0], -8), swap=False, first=0)  # 256 rows of 2 runs
 @example(case=(SEPARATED[2], -3), swap=False, first=0)  # 2 and 3 runs
-@example(case=(SEPARATED[4], 1), swap=True, first=0)  # a merged run
+@example(case=(SEPARATED[4], 1), swap=True, first=0)  # ..84 and 85.. merged
 @example(case=(C0_256, -8), swap=False, first=252)
 @example(case=(C0_256, 0), swap=True, first=0)  # 3 runs
 def test_rows_match_oracle(case, swap, first):
@@ -362,16 +362,6 @@ def test_rows_match_oracle(case, swap, first):
     ys = {V1.j * rho + m * h for m in ms}
     got = [row for row in _type1_rows(V1, V2, delta, c0) if row[0] in ys]
     assert got == rows_oracle(V1, V2, delta, c0, ms)
-
-
-def test_gap_of_one_offset_merges_runs():
-    # s = 13/8, delta = 2: s^2/g = 84.5 and lo2/g = 1/2, so window 2 admits
-    # ..., 84 below s^2/g and 85, ... above it, one run with window 1's [64, 1023]
-    V1, V2 = separated_strip_pair(-6, 7, 2.0**-3, 16.0)
-    (row,) = _type1_rows(V1, V2, 2.0, 16.0)
-    assert row[1] == ((-1023, -64), (64, 1023)) == rows_oracle(V1, V2, 2.0, 16.0)[0][1]
-    assert all(isinstance(make_type1_pair(0.0, row[0], d / 32.0, V2.j / 8.0, 2.0**-3, 2.0, 16.0),
-                          AdmissiblePair) for d in (84, 85))
 
 
 def breakpoint_positions(rows):
