@@ -484,10 +484,10 @@ def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float):
     pairs.  Column i of i_lo..i_hi admits the row's offsets d with
     t_lo <= i + d <= t_hi; runs holds the offsets' runs of consecutive ints
     as pairs (a_k, b_k), at most 3: window 1's offsets +-[d_lo, d_hi) in
-    window 2, lo2 <= |d*g - s^2| < hi2 with s = y2_0 - y1_0, by floors and
-    ceilings that are exact, as s^2 = (k*h)^2, g and the bounds are powers of
-    two times small integers within 53 bits for delta >= 2^-17 at C0 = 256.
-    total is F(i_hi - i_lo + 1) of `_pairs_before`.  The stream runs over the
+    window 2, lo2 <= |d*g - s^2| < hi2 with s = y2_0 - y1_0, by integer
+    floors and ceilings, exact at every scale: s = K*h for an int K, and h^2,
+    g, lo2 and hi2 are int multiples of one power of two.  total is
+    F(i_hi - i_lo + 1) of `_pairs_before`.  The stream runs over the
     records, then the columns, then the offsets, in order."""
     if V1.rho != V2.rho:
         raise ValueError("strips must share one scale")
@@ -503,14 +503,17 @@ def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float):
     lo1, hi1, lo2, hi2 = _windows(rho, delta, C0)
     d_lo, d_hi = math.ceil(lo1 / g), math.ceil(hi1 / g)
     window1 = ((1 - d_hi, -d_lo), (d_lo, d_hi - 1))
+    unit = min(h * h, g, lo2)  # h^2, g and lo2 are powers of two, hi2 = 2560*lo2
+    hh, gu, lo2u, hi2u = (round(x / unit) for x in (h * h, g, lo2, hi2))
+    k0 = round((y2_0 - j1 * rho) / h)
     for m in range(round(rho / h)):
         y1_0 = j1 * rho + m * h
         s = y2_0 - y1_0
         if not _separation_ok(s, h, rho, C0):
             continue
-        s2 = s * s
-        below, above = math.floor((s2 - lo2) / g), math.ceil((s2 + lo2) / g)
-        outer = (math.floor((s2 - hi2) / g) + 1, math.ceil((s2 + hi2) / g) - 1)
+        s2 = (k0 - m) ** 2 * hh  # s^2 in units, as s = (k0 - m)*h
+        below, above = (s2 - lo2u) // gu, -((-s2 - lo2u) // gu)
+        outer = ((s2 - hi2u) // gu + 1, -((-s2 - hi2u) // gu) - 1)
         # window 2's two intervals, one if no offset lies between them; in order, as window 2's
         # upper interval never meets window 1's lower one while its lower meets window 1's upper
         window2 = ((outer[0], below), (above, outer[1])) if above > below + 1 else (outer,)

@@ -1,5 +1,6 @@
 """Tests for strips, strip-pair tilings, and admissible box pairs."""
 
+import functools
 import json
 import math
 
@@ -300,9 +301,9 @@ def rows_oracle(V1, V2, delta, c0, ms=None):
 
 def decode_oracle(rows, q, y2_0, rho, delta, c0):
     """The per-column decoder that the closed form replaced: for each queried
-    row, the admitted offsets of every column by two searches over the
-    expanded offsets, and each query's column by a search over their running
-    count."""
+    row, the admitted offsets of every column that can hold a pair by two
+    searches over the expanded offsets, and each query's column by a search
+    over their running count."""
     q = np.asarray(q, dtype=np.int64)
     row_pos = np.cumsum([0] + [row[-1] for row in rows])
     r = np.searchsorted(row_pos, q, side="right") - 1
@@ -313,12 +314,13 @@ def decode_oracle(rows, q, y2_0, rho, delta, c0):
         sel = r == m
         _, runs, i_lo, i_hi, t_lo, t_hi, _ = rows[m]
         d_valid = run_offsets(runs)
-        cols = np.arange(i_lo, i_hi + 1)
+        # the columns that can hold a pair, t_lo - d_max <= i <= t_hi - d_min
+        cols = np.arange(max(i_lo, t_lo - d_valid[-1]), min(i_hi, t_hi - d_valid[0]) + 1)
         lo = np.searchsorted(d_valid, t_lo - cols, side="left")
         hi = np.searchsorted(d_valid, t_hi - cols, side="right")
         starts = np.concatenate([[0], np.cumsum(hi - lo)])
         col = np.searchsorted(starts, local[sel], side="right") - 1
-        i[sel] = i_lo + col
+        i[sel] = cols[col]
         d[sel] = d_valid[lo[col] + local[sel] - starts[col]]
     cy1 = np.array([row[0] for row in rows], dtype=np.float64)[r]
     return _checked_columns(i, cy1, d, y2_0, rho, delta, c0)
@@ -333,11 +335,10 @@ C0_256 = (2.0**-7, 256.0, -96, 96)
 # every scale from 2^-8 to the coarsest, rho^2*delta = 4
 ROW_CASES = [(strips, k) for strips in SEPARATED + [C0_256]
              for k in range(-8, geometry._coarsest_exponent(strips[0]) + 1)]
-# scales with pairs, delta <= 2, whose rows hold 2^21 columns or fewer in all,
-# 2/(rho^2*delta*min(1, delta)), as the oracle expands every column of every
-# row: delta >= 2^-7 at C0 = 16, 2^-6 at C0 = 32 and 2^-3 at C0 = 256
-DECODE_CASES = [(strips, k) for strips in SEPARATED + [C0_256] for k in range(-8, 2)
-                if 2.0 / (strips[0] ** 2 * 2.0**k * min(1.0, 2.0**k)) <= 2**21]
+# 2^-8 to 2 for the C0 <= 32 pairs, and from 2^-3 at C0 = 256: the oracle
+# expands every row, about 2^21 columns in all at 2^-3 and 2^31 at 2^-8
+DECODE_CASES = ([(strips, k) for strips in SEPARATED for k in range(-8, 2)]
+                + [(C0_256, k) for k in range(-3, 2)])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -379,30 +380,42 @@ def breakpoint_positions(rows):
     return np.clip(pos, 0, start - 1)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(case=st.sampled_from(DECODE_CASES), swap=st.booleans(),
-       draws=st.lists(st.integers(0, 2**62), max_size=40))
-@example(case=(SEPARATED[2], -3), swap=False, draws=[])
-@example(case=(C0_256, -3), swap=True, draws=[])
-def test_decode_matches_oracle(case, swap, draws):
-    # positions 0 and total - 1, every row boundary +-1, the positions around
-    # every breakpoint of the piecewise-linear column count, and random
-    # draws; delta >= 2^-3 reaches rows of 3 runs, delta = 2 rows of 270
-    # columns against 8,190 offsets, and the first explicit example rows of
-    # 2 and 3 runs in one table, so the decoder pads the shorter rows
+@functools.lru_cache(maxsize=None)
+def decode_case(case, swap):
+    """The rows of a `DECODE_CASES` entry, its fixed queries and the oracle's
+    columns at them: positions 0 and total - 1, every row boundary +-1 and
+    the positions around every breakpoint.  Cached, as the oracle expands
+    every row (0.5-1.1 s at delta = 2^-8, C0 = 32) and examples repeat
+    cases."""
     (rho, c0, j1, j2), k = case
     if swap:
         j1, j2 = j2, j1
     V1, V2 = separated_strip_pair(j1, j2, rho, c0)
-    delta = 2.0**k
-    rows = _type1_rows(V1, V2, delta, c0)
+    rows = _type1_rows(V1, V2, 2.0**k, c0)
     assert rows
     row_pos = np.cumsum([0] + [row[-1] for row in rows])
-    total = int(row_pos[-1])
-    q = np.concatenate([[0, total - 1], (row_pos[1:-1, None] + [-1, 0, 1]).ravel(),
-                        breakpoint_positions(rows), np.array(draws, dtype=np.int64) % total])
-    got = _decode(rows, q, j2 * rho, rho, delta, c0)
-    want = decode_oracle(rows, q, j2 * rho, rho, delta, c0)
+    q = np.concatenate([[0, row_pos[-1] - 1], (row_pos[1:-1, None] + [-1, 0, 1]).ravel(),
+                        breakpoint_positions(rows)])
+    return rows, q, decode_oracle(rows, q, j2 * rho, rho, 2.0**k, c0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=st.sampled_from(DECODE_CASES), swap=st.booleans(),
+       draws=st.lists(st.integers(0, 2**62), max_size=40))
+@example(case=(SEPARATED[2], -3), swap=False, draws=[])
+@example(case=(SEPARATED[0], -8), swap=False, draws=[])  # the default config's finest
+@example(case=(C0_256, -3), swap=True, draws=[])
+def test_decode_matches_oracle(case, swap, draws):
+    # the case's fixed queries and random draws in one call; delta >= 2^-3
+    # reaches rows of 3 runs, delta = 2 rows of 270 columns against 8,190
+    # offsets, and the first explicit example rows of 2 and 3 runs in one
+    # table, so the decoder pads the shorter rows
+    rows, q_fixed, want = decode_case(case, swap)
+    (rho, c0, j1, j2), k = case
+    y2_0, delta = (j1 if swap else j2) * rho, 2.0**k
+    q = np.array(draws, dtype=np.int64) % sum(row[-1] for row in rows)
+    got = _decode(rows, np.concatenate([q_fixed, q]), y2_0, rho, delta, c0)
+    want = [np.concatenate(pair) for pair in zip(want, decode_oracle(rows, q, y2_0, rho, delta, c0))]
     for column, expected in zip(got, want):
         assert np.array_equal(column, expected)
 
