@@ -24,7 +24,6 @@ import numpy as np
 from .extension import (
     SUMSET_CUBES_DELTA_MAX,
     SUMSET_X_DELTA_MAX,
-    Carrier,
     QuadratureSpec,
     TestFunction,
     _positive,
@@ -254,8 +253,8 @@ def _audit_reduction_cell(rho: float, delta: float, C0: float, n: int, seed) -> 
         z1, z2 = sample_members(canon, n, [seed, k])
         worst = max(worst, float(np.abs(red.residual(z1.T)).max()),
                     float(np.abs(red.residual(z2.T)).max()))
-        w1, w2 = red.map.apply(z1.T), red.map.apply(z2.T)
-        image_ok = image_ok and bool(red.in_image1(w1).all()) and bool(red.in_image2(w2).all())
+        image_ok = image_ok and all(bool(red.image(slot).contains(*red.map.apply(z.T)).all())
+                                    for slot, z in ((1, z1), (2, z2)))
         origin = red.map.apply(canon.base1)
         worst = max(worst, abs(float(origin[0])), abs(float(origin[1])))
     passed = worst <= 1e-12 and image_ok and bool(pairs)
@@ -462,8 +461,7 @@ def run_scaling_law(config: ExperimentConfig, regime: str = "prototype") -> dict
         work = []
         for delta in grid:
             scene = prototype(delta, config.c0, delta, 1.0)
-            f = TestFunction(Carrier.from_prototype(scene, 1))
-            g = TestFunction(Carrier.from_prototype(scene, 2))
+            f, g = TestFunction(scene.carrier(1)), TestFunction(scene.carrier(2))
             work.append((delta, 1.0, scene, f, g, scene.family, quad))
     elif regime == "straight":
         grid = config.straight_delta_grid
@@ -477,8 +475,7 @@ def run_scaling_law(config: ExperimentConfig, regime: str = "prototype") -> dict
         work = []
         for delta in grid:
             pair = _matched_straight_pair(config, delta)
-            f = TestFunction(Carrier.from_pair(pair, 1))
-            g = TestFunction(Carrier.from_pair(pair, 2))
+            f, g = TestFunction(pair.carrier(1)), TestFunction(pair.carrier(2))
             work.append((delta, config.straight_rho, pair, f, g, BASE, quad))
     else:
         raise ValueError(f"unknown regime {regime!r}")

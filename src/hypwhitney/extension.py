@@ -2,7 +2,7 @@
 bilinear products, and the sumset / almost-orthogonality audits.
 
 The extension of f over a carrier U is int_U f(z) exp(-i(xi1*x + xi2*y +
-xi3*phi(z))) dz.  Every carrier used here is a sheared box: in coordinates
+xi3*phi(z))) dz.  Every carrier is a sheared box (`geometry.Carrier`): in coordinates
 (u, y) with x = u + s(y) for a quadratic shear s, the carrier is an axis
 rectangle and the Jacobian is 1.  For the indicator-type test functions the
 u-integral against a pure exponential has a closed form, so quadrature is
@@ -31,7 +31,7 @@ import numpy as np
 
 from .geometry import (
     OPEN_SCALE,
-    AdmissiblePair,
+    Carrier,
     Strip,
     _check_strips,
     _long_member,
@@ -43,7 +43,6 @@ from .reports import AuditReport
 from .surface import BASE, PhaseFamily, phase_eval
 
 __all__ = [
-    "Carrier",
     "TestFunction",
     "QuadratureSpec",
     "NormEstimate",
@@ -64,71 +63,7 @@ class UnresolvedOscillation(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Carriers and test functions
-
-
-@dataclass(frozen=True)
-class Carrier:
-    """Sheared box {(u + s(y), y) : u in [u0, u0+du), y in [y0, y0+dy)}
-    with s(y) = s0 + s1*y + s2*y^2; unit Jacobian, area du*dy."""
-
-    u0: float
-    du: float
-    y0: float
-    dy: float
-    shear: tuple = (0.0, 0.0, 0.0)
-
-    @property
-    def area(self) -> float:
-        return self.du * self.dy
-
-    @classmethod
-    def from_pair(cls, pair: AdmissiblePair, slot: int) -> "Carrier":
-        """Box holding z1 (slot 1) or z2 (slot 2) of an admissible pair."""
-        if slot not in (1, 2):
-            raise ValueError("slot must be 1 or 2")
-        small = (slot == 1) == (pair.pair_type == 1)
-        if small:
-            # x = u - cy1*(y - cy1), u in [cx1, cx1+g)
-            return cls(pair.cx1, pair.g, pair.cy1, pair.h,
-                       (pair.cy1 * pair.cy1, -pair.cy1, 0.0))
-        # x = u - y*(y - cy1), u in [ct2, ct2+g)
-        return cls(pair.ct2, pair.g, pair.cy2, pair.rho, (0.0, pair.cy1, -1.0))
-
-    @classmethod
-    def from_prototype(cls, scene, slot: int) -> "Carrier":
-        """Boxes of a prototype scene: slot 1 the small rectangle, slot 2
-        the curved box {0 <= y-b < c0, 0 <= x+y^2-a < c0^2 delta}."""
-        if slot == 1:
-            return cls(0.0, scene.c0 * scene.c0 * scene.delta, 0.0, scene.c0 * scene.delta)
-        if slot == 2:
-            return cls(scene.a, scene.c0 * scene.c0 * scene.delta, scene.b, scene.c0,
-                       (0.0, 0.0, -1.0))
-        raise ValueError("slot must be 1 or 2")
-
-    def contains(self, x, y):
-        s0, s1, s2 = self.shear
-        u = x - (s0 + s1 * y + s2 * y * y)
-        return (self.u0 <= u) & (u < self.u0 + self.du) & \
-            (self.y0 <= y) & (y < self.y0 + self.dy)
-
-    def covers(self, other: "Carrier") -> bool:
-        if self.shear != other.shear:
-            return False
-        eps = 1e-12 * max(1.0, abs(self.u0), abs(self.y0))
-        return (self.u0 - eps <= other.u0
-                and other.u0 + other.du <= self.u0 + self.du + eps
-                and self.y0 - eps <= other.y0
-                and other.y0 + other.dy <= self.y0 + self.dy + eps)
-
-    def subbox(self, u_range: tuple, y_range: tuple) -> "Carrier":
-        """Sub-carrier from fractional offsets (each in [0, 1])."""
-        a, b = u_range
-        c, d = y_range
-        if not (0.0 <= a < b <= 1.0 and 0.0 <= c < d <= 1.0):
-            raise ValueError("fractional ranges must be nondegenerate within [0, 1]")
-        return Carrier(self.u0 + a * self.du, (b - a) * self.du,
-                       self.y0 + c * self.dy, (d - c) * self.dy, self.shear)
+# Test functions
 
 
 @dataclass(frozen=True)
@@ -370,12 +305,6 @@ def lp_norm(field: FrequencyField, p: float) -> NormEstimate:
     return NormEstimate(value=fine, refinement_delta=delta)
 
 
-def _slot_carrier(pair, slot: int) -> Carrier:
-    if isinstance(pair, AdmissiblePair):
-        return Carrier.from_pair(pair, slot)
-    return Carrier.from_prototype(pair, slot)
-
-
 def bilinear_field(pair, f: TestFunction, g: TestFunction, family: PhaseFamily,
                    quad: QuadratureSpec = QuadratureSpec()) -> FrequencyField:
     """Pointwise product extend_grid(f) * extend_grid(g) on the frequency grid.
@@ -383,9 +312,9 @@ def bilinear_field(pair, f: TestFunction, g: TestFunction, family: PhaseFamily,
     pair may be an admissible pair or a prototype scene; f must be carried
     on its first box and g on its second.
     """
-    if not _slot_carrier(pair, 1).covers(f.carrier):
+    if not pair.carrier(1).covers(f.carrier):
         raise ValueError("f is not carried on the first box of the pair")
-    if not _slot_carrier(pair, 2).covers(g.carrier):
+    if not pair.carrier(2).covers(g.carrier):
         raise ValueError("g is not carried on the second box of the pair")
     ef = extend_grid(f, family, quad)
     eg = extend_grid(g, family, quad)

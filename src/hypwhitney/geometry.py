@@ -27,6 +27,7 @@ from .surface import tau
 __all__ = [
     "DyadicInterval",
     "Strip",
+    "Carrier",
     "AdmissiblePair",
     "PairTable",
     "Rejected",
@@ -222,6 +223,56 @@ def _in_ranges(lo, hi) -> tuple:
 
 
 @dataclass(frozen=True)
+class Carrier:
+    """Sheared box {(u + s(y), y) : u in [u0, u0+du), y in [y0, y0+dy)}
+    with s(y) = s0 + s1*y + s2*y^2; unit Jacobian, area du*dy.  The one
+    definition of every box other than the canonical pair boxes: the pair
+    slots (`AdmissiblePair.carrier`), the prototype boxes
+    (`PrototypeScene.carrier`) and the unit images of a reduced pair
+    (`ReductionResult.image`)."""
+
+    u0: float
+    du: float
+    y0: float
+    dy: float
+    shear: tuple = (0.0, 0.0, 0.0)
+
+    @property
+    def area(self) -> float:
+        return self.du * self.dy
+
+    def member(self, u, v) -> tuple:
+        """The point (x, y) at unit offsets (u, v); broadcasts."""
+        s0, s1, s2 = self.shear
+        y = self.y0 + v * self.dy
+        return self.u0 + (s0 + s1 * y + s2 * y * y) + u * self.du, y
+
+    def contains(self, x, y):
+        s0, s1, s2 = self.shear
+        u = x - (s0 + s1 * y + s2 * y * y)
+        return (self.u0 <= u) & (u < self.u0 + self.du) & \
+            (self.y0 <= y) & (y < self.y0 + self.dy)
+
+    def covers(self, other: "Carrier") -> bool:
+        if self.shear != other.shear:
+            return False
+        eps = 1e-12 * max(1.0, abs(self.u0), abs(self.y0))
+        return (self.u0 - eps <= other.u0
+                and other.u0 + other.du <= self.u0 + self.du + eps
+                and self.y0 - eps <= other.y0
+                and other.y0 + other.dy <= self.y0 + self.dy + eps)
+
+    def subbox(self, u_range: tuple, y_range: tuple) -> "Carrier":
+        """Sub-carrier from fractional offsets (each in [0, 1])."""
+        a, b = u_range
+        c, d = y_range
+        if not (0.0 <= a < b <= 1.0 and 0.0 <= c < d <= 1.0):
+            raise ValueError("fractional ranges must be nondegenerate within [0, 1]")
+        return Carrier(self.u0 + a * self.du, (b - a) * self.du,
+                       self.y0 + c * self.dy, (d - c) * self.dy, self.shear)
+
+
+@dataclass(frozen=True)
 class AdmissiblePair:
     """One admissible box pair of type 1 or 2 at scales (rho, delta).
 
@@ -296,6 +347,16 @@ class AdmissiblePair:
         long = _long_member(self.ct2, self.cy1, self.cy2, self.rho, g, u2, v2)
         return (small, long) if self.pair_type == 1 else (long, small)
 
+    def carrier(self, slot: int) -> Carrier:
+        """The box holding z1 (slot 1) or z2 (slot 2)."""
+        if slot not in (1, 2):
+            raise ValueError("slot must be 1 or 2")
+        if (slot == 1) == (self.pair_type == 1):
+            # x = u - cy1*(y - cy1), u in [cx1, cx1+g)
+            return Carrier(self.cx1, self.g, self.cy1, self.h, (self.cy1 * self.cy1, -self.cy1, 0.0))
+        # x = u - y*(y - cy1), u in [ct2, ct2+g)
+        return Carrier(self.ct2, self.g, self.cy2, self.rho, (0.0, self.cy1, -1.0))
+
     def to_json_dict(self) -> dict:
         return {
             "type": self.pair_type,
@@ -323,25 +384,27 @@ def _in_window(v, lo, hi):
 
 @functools.lru_cache(maxsize=256)
 def _windows(rho, delta, C0) -> tuple:
-    """Half-open windows [lo1, hi1) for |t2_0 - x1_0| and [lo2, hi2) for the
-    second endpoint value |(t2_0 - x1_0) - (y2_0 - y1_0)^2|.  Cached: a run
-    sees few dyadic scales but checks many candidates at each.  Scales that
-    are not powers of two raise ValueError here, on every call, since the
-    cache keeps no exceptions."""
+    """The half-open window [lo1, hi1) for |t2_0 - x1_0| and the lower bound
+    lo2 of the second endpoint value |(t2_0 - x1_0) - (y2_0 - y1_0)^2|.
+    Cached: a run sees few dyadic scales but checks many candidates at each.
+    Scales that are not powers of two raise ValueError here, on every call,
+    since the cache keeps no exceptions."""
     _require_dyadic(rho=rho, delta=delta, C0=C0)
     g = _steps(rho, delta)[1]
-    scale2 = C0 * C0 * rho * rho * max(1.0, delta)
-    return C0 * C0 * g / 4.0, 4.0 * C0 * C0 * g, scale2 / 512.0, 5.0 * scale2
+    # The second value has no upper bound of its own: the separation test
+    # and window 1 already give |d - s^2| < 4*C0^2*g + C0^2*rho^2, which is
+    # at most 5*C0^2*rho^2*(1 v delta).
+    return C0 * C0 * g / 4.0, 4.0 * C0 * C0 * g, C0 * C0 * rho * rho * max(1.0, delta) / 512.0
 
 
 def _conditions(cx1, cy1, ct2, cy2, rho, delta, C0) -> tuple:
     """Whether the canonical parameters meet the separation test, window 1
-    and window 2, in that order; elementwise on arrays."""
-    lo1, hi1, lo2, hi2 = _windows(rho, delta, C0)
+    and window 2 (its lower bound), in that order; elementwise on arrays."""
+    lo1, hi1, lo2 = _windows(rho, delta, C0)
     d = ct2 - cx1
     return (_separation_ok(cy2 - cy1, _steps(rho, delta)[0], rho, C0),
             _in_window(abs(d), lo1, hi1),
-            _in_window(abs(d - (cy2 - cy1) ** 2), lo2, hi2))
+            lo2 <= abs(d - (cy2 - cy1) ** 2))
 
 
 def make_type1_pair(x1_0, y1_0, t2_0, y2_0, rho, delta, C0) -> Union[AdmissiblePair, Rejected]:
@@ -353,7 +416,7 @@ def make_type1_pair(x1_0, y1_0, t2_0, y2_0, rho, delta, C0) -> Union[AdmissibleP
     pair is the swapped type-1 pair of its interchanged slots.
     """
     rho, delta, C0 = float(rho), float(delta), float(C0)
-    lo1, hi1, lo2, hi2 = _windows(rho, delta, C0)
+    lo1, hi1, lo2 = _windows(rho, delta, C0)
     cx1, cy1, ct2, cy2 = float(x1_0), float(y1_0), float(t2_0), float(y2_0)
     h, g = _steps(rho, delta)
     if not _on_grid(cy1, h):
@@ -373,7 +436,7 @@ def make_type1_pair(x1_0, y1_0, t2_0, y2_0, rho, delta, C0) -> Union[AdmissibleP
         return Rejected("admissible1", f"|t2_0 - x1_0|={abs(d)} outside [{lo1}, {hi1})")
     if not window2:
         return Rejected("admissible2", f"second window value {abs(d - (cy2 - cy1) ** 2)} "
-                                       f"outside [{lo2}, {hi2})")
+                                       f"below {lo2}")
     return AdmissiblePair(1, rho, delta, C0, cx1, cy1, ct2, cy2)
 
 
@@ -484,9 +547,9 @@ def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float):
     pairs.  Column i of i_lo..i_hi admits the row's offsets d with
     t_lo <= i + d <= t_hi; runs holds the offsets' runs of consecutive ints
     as pairs (a_k, b_k), at most 3: window 1's offsets +-[d_lo, d_hi) in
-    window 2, lo2 <= |d*g - s^2| < hi2 with s = y2_0 - y1_0, by integer
-    floors and ceilings, exact at every scale: s = K*h for an int K, and h^2,
-    g, lo2 and hi2 are int multiples of one power of two.  total is
+    window 2, lo2 <= |d*g - s^2| with s = y2_0 - y1_0, by integer floors and
+    ceilings, exact at every scale: s = K*h for an int K, and h^2, g and lo2
+    are int multiples of one power of two.  total is
     F(i_hi - i_lo + 1) of `_pairs_before`.  The stream runs over the
     records, then the columns, then the offsets, in order."""
     if V1.rho != V2.rho:
@@ -500,11 +563,11 @@ def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float):
         return rows
     j1, j2 = V1.j, V2.j
     y2_0 = j2 * rho
-    lo1, hi1, lo2, hi2 = _windows(rho, delta, C0)
+    lo1, hi1, lo2 = _windows(rho, delta, C0)
     d_lo, d_hi = math.ceil(lo1 / g), math.ceil(hi1 / g)
     window1 = ((1 - d_hi, -d_lo), (d_lo, d_hi - 1))
-    unit = min(h * h, g, lo2)  # h^2, g and lo2 are powers of two, hi2 = 2560*lo2
-    hh, gu, lo2u, hi2u = (round(x / unit) for x in (h * h, g, lo2, hi2))
+    unit = min(h * h, g, lo2)  # h^2, g and lo2 are powers of two
+    hh, gu, lo2u = (round(x / unit) for x in (h * h, g, lo2))
     k0 = round((y2_0 - j1 * rho) / h)
     for m in range(round(rho / h)):
         y1_0 = j1 * rho + m * h
@@ -513,10 +576,11 @@ def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float):
             continue
         s2 = (k0 - m) ** 2 * hh  # s^2 in units, as s = (k0 - m)*h
         below, above = (s2 - lo2u) // gu, -((-s2 - lo2u) // gu)
-        outer = ((s2 - hi2u) // gu + 1, -((-s2 - hi2u) // gu) - 1)
-        # window 2's two intervals, one if no offset lies between them; in order, as window 2's
-        # upper interval never meets window 1's lower one while its lower meets window 1's upper
-        window2 = ((outer[0], below), (above, outer[1])) if above > below + 1 else (outer,)
+        # window 2's half-lines d <= below and d >= above, clipped to window 1, one interval if
+        # no offset lies between them; in order, as window 2's upper half-line never meets
+        # window 1's lower interval while its lower half-line meets window 1's upper one
+        window2 = (((1 - d_hi, below), (above, d_hi - 1)) if above > below + 1
+                   else ((1 - d_hi, d_hi - 1),))
         runs = tuple((max(a1, a2), min(b1, b2)) for (a1, b1), (a2, b2) in product(window1, window2)
                      if max(a1, a2) <= min(b1, b2))
         i_lo = math.floor((-1.0 - g - abs(y1_0) * h) / g)
@@ -627,7 +691,9 @@ def pair_sample(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1,
     most 3 runs in closed form, and each stored position is decoded by one
     search over the rows' pieces and one quadratic, so the cost grows with
     rows and max_pairs, not with total (1e8+ members are cheap).  Scales below
-    2^-20 give an empty table; rho^2*delta > 4 is an error."""
+    2^-20 give an empty table; rho^2*delta > 4 is an error, and so is a
+    stream of more than 2^63 - 1 pairs, the int64 maximum, as stream
+    positions are int64."""
     delta, C0 = float(delta), float(C0)
     _require_dyadic(delta=delta, C0=C0)
     if max_pairs < 1:
@@ -639,6 +705,8 @@ def pair_sample(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1,
     rho = float(V1.rho)
     rows = _type1_rows(V1, V2, delta, C0)
     total = sum(row[-1] for row in rows)
+    if total > np.iinfo(np.int64).max:
+        raise ValueError(f"the stream holds {total} pairs, more than int64 can count")
     stride = max(1, -(-total // max_pairs))
     cols = _decode(rows, np.arange(0, total, stride), V2.j * rho, rho, delta, C0)
     return PairTable(pair_type, rho, delta, C0, total, stride, *cols)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import OPEN_SCALE, AdmissiblePair, sample_members
+from .geometry import OPEN_SCALE, AdmissiblePair, Carrier, sample_members
 from .reports import AuditReport, fit_power_law
 from .surface import BASE, PhaseFamily, gamma2, phase_eval, tv_values
 
@@ -97,17 +97,17 @@ class ReductionResult:
         """phase(z) - factor * phase_delta(Tz) - L(z); identically 0 in exact arithmetic."""
         return phase_eval(BASE, z) - self.phase_factor * phase_eval(self.family, self.map.apply(z)) - self.remainder(z)
 
-    def in_image1(self, zp):
+    def image(self, slot: int) -> Carrier:
+        """The unit image under the map of the small box (slot 1), the square
+        [0, w)^2, or of the long box (slot 2), {0 <= y - scaled_b < 1,
+        0 <= x + c*y^2 - scaled_a < w}, where w = 1 ^ delta and c is the
+        rescaled family's cubic coefficient."""
         w = min(1.0, self.delta)
-        x, y = np.asarray(zp[0], float), np.asarray(zp[1], float)
-        return (0.0 <= x) & (x < w) & (0.0 <= y) & (y < w)
-
-    def in_image2(self, zp):
-        w = min(1.0, self.delta)
-        x, y = np.asarray(zp[0], float), np.asarray(zp[1], float)
-        u = x + y * y * self.family.cubic - self.scaled_a
-        dy = y - self.scaled_b
-        return (0.0 <= dy) & (dy < 1.0) & (0.0 <= u) & (u < w)
+        if slot == 1:
+            return Carrier(0.0, w, 0.0, w)
+        if slot == 2:
+            return Carrier(self.scaled_a, w, self.scaled_b, 1.0, (0.0, 0.0, -self.family.cubic))
+        raise ValueError("slot must be 1 or 2")
 
 
 def reduce(pair: AdmissiblePair) -> ReductionResult:
@@ -141,8 +141,9 @@ class PrototypeScene:
     """Standard small-delta pair and its anisotropic unit normalization.
 
     Unscaled sets: U1 = [0, c0^2 delta) x [0, c0 delta) and the curved box
-    U2 = {0 <= y - b < c0, 0 <= x + y^2 - a < c0^2 delta}.  Scaled sets are
-    their preimages under A(xbar, ybar) = (delta xbar, ybar).
+    U2 = {0 <= y - b < c0, 0 <= x + y^2 - a < c0^2 delta}, the carriers of
+    slots 1 and 2.  Scaled sets are their preimages under
+    A(xbar, ybar) = (delta xbar, ybar), the `scaling_map`.
     """
 
     delta: float
@@ -155,10 +156,6 @@ class PrototypeScene:
         return PhaseFamily.prototype(self.delta)
 
     @property
-    def abar(self) -> float:
-        return self.a / self.delta
-
-    @property
     def bbar(self) -> float:
         return self.b
 
@@ -166,34 +163,25 @@ class PrototypeScene:
     def scaling_map(self) -> AffineMap2:
         return AffineMap2([[self.delta, 0.0], [0.0, 1.0]], [0.0, 0.0])
 
-    def in_U1(self, z):
-        x, y = np.asarray(z[0], float), np.asarray(z[1], float)
-        return (0.0 <= x) & (x < self.c0**2 * self.delta) & (0.0 <= y) & (y < self.c0 * self.delta)
-
-    def in_U2(self, z):
-        x, y = np.asarray(z[0], float), np.asarray(z[1], float)
-        u = x + y * y - self.a
-        dy = y - self.b
-        return (0.0 <= dy) & (dy < self.c0) & (0.0 <= u) & (u < self.c0**2 * self.delta)
-
-    def in_U1s(self, zbar):
-        x, y = np.asarray(zbar[0], float), np.asarray(zbar[1], float)
-        return (0.0 <= x) & (x < self.c0**2) & (0.0 <= y) & (y < self.c0 * self.delta)
-
-    def in_U2s(self, zbar):
-        return self.in_U2(self.scaling_map.apply(zbar))
+    def carrier(self, slot: int) -> Carrier:
+        """The unscaled box U1 (slot 1) or U2 (slot 2)."""
+        w = self.c0 * self.c0 * self.delta
+        if slot == 1:
+            return Carrier(0.0, w, 0.0, self.c0 * self.delta)
+        if slot == 2:
+            return Carrier(self.a, w, self.b, self.c0, (0.0, 0.0, -1.0))
+        raise ValueError("slot must be 1 or 2")
 
     def sample_scaled(self, n: int, seed) -> tuple:
-        """n member pairs of (U1^s, U2^s), shape (2, n) each."""
+        """n member pairs of (U1^s, U2^s), shape (2, n) each: members of the
+        two carriers with x divided by delta, which is A^-1 (exact for a
+        dyadic delta)."""
         if n < 1:
             raise ValueError("need n >= 1")
         rng = np.random.default_rng(seed)
         u1, v1, u2, v2 = rng.random((4, n)) * OPEN_SCALE
-        x1 = u1 * self.c0**2
-        y1 = v1 * self.c0 * self.delta
-        y2 = self.b + v2 * self.c0
-        x2 = self.abar - y2 * y2 / self.delta + u2 * self.c0**2
-        return np.stack([x1, y1]), np.stack([x2, y2])
+        (x1, y1), (x2, y2) = self.carrier(1).member(u1, v1), self.carrier(2).member(u2, v2)
+        return np.stack([x1 / self.delta, y1]), np.stack([x2 / self.delta, y2])
 
 
 def prototype(delta: float, c0: float, a: float, b: float) -> PrototypeScene:

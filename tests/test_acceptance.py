@@ -11,7 +11,6 @@ import pytest
 
 from hypwhitney.cli import ExperimentConfig, run_scaling_law
 from hypwhitney.extension import (
-    Carrier,
     QuadratureSpec,
     TestFunction,
     audit_sumset_x,
@@ -19,6 +18,7 @@ from hypwhitney.extension import (
     sumset_cube_stability,
 )
 from hypwhitney.geometry import (
+    Carrier,
     DyadicInterval,
     Strip,
     audit_tau_bounds,
@@ -184,7 +184,7 @@ def test_criterion_05_reduction_to_unit_scale():
                 target = (wedge if du else 0.0, wedge if dy else 0.0)
                 corners_ok &= (abs(float(img[0]) - target[0]) <= 1e-12
                                and abs(float(img[1]) - target[1]) <= 1e-12)
-        images_ok &= bool(red.in_image1(red.map.apply(z1.T)).all())
+        images_ok &= bool(red.image(1).contains(*red.map.apply(z1.T)).all())
     ok = worst_resid <= 1e-12 and windows_ok and corners_ok and images_ok
     report_line(5, ok, f"max residual {worst_resid:.2e}, windows {windows_ok}, "
                        f"image corners {corners_ok}")
@@ -210,9 +210,9 @@ def test_criterion_07_quadrature_correctness():
     pairs = spanning_pairs(2, per_cell=1)
     carriers = [
         Carrier(-1.0, 2.0, -1.0, 2.0),
-        Carrier.from_pair(pairs[0], 1),
-        Carrier.from_pair(pairs[0], 2),
-        Carrier.from_prototype(prototype(2.0**-3, 2.0**-5, 2.0**-3, 1.0), 2),
+        pairs[0].carrier(1),
+        pairs[0].carrier(2),
+        prototype(2.0**-3, 2.0**-5, 2.0**-3, 1.0).carrier(2),
     ]
     e_zero = max(abs(extend_points(TestFunction(c), BASE, (0.0, 0.0, 0.0),
                                    quad)[0] - c.area) for c in carriers)

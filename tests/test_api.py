@@ -23,9 +23,6 @@ UNCALLED = {
 
 # Public class members with no reader in the package, each kept on purpose.
 UNREAD_MEMBERS = {
-    "PrototypeScene.in_U1": "test oracle of the unscaled small box",
-    "PrototypeScene.in_U1s": "test oracle of the scaled small box",
-    "PrototypeScene.in_U2s": "test oracle of the scaled curved box",
     "Carrier.subbox": "the sub-carriers of acceptance criterion 7",
     "QuadratureSpec.refine": "the y-refinement step of ROADMAP item 1",
 }

@@ -8,7 +8,6 @@ import pytest
 
 from hypwhitney import extension
 from hypwhitney.extension import (
-    Carrier,
     FrequencyField,
     QuadratureSpec,
     TestFunction,
@@ -24,6 +23,7 @@ from hypwhitney.extension import (
 )
 from hypwhitney.geometry import (
     OPEN_SCALE,
+    Carrier,
     DyadicInterval,
     Strip,
     _check_strips,
@@ -64,38 +64,58 @@ def dense_field(f, family, field, quad):
     return extend_points(f, family, xis, quad).reshape(field.values.shape)
 
 
+def unit_offsets(n, seed):
+    """n offset pairs (u, v) in [0, OPEN_SCALE)^2, the first at the corner (0, 0)."""
+    u, v = np.random.default_rng(seed).random((2, n)) * OPEN_SCALE
+    u[0] = v[0] = 0.0
+    return u, v
+
+
 class TestCarrier:
     def test_rectangle_area(self):
         car = Carrier(-0.25, 1.0, 0.0, 0.5)
         assert car.area == pytest.approx(0.5)
 
     def test_pair_carriers_match_membership(self):
-        pair = sample_pair()
-        c1 = Carrier.from_pair(pair, 1)
-        c2 = Carrier.from_pair(pair, 2)
-        rng = np.random.default_rng(5)
-        offs = rng.random((4, 300))
-        (x1, y1), (x2, y2) = pair.member_at(offs * (1 - 2.0**-30))
-        assert c1.contains(x1, y1).all()
-        assert c2.contains(x2, y2).all()
-        assert not c1.contains(x2, y2).any()
-        assert pair.contains_many(x1, y1, x2, y2).all()
+        # both types: the canonical members lie in the slot carriers, the
+        # carriers' own members too, and those are members of the pair
+        for pair in (sample_pair(), sample_pair().swapped(), sample_pair(4.0).swapped()):
+            c1, c2 = pair.carrier(1), pair.carrier(2)
+            rng = np.random.default_rng(5)
+            offs = rng.random((4, 300))
+            (x1, y1), (x2, y2) = pair.member_at(offs * OPEN_SCALE)
+            assert c1.contains(x1, y1).all()
+            assert c2.contains(x2, y2).all()
+            assert not c1.contains(x2, y2).any()
+            assert pair.contains_many(x1, y1, x2, y2).all()
+            for car in (c1, c2):
+                assert car.contains(*car.member(*unit_offsets(300, 6))).all()
+            assert pair.contains_many(*c1.member(*unit_offsets(300, 7)),
+                                      *c2.member(*unit_offsets(300, 8))).all()
+        with pytest.raises(ValueError):
+            sample_pair().carrier(3)
 
     def test_type2_slots_swap(self):
         pair = sample_pair().swapped()
-        c1 = Carrier.from_pair(pair, 1)
+        c1 = pair.carrier(1)
         assert c1.dy == pytest.approx(pair.rho)  # slot 1 is now the long box
 
     def test_prototype_carriers(self):
         sc = prototype(2.0**-3, 2.0**-5, 2.0**-3, 1.0)
-        c1 = Carrier.from_prototype(sc, 1)
-        c2 = Carrier.from_prototype(sc, 2)
+        c1 = sc.carrier(1)
+        c2 = sc.carrier(2)
         assert c1.area == pytest.approx(sc.c0**3 * sc.delta**2)
         rng = np.random.default_rng(2)
         y = sc.b + rng.random(100) * sc.c0
         x = sc.a - y * y + rng.random(100) * sc.c0**2 * sc.delta
         assert c2.contains(x, y).all()
-        assert sc.in_U2((x, y)).all()
+        # the carriers' members, unscaled and as the scaled samples mapped back by A
+        for car in (c1, c2):
+            assert car.contains(*car.member(*unit_offsets(300, 3))).all()
+        for car, z in zip((c1, c2), sc.sample_scaled(300, seed=4)):
+            assert car.contains(*sc.scaling_map.apply(z)).all()
+        with pytest.raises(ValueError):
+            sc.carrier(0)
 
     def test_subbox_and_covers(self):
         car = Carrier(0.0, 1.0, 0.0, 1.0)
@@ -110,9 +130,9 @@ class TestExtendOracles:
     def test_zero_frequency_gives_area(self):
         carriers = [
             Carrier(0.0, 1.0, 0.0, 1.0),
-            Carrier.from_pair(sample_pair(), 1),
-            Carrier.from_pair(sample_pair(), 2),
-            Carrier.from_prototype(prototype(2.0**-4, 2.0**-5, 2.0**-4, 1.0), 2),
+            sample_pair().carrier(1),
+            sample_pair().carrier(2),
+            prototype(2.0**-4, 2.0**-5, 2.0**-4, 1.0).carrier(2),
         ]
         for car in carriers:
             v = extend_points(TestFunction(car), BASE, (0.0, 0.0, 0.0), QUAD)[0]
@@ -132,7 +152,7 @@ class TestExtendOracles:
         assert abs(extend_points(f, BASE, (2 * math.pi, 0.0, 0.0), QUAD)[0]) <= 1e-13
 
     def test_conjugate_symmetry(self):
-        f = TestFunction(Carrier.from_pair(sample_pair(), 2))
+        f = TestFunction(sample_pair().carrier(2))
         rng = np.random.default_rng(3)
         xis = rng.normal(scale=30.0, size=(25, 3))
         plus = extend_points(f, BASE, xis, QUAD)
@@ -142,13 +162,13 @@ class TestExtendOracles:
     def test_modulus_bounded_by_area(self):
         pair = sample_pair()
         for slot in (1, 2):
-            f = TestFunction(Carrier.from_pair(pair, slot))
+            f = TestFunction(pair.carrier(slot))
             xis = np.random.default_rng(slot).normal(scale=200.0, size=(50, 3))
             vals = extend_points(f, BASE, xis, QUAD)
             assert np.abs(vals).max() <= f.carrier.area * (1 + 1e-12)
 
     def test_linearity_partition(self):
-        car = Carrier.from_pair(sample_pair(), 2)
+        car = sample_pair().carrier(2)
         whole = TestFunction(car)
         parts = [
             TestFunction(car.subbox((a, a + 0.5), (c, c + 0.5)))
@@ -169,7 +189,7 @@ class TestExtendOracles:
         assert abs(vg - (2.5 - 1.0j) * vf) <= 1e-14
 
     def test_modulation_shifts_frequency(self):
-        car = Carrier.from_pair(sample_pair(), 1)
+        car = sample_pair().carrier(1)
         lam = (7.5, -2.25)
         fm = TestFunction(car, lam)
         f = TestFunction(car)
@@ -205,7 +225,7 @@ class TestExtendOracles:
         rng = np.random.default_rng(17)
         xis = rng.normal(size=(40, 3))
         xis *= (64.0 * rng.random((40, 1))) / np.linalg.norm(xis, axis=1, keepdims=True)
-        for car in (Carrier(0.0, 1.0, 0.0, 1.0), Carrier.from_pair(sample_pair(), 2)):
+        for car in (Carrier(0.0, 1.0, 0.0, 1.0), sample_pair().carrier(2)):
             f = TestFunction(car)
             v1 = extend_points(f, BASE, xis, QUAD)
             v2 = extend_points(f, BASE, xis, QUAD.refine())
@@ -252,7 +272,7 @@ class TestExtendOracles:
         # elements, at least one point each; the block size changes only the
         # rounding of the product over y (a one-row block takes another BLAS
         # path), by a few units in the last place
-        f = TestFunction(Carrier.from_pair(sample_pair(), 2), (3.0, -1.5))
+        f = TestFunction(sample_pair().carrier(2), (3.0, -1.5))
         xis = np.random.default_rng(13).normal(scale=40.0, size=(50, 3))
         whole = extend_points(f, BASE, xis, QUAD)
         sizes = []
@@ -322,7 +342,7 @@ class TestGridAndNorms:
         pair = sample_pair()
         quad = QuadratureSpec(truncation=(96.0, 48.0, 64.0), freq_grid=(5, 7, 4))
         for slot in (1, 2):
-            f = TestFunction(Carrier.from_pair(pair, slot), (3.0, -21.0), 2.0 - 1.0j)
+            f = TestFunction(pair.carrier(slot), (3.0, -21.0), 2.0 - 1.0j)
             field = extend_grid(f, BASE, quad)
             g = np.meshgrid(*field.axes, indexing="ij")
             dense = extend_points(f, BASE, np.column_stack([a.ravel() for a in g]), quad)
@@ -335,7 +355,7 @@ class TestGridAndNorms:
         pair = sample_pair()
         quad = QuadratureSpec(truncation=(10.0, 6.0, 5.0), freq_grid=(5, 3, 5))
         for slot in (1, 2):
-            f = TestFunction(Carrier.from_pair(pair, slot))
+            f = TestFunction(pair.carrier(slot))
             field = extend_grid(f, BASE, quad)
             assert 0.0 in field.axes[0] and 0.0 in field.axes[2]
             assert np.isfinite(field.values).all()
@@ -348,7 +368,7 @@ class TestGridAndNorms:
         # xi3 values; the 5 x 4 grid leaves a short last block on an axis
         pair = sample_pair()
         quad = QuadratureSpec(truncation=(96.0, 48.0, 64.0), freq_grid=(5, 7, 4))
-        f = TestFunction(Carrier.from_pair(pair, 2), (3.0, -21.0), 2.0 - 1.0j)
+        f = TestFunction(pair.carrier(2), (3.0, -21.0), 2.0 - 1.0j)
         nodes = []
         real = extension._y_nodes
 
@@ -366,8 +386,8 @@ class TestGridAndNorms:
 
     def test_bilinear_field_checks_carriers(self):
         pair = sample_pair()
-        f = TestFunction(Carrier.from_pair(pair, 1))
-        g = TestFunction(Carrier.from_pair(pair, 2))
+        f = TestFunction(pair.carrier(1))
+        g = TestFunction(pair.carrier(2))
         quad = QuadratureSpec(truncation=(8.0, 8.0, 8.0), freq_grid=(4, 4, 4))
         with pytest.raises(ValueError):
             bilinear_field(pair, g, f, BASE, quad)

@@ -272,11 +272,14 @@ def run_offsets(runs):
 def rows_oracle(V1, V2, delta, c0, ms=None):
     """The masked row builder that the closed form replaced: every window-1
     offset of each fine row (only the rows m in ms, if given) masked by
-    window 2, and the runs read off the surviving offsets."""
+    window 2, and the runs read off the surviving offsets.  Window 2 keeps
+    the upper bound hi2 that `_windows` dropped, so a match shows that it
+    never binds."""
     rho = V1.rho
     h, g = geometry._steps(rho, delta)
     y2_0 = V2.j * rho
-    lo1, hi1, lo2, hi2 = geometry._windows(rho, delta, c0)
+    lo1, hi1, lo2 = geometry._windows(rho, delta, c0)
+    hi2 = 5.0 * c0 * c0 * rho * rho * max(1.0, delta)
     d_lo, d_hi = int(math.ceil(lo1 / g)), int(math.ceil(hi1 / g))
     d_all = np.concatenate([np.arange(-d_hi + 1, -d_lo + 1), np.arange(d_lo, d_hi)])
     rows = []
@@ -592,6 +595,14 @@ class TestEnumerate:
             pair_sample(V1, V2, 1.0, c0, pair_type=3)
         with pytest.raises(ValueError):
             pair_sample(V1, V2, 1.0, c0, max_pairs=0)
+
+    def test_stream_beyond_int64_is_an_error(self):
+        # C0 = 1024: 3.03e19 pairs at 2^-12, more than int64 counts; 7.6e18 at 2^-11
+        V1, V2 = separated_strip_pair(-384, 384, 2.0**-9, 1024.0)
+        with pytest.raises(ValueError, match="more than int64"):
+            pair_sample(V1, V2, 2.0**-12, 1024.0)
+        table = pair_sample(V1, V2, 2.0**-11, 1024.0)
+        assert table.total == 7572383653342740480 and len(table) == 4096
 
     def test_count_matches_stream(self):
         V1, V2, delta, c0 = self.small_config()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hypwhitney.geometry import (
+    OPEN_SCALE,
     AdmissiblePair,
     DyadicInterval,
     Strip,
@@ -99,16 +100,25 @@ class TestReduce:
                 assert C0**2 * wedge / 4 <= abs(red.scaled_a) <= 4 * C0**2 * wedge
 
     def test_members_map_into_images(self):
+        rng = np.random.default_rng(6)
         for delta in (2.0**-5, 2.0**-2, 2.0):
             pair = pair_at(delta)
             red = reduce(pair)
             z1, z2 = sample_members(pair, 3000, seed=5)
             p1 = red.map.apply(z1.T)
             p2 = red.map.apply(z2.T)
-            assert red.in_image1(p1).all()
-            assert red.in_image2(p2).all()
-            assert not red.in_image1(p1 + np.array([[2.0], [0.0]])).any()
-            assert not red.in_image2(p2 + np.array([[0.0], [2.0]])).any()
+            im1, im2 = red.image(1), red.image(2)
+            assert im1.contains(*p1).all()
+            assert im2.contains(*p2).all()
+            assert not im1.contains(*(p1 + np.array([[2.0], [0.0]]))).any()
+            assert not im2.contains(*(p2 + np.array([[0.0], [2.0]]))).any()
+            # the images' own members, the corner (0, 0) among them
+            u, v = rng.random((2, 3000)) * OPEN_SCALE
+            u[0] = v[0] = 0.0
+            for im in (im1, im2):
+                assert im.contains(*im.member(u, v)).all()
+        with pytest.raises(ValueError):
+            red.image(3)
 
     def test_image1_corner_exact(self):
         pair = pair_at(2.0**-3)
@@ -118,7 +128,7 @@ class TestReduce:
         mapped = red.map.apply(corner)
         assert mapped[0] == wedge and mapped[1] == wedge
         # the corner itself is excluded by half-openness
-        assert not red.in_image1(mapped)
+        assert not red.image(1).contains(*mapped)
 
     def test_type2_reduces_via_swap(self):
         p1 = pair_at(2.0**-3)
@@ -183,12 +193,13 @@ class TestPrototype:
 
     def test_valid_scene_and_membership(self):
         sc = self.scene()
-        assert sc.in_U1((0.0, 0.0))
-        assert not sc.in_U1((-1e-12, 0.0))
-        assert not sc.in_U1((sc.c0**2 * sc.delta, 0.0))
+        u1, u2 = sc.carrier(1), sc.carrier(2)
+        assert u1.contains(0.0, 0.0)
+        assert not u1.contains(-1e-12, 0.0)
+        assert not u1.contains(sc.c0**2 * sc.delta, 0.0)
         # U2 contains (a - b^2, b) by construction
-        assert sc.in_U2((sc.a - sc.b**2, sc.b))
-        assert not sc.in_U2((sc.a - sc.b**2, sc.b + sc.c0))
+        assert u2.contains(sc.a - sc.b**2, sc.b)
+        assert not u2.contains(sc.a - sc.b**2, sc.b + sc.c0)
         assert sc.family == PhaseFamily.prototype(sc.delta)
         assert sc.scaling_map.det == sc.delta
 
@@ -212,11 +223,12 @@ class TestPrototype:
         for b in (1.0, -1.0, 2.0):
             sc = self.scene(b=b)
             z1, z2 = sc.sample_scaled(3000, seed=7)
-            assert sc.in_U1s(z1).all()
-            assert sc.in_U2s(z2).all()
-            # preimages of the unscaled sets under A
-            assert sc.in_U1(sc.scaling_map.apply(z1)).all()
-            assert sc.in_U2(sc.scaling_map.apply(z2)).all()
+            # U1^s = [0, c0^2) x [0, c0 delta), written out
+            x, y = z1
+            assert ((0.0 <= x) & (x < sc.c0**2) & (0.0 <= y) & (y < sc.c0 * sc.delta)).all()
+            # the scaled sets are the preimages of the carriers under A
+            for slot, z in ((1, z1), (2, z2)):
+                assert sc.carrier(slot).contains(*sc.scaling_map.apply(z)).all()
 
     def test_member_tau_of_order_delta(self):
         # first endpoint transversality is comparable to delta at the

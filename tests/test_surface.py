@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hypwhitney.extension import Carrier, QuadratureSpec, TestFunction, _y_nodes
+from hypwhitney.extension import QuadratureSpec, TestFunction, _y_nodes
+from hypwhitney.geometry import Carrier
 from hypwhitney.surface import (
     BASE,
     PhaseFamily,

@@ -50,7 +50,6 @@ def test_timeout_is_an_error_entry(tmp_path, monkeypatch):
     assert result == {"error": "timed out after 720 s"}
 
 
-
 def test_operations_are_summed_per_side(tmp_path):
     def run(name, attempted, failed):
         line = json.dumps({"correct": True, "attempted": attempted, "failed": failed,
@@ -65,3 +64,31 @@ def test_operations_are_summed_per_side(tmp_path):
     }
     assert ab_bench._operations(runs[1:], ("head",)) == {
         "head": {"attempted": 0, "failed": 0, "failed_share": None}}
+
+
+def test_verdicts_against_bounds(tmp_path):
+    # four pairs of stub runs; setup_s is the 0.175 -> 0.237 s of a refused
+    # change, cpu_s has a base spread of 2/3 of its median, and peak_rss_mb
+    # the same spread but a head that beats every base run
+    values = {"setup_s": ([0.175, 0.176, 0.174, 0.177], [0.237, 0.236, 0.238, 0.239]),
+              "wall_s": ([1.0, 1.01, 0.99, 1.0], [1.1, 1.12, 1.09, 1.1]),
+              "cpu_s": ([1.0, 2.0, 1.0, 2.0], [1.5, 1.5, 1.5, 1.5]),
+              "peak_rss_mb": ([50.0, 100.0, 50.0, 100.0], [40.0, 45.0, 42.0, 41.0]),
+              "items_per_s": ([100.0, 101.0, 99.0, 100.0], [70.0, 71.0, 69.0, 70.0])}
+
+    def run(side, k):
+        metrics = {name: {"value": pair[side == "head"][k]} for name, pair in values.items()}
+        line = json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": metrics})
+        return ab_bench._run(stub_checkout(tmp_path / f"{side}{k}", line), "audit", k, 1.0)
+
+    runs = [{side: run(side, k) for side in ("base", "head")} for k in range(4)]
+    end_to_end = [{"name": name, "unit": "", "better": "higher" if name == "items_per_s" else "lower",
+                   "bound": 0.1 if name == "peak_rss_mb" else 0.25} for name in values]
+    summary = ab_bench._workload_summary(runs, end_to_end)
+    assert {name: m["verdict"] for name, m in summary.items()} == {
+        "setup_s": "worse", "wall_s": "no worse", "cpu_s": "unresolved",
+        "peak_rss_mb": "no worse", "items_per_s": "worse"}
+    assert summary["setup_s"]["bound"] == 0.25 and summary["setup_s"]["pairs"] == 4
+    # no completed pair leaves nothing to judge
+    broken = [{"base": {"error": "exit 1"}, "head": {"error": "exit 1"}}]
+    assert ab_bench._workload_summary(broken, end_to_end)["wall_s"]["verdict"] == "unresolved"

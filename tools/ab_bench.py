@@ -13,16 +13,26 @@ workload W of the head's BENCHMARK.json, pair k runs
 once in each checkout, T being that file's `run_seconds`; the base runs
 first in even pairs, the head in odd ones.
 The output file holds every run's end-to-end metrics and, for each workload
-and end-to-end metric, each side's median and quartiles and the number of
-pairs the head won (ties count for neither side).  Each workload also gets
-each side's attempted and failed operations summed over its runs, and the
-failed share; a run that ended in an error adds to neither.
+and end-to-end metric, each side's median and quartiles, the number of
+pairs the head won (ties count for neither side) and a verdict against the
+metric's relative `bound` in BENCHMARK.json:
+
+- `unresolved`: the base's quartile spread over its median exceeds the
+  bound, and not every head run beats every base run;
+- `worse`: otherwise, if the head's median is worse than the base's by more
+  than the bound times the base's median;
+- `no worse`: in every other case.
+
+The verdicts are also printed.  Each workload also gets each side's
+attempted and failed operations summed over its runs, and the failed share;
+a run that ended in an error adds to neither.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -70,18 +80,35 @@ def _summary(values: list) -> dict:
     return {"runs": len(values), "median": median, "q1": q1, "q3": q3}
 
 
+def _verdict(base: dict, head: dict, beats_all: bool, bound: float, lower: bool) -> str:
+    """`worse`, `no worse` or `unresolved` (see the module docstring) from
+    each side's `_summary` and whether every head run beats every base run."""
+    if not base["runs"]:
+        return "unresolved"
+    median = abs(base["median"])
+    spread = (base["q3"] - base["q1"]) / median if "q1" in base and median else math.inf
+    if spread > bound and not beats_all:
+        return "unresolved"
+    worsening = head["median"] - base["median"] if lower else base["median"] - head["median"]
+    return "worse" if worsening > bound * median else "no worse"
+
+
 def _workload_summary(runs: list, end_to_end: list) -> dict:
-    """Median, quartiles and head wins of each end-to-end metric over the pairs."""
+    """Median, quartiles, head wins and verdict of each end-to-end metric over the pairs."""
     out = {}
     for metric in end_to_end:
         name, lower = metric["name"], metric["better"] == "lower"
         pairs = [(r["base"]["metrics"][name], r["head"]["metrics"][name]) for r in runs
                  if name in r["base"].get("metrics", {}) and name in r["head"].get("metrics", {})]
         wins = sum((h < b) if lower else (h > b) for b, h in pairs)
-        out[name] = {"unit": metric["unit"], "better": metric["better"],
-                     "base": _summary([b for b, _ in pairs]),
-                     "head": _summary([h for _, h in pairs]),
-                     "head_wins": wins, "ties": sum(b == h for b, h in pairs), "pairs": len(pairs)}
+        base_values, head_values = [b for b, _ in pairs], [h for _, h in pairs]
+        base, head = _summary(base_values), _summary(head_values)
+        beats_all = bool(pairs) and (max(head_values) < min(base_values) if lower
+                                     else min(head_values) > max(base_values))
+        out[name] = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
+                     "base": base, "head": head,
+                     "head_wins": wins, "ties": sum(b == h for b, h in pairs), "pairs": len(pairs),
+                     "verdict": _verdict(base, head, beats_all, metric["bound"], lower)}
     return out
 
 
@@ -129,13 +156,17 @@ def main(argv=None) -> int:
                     shown = result["metrics"]["wall_s"] if "metrics" in result else result["error"]
                     print(f"{workload} seed {seed} {side}: wall_s {shown}", file=sys.stderr, flush=True)
                 runs.append(run)
+            metrics = _workload_summary(runs, spec["end_to_end"])
             report["workloads"][workload] = {
                 "correct": {side: sum(r[side].get("correct") is True for r in runs)
                             for side in commits},
                 "operations": _operations(runs, commits),
-                "metrics": _workload_summary(runs, spec["end_to_end"]),
+                "metrics": metrics,
                 "runs": runs,
             }
+            for name, m in metrics.items():
+                print(f"{workload} {name}: {m['verdict']} (median {m['base']['median']} -> "
+                      f"{m['head']['median']}, bound {m['bound']:g})", file=sys.stderr, flush=True)
             Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
 
