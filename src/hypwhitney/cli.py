@@ -34,8 +34,6 @@ from .extension import (
 )
 from .geometry import (
     AdmissiblePair,
-    DyadicInterval,
-    Strip,
     _dyadic_label,
     _floor_log2,
     _steps,
@@ -44,6 +42,7 @@ from .geometry import (
     make_type1_pair,
     pair_sample,
     sample_members,
+    separated_strip_pair,
 )
 from .reports import AuditReport, fit_power_law
 from .scaling import (
@@ -153,6 +152,8 @@ class ExperimentConfig:
                 and all(_finite_real(v) for v in band) and band[0] <= band[1]):
             raise ValueError(f"straight_band={band!r} must be two finite numbers lo <= hi")
         self.straight_band = tuple(band)
+        for rho in (*self.rho_grid, self.straight_rho):
+            _strips(rho, self.C0)
 
     def to_json_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -184,8 +185,15 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _strips(rho: float, C0: float) -> tuple:
+    """The separated strip pair of the audits and sweeps at scale rho, at j =
+    -+3*C0/8 rounded; ValueError, naming C0 and rho, unless it is one in Q."""
     j = int(round(3.0 * C0 / 8.0))
-    return Strip(DyadicInterval(-j, rho)), Strip(DyadicInterval(j, rho))
+    try:
+        if (j + 1) * rho > 1.0:
+            raise ValueError(f"the strips j = -+{j} leave Q = [-1, 1]^2")
+        return separated_strip_pair(-j, j, rho, C0)
+    except ValueError as exc:
+        raise ValueError(f"C0={C0} and rho={rho}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

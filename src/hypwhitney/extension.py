@@ -4,10 +4,12 @@ bilinear products, and the sumset / almost-orthogonality audits.
 The extension of f over a carrier U is int_U f(z) exp(-i(xi1*x + xi2*y +
 xi3*phi(z))) dz.  Every carrier is a sheared box (`geometry.Carrier`): in coordinates
 (u, y) with x = u + s(y) for a quadratic shear s, the carrier is an axis
-rectangle and the Jacobian is 1.  For the indicator-type test functions the
-u-integral against a pure exponential has a closed form, so quadrature is
-only needed along y: Gauss-Legendre panels sized so the phase varies by at
-most pi/2 per panel.
+rectangle and the Jacobian is 1.  The quadrature reads s through its
+expanded coefficients (`Carrier._coefficients`), and the sumset audits
+draw their members from the pairs' boxes (`geometry._pair_boxes`).  For the
+indicator-type test functions the u-integral against a pure exponential has
+a closed form, so quadrature is only needed along y: Gauss-Legendre panels
+sized so the phase varies by at most pi/2 per panel.
 
 On the tensor frequency grid of `extend_grid`, xi2 enters the integrand only
 through exp(-i xi2 y), so one complex matrix product with w(y) exp(-i xi2 y)
@@ -34,10 +36,8 @@ from .geometry import (
     Carrier,
     Strip,
     _check_strips,
-    _long_member,
+    _pair_boxes,
     _sample_pairs,
-    _small_member,
-    _steps,
 )
 from .reports import AuditReport
 from .surface import BASE, PhaseFamily, phase_eval
@@ -139,7 +139,7 @@ GRID_BLOCK = 2**16
 def _y_panels(f: TestFunction, family: PhaseFamily, xi_max, quad: QuadratureSpec) -> int:
     """Panels needed so the phase varies <= max_panel_phase per panel."""
     car = f.carrier
-    s0, s1, s2 = car.shear
+    s0, s1, s2 = car._coefficients
     ys = (car.y0, car.y0 + car.dy)
     # d/dy of the y-only phase block: xi1*s'(y) + xi2 + xi3*(q(y) + u_mid),
     # q(y) = s0 + 2 s1 y + (3 s2 + c) y^2
@@ -173,7 +173,7 @@ def _y_nodes(f: TestFunction, family: PhaseFamily, xi_max, quad: QuadratureSpec)
     starts = car.y0 + width * np.arange(panels)
     y = (starts[:, None] + width / 2.0 * (base[None, :] + 1.0)).ravel()
     w = np.tile(wts * width / 2.0, panels)
-    s0, s1, s2 = car.shear
+    s0, s1, s2 = car._coefficients
     sy = s0 + s1 * y + s2 * y * y
     hy = sy * y + family.cubic * y ** 3 / 3.0
     return y, w, sy, hy, car.u0 + car.du / 2.0
@@ -357,11 +357,10 @@ def audit_sumset_x(V1: Strip, V2: Strip, C0, delta, n: int, seed,
     take = min(members_per_pair, n)
     # one draw in C order is the per-pair (4, take) draws back to back
     u1, v1, u2, v2 = (rng.random((n_pairs, 4, take)) * OPEN_SCALE).transpose(1, 0, 2)
-    h, g = _steps(rho, delta)
     cx1, cy1, ct2, cy2 = (col[:, None] for col in (pairs.cx1, pairs.cy1, pairs.ct2, pairs.cy2))
-    x1, y1 = _small_member(cx1, cy1, h, g, u1, v1)
-    x2, y2 = _long_member(ct2, cy1, cy2, rho, g, u2, v2)
-    N = np.floor(np.rint(cx1 / g) * delta)
+    small, long = _pair_boxes(cx1, cy1, ct2, cy2, rho, delta)
+    (x1, y1), (x2, y2) = small.member(u1, v1), long.member(u2, v2)
+    N = np.floor(np.rint(cx1 / small.du) * delta)
     x_off = np.abs(x1 + x2 - 2.0 * N * rho * rho)
     y_sum = y1 + y2
     x_half = 10.0 * C0 * C0 * rho * rho / window_shrink
@@ -468,15 +467,16 @@ def audit_sumset_cubes(V1: Strip, V2: Strip, C0, delta, n: int, seed,
     u1, v1, u2, v2 = offsets.transpose(1, 0, 2)
 
     k = np.rint(pairs.cy2 / slab) + slab_draws
-    h, g = _steps(rho, delta)
-    x2k, y2k = _long_member(pairs.ct2, pairs.cy1, k * slab, slab, g, 0.0, 0.0)
+    # each tuple's small box and slab of its long box, one per row
+    small, long = _pair_boxes(*(c[:, None] for c in (pairs.cx1, pairs.cy1, pairs.ct2, k * slab)), rho, delta)
+    long = replace(long, dy=slab)
+    x2k, y2k = (c[:, 0] for c in long.member(0.0, 0.0))
     # The base sums take Python float arithmetic through object arrays:
     # numpy's vectorized pow can differ from libm pow in the last bit.
     base_z = _surface_sum(pairs.cx1, pairs.cy1.astype(object), x2k, y2k.astype(object))
     center = np.stack([(pairs.cx1 + x2k) / rho**2, (pairs.cy1 + y2k) / rho,
                        base_z.astype(float) / rho**3], axis=1)
-    x1, y1 = _small_member(pairs.cx1[:, None], pairs.cy1[:, None], h, g, u1, v1)
-    x2, y2 = _long_member(pairs.ct2[:, None], pairs.cy1[:, None], y2k[:, None], slab, g, u2, v2)
+    (x1, y1), (x2, y2) = small.member(u1, v1), long.member(u2, v2)
     w = np.stack([(x1 + x2) / rho**2, (y1 + y2) / rho, _surface_sum(x1, y1, x2, y2) / rho**3],
                  axis=2)
     off = np.abs(w - center[:, None, :]).max(axis=2)

@@ -6,6 +6,10 @@ small sheared parallelogram U1 paired with a long (straight or curved) box
 U2, constrained so that both endpoint transversality values have a fixed
 dyadic size.
 
+Every box is a `Carrier` with a factored shear; its `member` map and the
+inverse `coords` are the package's only ones.  `_pair_boxes` builds a pair's
+small and long boxes from its parameters or from whole `PairTable` columns.
+
 All membership predicates are half-open and evaluated with exact double
 comparisons; every grid quantity here is a power of two, so snapping and
 comparisons are exact.
@@ -174,46 +178,6 @@ def _coarsest_exponent(rho) -> int:
     return 2 - 2 * _floor_log2(rho)
 
 
-# Member maps of the two canonical boxes and their inverses; all broadcast.
-# The small box has base (cx1, cy1) and the shear x = u - cy1*(y - cy1); the
-# long box, of y-base y0 and height dy (the strip cell, or a slab of it), has
-# the shear x = u - y*(y - cy1) about ct2.
-
-
-def _small_member(cx1, cy1, h, g, u, v):
-    """Member of the small box at unit offsets (u, v)."""
-    y = cy1 + v * h
-    return cx1 - cy1 * (y - cy1) + u * g, y
-
-
-def _long_member(ct2, cy1, y0, dy, g, u, v):
-    """Member of the long box [ct2, ct2 + g) x [y0, y0 + dy) at unit offsets."""
-    y = y0 + v * dy
-    return ct2 - y * (y - cy1) + u * g, y
-
-
-def _small_coords(cx1, cy1, x, y):
-    """Sheared u-offset and y-offset of (x, y) from the small box's base."""
-    dy = y - cy1
-    return x - cx1 + cy1 * dy, dy
-
-
-def _long_coords(ct2, cy1, y0, x, y):
-    """Sheared u-offset and y-offset of (x, y) from the long box's base."""
-    return x - ct2 + y * (y - cy1), y - y0
-
-
-def _canonical_contains(cx1, cy1, ct2, cy2, rho, delta, xs, ys, xl, yl):
-    """Whether (xs, ys) lies in the small box and (xl, yl) in the long box."""
-    h, g = _steps(rho, delta)
-    us, dys = _small_coords(cx1, cy1, xs, ys)
-    ul, dyl = _long_coords(ct2, cy1, cy2, xl, yl)
-    return (
-        (0.0 <= dys) & (dys < h) & (0.0 <= us) & (us < g)
-        & (0.0 <= dyl) & (dyl < rho) & (0.0 <= ul) & (ul < g)
-    )
-
-
 def _in_ranges(lo, hi) -> tuple:
     """(k, position) for every position of the half-open ranges
     [lo[k], hi[k]) of two flat integer arrays, in order."""
@@ -225,11 +189,15 @@ def _in_ranges(lo, hi) -> tuple:
 @dataclass(frozen=True)
 class Carrier:
     """Sheared box {(u + s(y), y) : u in [u0, u0+du), y in [y0, y0+dy)}
-    with s(y) = s0 + s1*y + s2*y^2; unit Jacobian, area du*dy.  The one
-    definition of every box other than the canonical pair boxes: the pair
-    slots (`AdmissiblePair.carrier`), the prototype boxes
+    with s(y) = -(a + b*y)*(y - p) for shear = (a, b, p); unit Jacobian,
+    area du*dy.  The one definition of every box: the pair slots
+    (`AdmissiblePair.carrier`, `_pair_boxes`), the prototype boxes
     (`PrototypeScene.carrier`) and the unit images of a reduced pair
-    (`ReductionResult.image`)."""
+    (`ReductionResult.image`).  The shear is factored because the pair
+    boxes are written that way: the small box (cy1, 0, cy1) and the long
+    box (0, 1, cy1) evaluate it as one product, cy1*(y - cy1) and
+    y*(y - cy1), where the expanded coefficients would round cy1^2 and
+    cy1*y apart.  Fields may be broadcasting arrays, one box per element."""
 
     u0: float
     du: float
@@ -241,17 +209,28 @@ class Carrier:
     def area(self) -> float:
         return self.du * self.dy
 
+    @property
+    def _coefficients(self) -> tuple:
+        """(s0, s1, s2) of s(y) = s0 + s1*y + s2*y^2."""
+        a, b, p = self.shear
+        return a * p, b * p - a, -b
+
     def member(self, u, v) -> tuple:
         """The point (x, y) at unit offsets (u, v); broadcasts."""
-        s0, s1, s2 = self.shear
+        a, b, p = self.shear
         y = self.y0 + v * self.dy
-        return self.u0 + (s0 + s1 * y + s2 * y * y) + u * self.du, y
+        return self.u0 - (a + b * y) * (y - p) + u * self.du, y
+
+    def coords(self, x, y) -> tuple:
+        """Box coordinates (x - u0 - s(y), y - y0) of points (x, y), the
+        inverse of `member` up to the scale (du, dy); broadcasts."""
+        a, b, p = self.shear
+        return x - self.u0 + (a + b * y) * (y - p), y - self.y0
 
     def contains(self, x, y):
-        s0, s1, s2 = self.shear
-        u = x - (s0 + s1 * y + s2 * y * y)
-        return (self.u0 <= u) & (u < self.u0 + self.du) & \
-            (self.y0 <= y) & (y < self.y0 + self.dy)
+        """Half-open membership; elementwise on arrays."""
+        u, v = self.coords(x, y)
+        return (0.0 <= u) & (u < self.du) & (0.0 <= v) & (v < self.dy)
 
     def covers(self, other: "Carrier") -> bool:
         if self.shear != other.shear:
@@ -270,6 +249,15 @@ class Carrier:
             raise ValueError("fractional ranges must be nondegenerate within [0, 1]")
         return Carrier(self.u0 + a * self.du, (b - a) * self.du,
                        self.y0 + c * self.dy, (d - c) * self.dy, self.shear)
+
+
+def _pair_boxes(cx1, cy1, ct2, cy2, rho, delta) -> tuple:
+    """The small box, x = u - cy1*(y - cy1) with u in [cx1, cx1 + g) and y
+    in [cy1, cy1 + h), and the long box, x = u - y*(y - cy1) with u in
+    [ct2, ct2 + g) and y in [cy2, cy2 + rho), of canonical parameters
+    (scalars or broadcasting columns) at scales (rho, delta)."""
+    h, g = _steps(rho, delta)
+    return Carrier(cx1, g, cy1, h, (cy1, 0.0, cy1)), Carrier(ct2, g, cy2, rho, (0.0, 1.0, cy1))
 
 
 @dataclass(frozen=True)
@@ -307,7 +295,7 @@ class AdmissiblePair:
 
     @property
     def _cbase2(self) -> tuple:
-        return _long_member(self.ct2, self.cy1, self.cy2, self.rho, self.g, 0.0, 0.0)
+        return self.carrier(3 - self.pair_type).member(0.0, 0.0)  # the long box's base
 
     @property
     def base1(self) -> tuple:
@@ -329,10 +317,7 @@ class AdmissiblePair:
 
     def contains_many(self, x1, y1, x2, y2):
         """Membership of (z1, z2); vectorized over numpy inputs."""
-        if self.pair_type == 2:
-            x1, y1, x2, y2 = x2, y2, x1, y1
-        return _canonical_contains(self.cx1, self.cy1, self.ct2, self.cy2,
-                                   self.rho, self.delta, x1, y1, x2, y2)
+        return self.carrier(1).contains(x1, y1) & self.carrier(2).contains(x2, y2)
 
     def contains(self, z1, z2) -> bool:
         return bool(self.contains_many(z1[0], z1[1], z2[0], z2[1]))
@@ -340,22 +325,15 @@ class AdmissiblePair:
     def member_at(self, offsets) -> tuple:
         """Concrete member (z1, z2) from unit offsets (u1, v1, u2, v2)."""
         u1, v1, u2, v2 = offsets
-        h, g = _steps(self.rho, self.delta)
-        if self.pair_type == 2:
-            u1, v1, u2, v2 = u2, v2, u1, v1
-        small = _small_member(self.cx1, self.cy1, h, g, u1, v1)
-        long = _long_member(self.ct2, self.cy1, self.cy2, self.rho, g, u2, v2)
-        return (small, long) if self.pair_type == 1 else (long, small)
+        return self.carrier(1).member(u1, v1), self.carrier(2).member(u2, v2)
 
     def carrier(self, slot: int) -> Carrier:
         """The box holding z1 (slot 1) or z2 (slot 2)."""
         if slot not in (1, 2):
             raise ValueError("slot must be 1 or 2")
-        if (slot == 1) == (self.pair_type == 1):
-            # x = u - cy1*(y - cy1), u in [cx1, cx1+g)
-            return Carrier(self.cx1, self.g, self.cy1, self.h, (self.cy1 * self.cy1, -self.cy1, 0.0))
-        # x = u - y*(y - cy1), u in [ct2, ct2+g)
-        return Carrier(self.ct2, self.g, self.cy2, self.rho, (0.0, self.cy1, -1.0))
+        # the small box holds slot 1 of a type-1 pair and slot 2 of a type-2 pair
+        boxes = _pair_boxes(self.cx1, self.cy1, self.ct2, self.cy2, self.rho, self.delta)
+        return boxes[(slot == 1) != (self.pair_type == 1)]
 
     def to_json_dict(self) -> dict:
         return {
@@ -494,17 +472,20 @@ def audit_tau_bounds(pair: AdmissiblePair, n: int, seed) -> AuditReport:
 def _long_box_snap_range(y1_0: float, j2: int, rho: float, g: float) -> tuple:
     """Integer snap range for the long-box x-parameter over one strip.
 
-    The parameter is the floor-snap of x + y*(y - y1_0) with x in [-1, 1] and
-    y running over the strip interval; q(y) = y*(y - y1_0) is evaluated on
-    the interval endpoints and at its vertex.
+    The parameter is the floor-snap of the u-coordinate x + y*(y - y1_0) of
+    the long box with x-base 0, for x in [-1, 1] and y running over the
+    strip interval; it is evaluated on the interval endpoints and at the
+    shear's vertex.
     """
     ylo, yhi = j2 * rho, (j2 + 1) * rho
     cand = [ylo, yhi]
     vertex = y1_0 / 2.0
     if ylo < vertex < yhi:
         cand.append(vertex)
-    q = [y * (y - y1_0) for y in cand]
-    return math.floor((-1.0 + min(q)) / g), math.floor((1.0 + max(q)) / g)
+    box = Carrier(0.0, g, ylo, rho, (0.0, 1.0, y1_0))
+    lo = min(box.coords(-1.0, y)[0] for y in cand)
+    hi = max(box.coords(1.0, y)[0] for y in cand)
+    return math.floor(lo / g), math.floor(hi / g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -678,6 +659,18 @@ def _checked_columns(i, cy1, d, y2_0: float, rho: float, delta: float, C0: float
     return cols
 
 
+def _stream_rows(V1: Strip, V2: Strip, delta, C0, pair_type: int) -> tuple:
+    """(V1, V2, delta, C0, rows) of the type-1 stream behind pair_type's:
+    strips interchanged for type 2, scales checked, and its `_type1_rows`."""
+    delta, C0 = float(delta), float(C0)
+    _require_dyadic(delta=delta, C0=C0)
+    if pair_type not in (1, 2):
+        raise ValueError("pair_type must be 1 or 2")
+    if pair_type == 2:
+        V1, V2 = V2, V1
+    return V1, V2, delta, C0, _type1_rows(V1, V2, delta, C0)
+
+
 def pair_sample(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1,
                 max_pairs: int = 4096) -> PairTable:
     """Every stride-th admissible pair of the given type on V1 x V2 at scale
@@ -693,17 +686,11 @@ def pair_sample(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1,
     rows and max_pairs, not with total (1e8+ members are cheap).  Scales below
     2^-20 give an empty table; rho^2*delta > 4 is an error, and so is a
     stream of more than 2^63 - 1 pairs, the int64 maximum, as stream
-    positions are int64."""
-    delta, C0 = float(delta), float(C0)
-    _require_dyadic(delta=delta, C0=C0)
+    positions are int64 (`count_pairs` counts such streams)."""
     if max_pairs < 1:
         raise ValueError("max_pairs must be positive")
-    if pair_type not in (1, 2):
-        raise ValueError("pair_type must be 1 or 2")
-    if pair_type == 2:
-        V1, V2 = V2, V1
+    V1, V2, delta, C0, rows = _stream_rows(V1, V2, delta, C0, pair_type)
     rho = float(V1.rho)
-    rows = _type1_rows(V1, V2, delta, C0)
     total = sum(row[-1] for row in rows)
     if total > np.iinfo(np.int64).max:
         raise ValueError(f"the stream holds {total} pairs, more than int64 can count")
@@ -713,8 +700,9 @@ def pair_sample(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1,
 
 
 def count_pairs(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1) -> int:
-    """Exact size of the pair stream: the total of its one-row table."""
-    return pair_sample(V1, V2, delta, C0, pair_type, max_pairs=1).total
+    """Exact size of the pair stream `pair_sample` draws from, as a Python
+    int at any size: the sum of its rows' totals, no pair decoded."""
+    return sum(row[-1] for row in _stream_rows(V1, V2, delta, C0, pair_type)[-1])
 
 
 def _sample_pairs(rng, V1: Strip, V2: Strip, C0: float, delta: float, count: int,

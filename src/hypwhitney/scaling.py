@@ -106,7 +106,7 @@ class ReductionResult:
         if slot == 1:
             return Carrier(0.0, w, 0.0, w)
         if slot == 2:
-            return Carrier(self.scaled_a, w, self.scaled_b, 1.0, (0.0, 0.0, -self.family.cubic))
+            return Carrier(self.scaled_a, w, self.scaled_b, 1.0, (0.0, self.family.cubic, 0.0))
         raise ValueError("slot must be 1 or 2")
 
 
@@ -156,10 +156,6 @@ class PrototypeScene:
         return PhaseFamily.prototype(self.delta)
 
     @property
-    def bbar(self) -> float:
-        return self.b
-
-    @property
     def scaling_map(self) -> AffineMap2:
         return AffineMap2([[self.delta, 0.0], [0.0, 1.0]], [0.0, 0.0])
 
@@ -169,7 +165,7 @@ class PrototypeScene:
         if slot == 1:
             return Carrier(0.0, w, 0.0, self.c0 * self.delta)
         if slot == 2:
-            return Carrier(self.a, w, self.b, self.c0, (0.0, 0.0, -1.0))
+            return Carrier(self.a, w, self.b, self.c0, (0.0, 1.0, 0.0))
         raise ValueError("slot must be 1 or 2")
 
     def sample_scaled(self, n: int, seed) -> tuple:
@@ -309,13 +305,13 @@ def audit_hessian_entry(scene: PrototypeScene, n: int, seed) -> AuditReport:
     """Separation of the corner Hessian entry 2*ybar/delta between the sets.
 
     On U1^s the entry is below 2*c0; on U2^s its magnitude is of order
-    1/delta, at least (|bbar| - c0) * 2/delta.
+    1/delta, at least (|b| - c0) * 2/delta.
     """
     z1, z2 = scene.sample_scaled(n, seed)
     e1 = np.abs(2.0 * z1[1] / scene.delta)
     e2 = np.abs(2.0 * z2[1] / scene.delta)
     hi1 = 2.0 * scene.c0 + 1e-12
-    lo2 = (abs(scene.bbar) - scene.c0) * 2.0 / scene.delta - 1e-12
+    lo2 = (abs(scene.b) - scene.c0) * 2.0 / scene.delta - 1e-12
     passed = e1.max() < hi1 and e2.min() > lo2
     return AuditReport(
         name="hessian_entry",

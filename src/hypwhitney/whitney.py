@@ -10,7 +10,8 @@ This module materializes bounded snapshots of that family (decompose: one
 random samples.  One containment scan over point arrays (`_covering`) snaps
 each point onto the grids of the seven scales of that window, for both
 types, and checks each snapped candidate once; locate_pair, containing_pairs
-and the location, overlap and chi audits are views of it.  Scales lie in
+and the location, overlap and chi audits are views of it; snapping, wall
+tests and containment read `Carrier.coords` of the pairs' boxes.  Scales lie in
 [2^LOG2_DELTA_FLOOR, the coarsest scale rho^2 delta = 4], and an anchored
 discrepancy below DEGENERATE_TAU_TOL is degenerate: it has no candidate of
 its type (`_anchor_exponents` holds both rules).
@@ -31,18 +32,14 @@ from .geometry import (
     AdmissiblePair,
     Rejected,
     Strip,
-    _canonical_contains,
     _ceil_log2,
     _check_strips,
     _coarsest_exponent,
+    _conditions,
     _dyadic_label,
     _floor_log2,
-    _long_coords,
-    _long_member,
-    _conditions,
     _in_ranges,
-    _small_coords,
-    _small_member,
+    _pair_boxes,
     _steps,
     make_type1_pair,
     pair_sample,
@@ -86,11 +83,12 @@ def _class_index(delta: float) -> int:
 def _snap(zs, zl, rho, delta):
     """Grid parameters of the only type-1 pair at this scale that can
     contain (zs, zl): floor-snap y first, then the sheared x's (box
-    coordinates about the x-origin); elementwise."""
+    coordinates of the boxes with that y-base and x-base 0); elementwise."""
     h, g = _steps(rho, delta)
     cy1 = h * np.floor(zs[1] / h)
-    cx1 = g * np.floor(_small_coords(0.0, cy1, zs[0], zs[1])[0] / g)
-    ct2 = g * np.floor(_long_coords(0.0, cy1, 0.0, zl[0], zl[1])[0] / g)
+    small, long = _pair_boxes(0.0, cy1, 0.0, 0.0, rho, delta)
+    cx1 = g * np.floor(small.coords(*zs)[0] / g)
+    ct2 = g * np.floor(long.coords(*zl)[0] / g)
     return cx1, cy1, ct2, rho * np.floor(zl[1] / rho)
 
 
@@ -139,8 +137,9 @@ def _covering(z1, z2, V1: Strip, V2: Strip, C0: float) -> tuple:
         for delta, (r, i) in _by_scale(ks, ok):
             small, long = (zs[0][i], zs[1][i]), (zl[0][i], zl[1][i])
             cand = _snap(small, long, rho, delta)
+            boxes = _pair_boxes(*cand, rho, delta)
             ok[r, i] = np.logical_and.reduce((*_conditions(*cand, rho, delta, C0),
-                                              _canonical_contains(*cand, rho, delta, *small, *long)))
+                                              boxes[0].contains(*small), boxes[1].contains(*long)))
         scans.append((ks, ok))
     return tuple(scans)
 
@@ -298,11 +297,11 @@ def decompose(V1: Strip, V2: Strip, C0, delta_min, delta_max,
 def _near_wall(zs, zl, rho, delta):
     """Whether each point sits within 2^-40 of a snap-grid wall at this
     scale (normalized units); such samples are re-drawn before audits."""
-    h, g = _steps(rho, delta)
-    cx1, cy1, ct2, cy2 = _snap(zs, zl, rho, delta)
-    us, dys = _small_coords(cx1, cy1, zs[0], zs[1])
-    ul, dyl = _long_coords(ct2, cy1, cy2, zl[0], zl[1])
-    fracs = np.array([dys / h, dyl / rho, us / g, ul / g])
+    fracs = []
+    for box, z in zip(_pair_boxes(*_snap(zs, zl, rho, delta), rho, delta), (zs, zl)):
+        u, v = box.coords(*z)
+        fracs += [u / box.du, v / box.dy]
+    fracs = np.array(fracs)
     return (np.minimum(fracs, 1.0 - fracs) < BOUNDARY_TOL).any(axis=0)
 
 
@@ -344,11 +343,11 @@ def _containment_counts(arrays, rho, delta, xs, ys, xl, yl) -> np.ndarray:
 
     h is a power of two, so a pair whose small-box base lies on the y-grid,
     cy1 = r*h, can contain a sample only in the row r = floor(ys/h), and
-    then only if its column floor(cx1/g) is within -2..+1 of the sample's
-    sheared column floor((xs + cy1*(ys - cy1))/g), the margins covering
-    rounding and bases off the x-grid.  Those pairs are sorted by cell and
-    each sample is tested only against the pairs of its four cells; pairs
-    off the y-grid are tested against every sample.
+    then only if its column floor(cx1/g) is within -2..+1 of the column of
+    the sample's snapped small box (`_snap`), the margins covering rounding
+    and bases off the x-grid.  Those pairs are sorted by cell and each
+    sample is tested only against the pairs of its four cells; pairs off
+    the y-grid are tested against every sample.
     """
     cx1, cy1 = arrays[:2]
     h, g = _steps(rho, delta)
@@ -356,13 +355,14 @@ def _containment_counts(arrays, rho, delta, xs, ys, xl, yl) -> np.ndarray:
     on, width = rows * h == cy1, cols.max() - cols.min() + 4
     order = np.flatnonzero(on)[np.argsort((rows * width + cols)[on], kind="stable")]
     keys = (rows * width + cols)[order]
-    r = np.floor(ys / h)
-    key = r.astype(np.int64) * width + np.floor((xs + r * h * (ys - r * h)) / g).astype(np.int64)
+    sx, sy = _snap((xs, ys), (xl, yl), rho, delta)[:2]
+    key = np.floor(sy / h).astype(np.int64) * width + np.floor(sx / g).astype(np.int64)
     i, pos = _in_ranges(np.searchsorted(keys, key - 2), np.searchsorted(keys, key + 1, side="right"))
     off = np.flatnonzero(~on)
     i = np.append(i, np.repeat(np.arange(xs.size), off.size))
     p = np.append(order[pos], np.tile(off, xs.size))
-    hit = _canonical_contains(*(v[p] for v in arrays), rho, delta, xs[i], ys[i], xl[i], yl[i])
+    small, long = _pair_boxes(*(v[p] for v in arrays), rho, delta)
+    hit = small.contains(xs[i], ys[i]) & long.contains(xl[i], yl[i])
     return np.bincount(i[hit], minlength=xs.size)
 
 
@@ -387,8 +387,7 @@ def audit_disjoint(decomp: WhitneyDecomposition, n: int, seed) -> AuditReport:
             if not table:
                 continue
             arrays = (table.cx1, table.cy1, table.ct2, table.cy2)
-            cx1, cy1, ct2, cy2 = arrays
-            h, g = _steps(rho, delta)
+            g = _steps(rho, delta)[1]
             # canonical small slot lives in V1 for type 1 lists, V2 for type 2
             Vs, Vl = (decomp.V1, decomp.V2) if slot == 0 else (decomp.V2, decomp.V1)
             nu, nm = n // 2, n - n // 2
@@ -399,9 +398,8 @@ def audit_disjoint(decomp: WhitneyDecomposition, n: int, seed) -> AuditReport:
             us[3, :nu] = Vl.interval.left + rng.random(nu) * rho
             idx = np.arange(nm) % len(table)
             offs = rng.random((4, nm)) * OPEN_SCALE
-            us[0, nu:], us[1, nu:] = _small_member(cx1[idx], cy1[idx], h, g, offs[0], offs[1])
-            us[2, nu:], us[3, nu:] = _long_member(ct2[idx], cy1[idx], cy2[idx], rho, g,
-                                                  offs[2], offs[3])
+            small, long = _pair_boxes(*(v[idx] for v in arrays), rho, delta)
+            us[:2, nu:], us[2:, nu:] = small.member(*offs[:2]), long.member(*offs[2:])
             counts = _containment_counts(arrays, rho, delta, *us)
             tested += counts.size
             inside += int((counts > 0).sum())

@@ -131,6 +131,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_json_dict(data)
 
+    @pytest.mark.parametrize("data, rho", [
+        ({"C0": 64}, 0.0625),  # strips at |y| ~ 1.5, outside Q
+        ({"C0": 4}, 0.0625),  # strips too close for member separation C0*rho/2
+        ({"straight_rho": 0.25}, 0.25),
+        ({"rho_grid": [0.0625, 0.125]}, 0.125),
+    ])
+    def test_strips_must_be_separated_and_in_q(self, data, rho):
+        with pytest.raises(ValueError, match=rf"C0={data.get('C0', 32.0)} and rho={rho}: "):
+            ExperimentConfig.from_json_dict(data)
+
+    def test_coupled_configs_valid(self):
+        # rhos with C0*rho <= 2 at C0 = 32, and the smallest C0 whose strips separate at
+        # the largest rho that keeps them in Q
+        ExperimentConfig(rho_grid=(2.0**-4, 2.0**-5, 2.0**-8), straight_rho=2.0**-4)
+        ExperimentConfig(C0=8.0, rho_grid=(0.25,))
+        small_config()
+
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": 9, "samples": 5}))

@@ -1,5 +1,6 @@
 """Quadrature oracles, norm plumbing, and sumset audits."""
 
+import dataclasses
 import json
 import math
 
@@ -27,9 +28,7 @@ from hypwhitney.geometry import (
     DyadicInterval,
     Strip,
     _check_strips,
-    _long_member,
     _sample_pairs,
-    _small_member,
     make_type1_pair,
 )
 from hypwhitney.reports import AuditReport
@@ -550,7 +549,9 @@ def loop_sumset_cubes(V1, V2, C0, delta, n, seed, side_factor=4.0, members_per_t
         k0 = int(round(pair.cy2 / slab))
         k = k0 + int(rng.integers(slabs_per_box))
         y2k = k * slab
-        z2k = _long_member(pair.ct2, pair.cy1, y2k, slab, pair.g, 0.0, 0.0)
+        # the tuple's slab of the long box, a box of its own
+        slab_box = dataclasses.replace(pair.carrier(2), y0=y2k, dy=slab)
+        z2k = slab_box.member(0.0, 0.0)
         base_z = float(phase_eval(BASE, (pair.cx1, pair.cy1)) + phase_eval(BASE, z2k))
         center = ((pair.cx1 + z2k[0]) / rho**2, (pair.cy1 + y2k) / rho, base_z / rho**3)
         key = (pair.cx1, pair.cy1, pair.ct2, k)
@@ -562,8 +563,8 @@ def loop_sumset_cubes(V1, V2, C0, delta, n, seed, side_factor=4.0, members_per_t
         if take <= 0:
             break
         offs = rng.random((4, take)) * OPEN_SCALE
-        x1, y1 = _small_member(pair.cx1, pair.cy1, pair.h, pair.g, offs[0], offs[1])
-        x2, y2 = _long_member(pair.ct2, pair.cy1, y2k, slab, pair.g, offs[2], offs[3])
+        x1, y1 = pair.carrier(1).member(offs[0], offs[1])
+        x2, y2 = slab_box.member(offs[2], offs[3])
         w = np.stack([(x1 + x2) / rho**2, (y1 + y2) / rho,
                       (phase_eval(BASE, (x1, y1)) + phase_eval(BASE, (x2, y2))) / rho**3], axis=1)
         off = np.abs(w - center).max(axis=1)

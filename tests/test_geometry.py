@@ -25,9 +25,8 @@ from hypwhitney.geometry import (
     separated_strip_pair,
     _checked_columns,
     _decode,
-    _long_coords,
+    _pair_boxes,
     _pairs_before,
-    _small_coords,
     _type1_rows,
 )
 from hypwhitney.surface import tau
@@ -191,18 +190,42 @@ class TestMemberMap:
             for pair in pair_sample(V1, V2, 2.0**k, C0, pair_type=pair_type, max_pairs=8):
                 offs = rng.random((4, 64)) * OPEN_SCALE
                 z1, z2 = pair.member_at(offs)
-                # canonical slots: small box at offsets (u1, v1) for type 1
-                small, long = (z1, z2) if pair_type == 1 else (z2, z1)
-                o_small, o_long = (offs[:2], offs[2:]) if pair_type == 1 else (offs[2:], offs[:2])
-                us, dys = _small_coords(pair.cx1, pair.cy1, *small)
-                ul, dyl = _long_coords(pair.ct2, pair.cy1, pair.cy2, *long)
-                assert np.abs(us / pair.g - o_small[0]).max() <= 1e-9
-                assert np.abs(dys / pair.h - o_small[1]).max() <= 1e-9
-                assert np.abs(ul / pair.g - o_long[0]).max() <= 1e-9
-                assert np.abs(dyl / pair.rho - o_long[1]).max() <= 1e-9
+                for slot, z, (u, v) in ((1, z1, offs[:2]), (2, z2, offs[2:])):
+                    car = pair.carrier(slot)
+                    # slot 1 is the small box of a type-1 pair, the long box of a type-2 pair
+                    assert car.dy == (pair.h if (slot == 1) == (pair_type == 1) else pair.rho)
+                    du, dv = car.coords(*z)
+                    assert np.abs(du / car.du - u).max() <= 1e-9
+                    assert np.abs(dv / car.dy - v).max() <= 1e-9
                 assert pair.contains_many(*z1, *z2).all()
                 checked += 1
         assert checked >= 40
+
+
+class TestBroadcastCarriers:
+    """`_pair_boxes` on a table's columns against each row view's carriers."""
+
+    @pytest.mark.parametrize("pair_type", [1, 2])
+    @pytest.mark.parametrize("delta", [2.0**-8, 2.0])
+    def test_columns_equal_row_views(self, pair_type, delta):
+        # the whitney-scan strips, at its finest scale and at a coarse one
+        V1, V2 = separated_strip_pair(-12, 12, RHO, C0)
+        table = pair_sample(V1, V2, delta, C0, pair_type=pair_type, max_pairs=64)
+        assert len(table) == 64
+        small, long = _pair_boxes(table.cx1, table.cy1, table.ct2, table.cy2, RHO, delta)
+        # slot 1 holds the small box of a type-1 pair, the long box of a type-2 pair
+        by_slot = (small, long) if pair_type == 1 else (long, small)
+        rng = np.random.default_rng(22)
+        u, v = rng.random((2, len(table))) * OPEN_SCALE
+        u[:8] = v[:8] = 0.0
+        points = rng.uniform(-1.0, 1.0, (2, len(table)))
+        for slot, boxes in zip((1, 2), by_slot):
+            members, coords = boxes.member(u, v), boxes.coords(*points)
+            for k, pair in enumerate(table):
+                car = pair.carrier(slot)
+                assert car.member(u[k], v[k]) == (members[0][k], members[1][k])
+                assert car.coords(points[0][k], points[1][k]) == (coords[0][k], coords[1][k])
+                assert car.covers(car) and car.covers(car.subbox((0.25, 0.5), (0.5, 1.0)))
 
 
 class TestSerialization:
@@ -603,6 +626,18 @@ class TestEnumerate:
             pair_sample(V1, V2, 2.0**-12, 1024.0)
         table = pair_sample(V1, V2, 2.0**-11, 1024.0)
         assert table.total == 7572383653342740480 and len(table) == 4096
+
+    def test_count_beyond_int64_is_exact(self):
+        # the type-1 rows' totals summed as Python ints; nothing is decoded
+        V1, V2 = separated_strip_pair(-384, 384, 2.0**-9, 1024.0)
+        assert count_pairs(V1, V2, 2.0**-12, 1024.0) == 30_289_528_428_594_462_720
+        assert count_pairs(V1, V2, 2.0**-11, 1024.0) == 7572383653342740480
+        with pytest.raises(ValueError, match="more than int64"):
+            pair_sample(V1, V2, 2.0**-12, 1024.0)
+        with pytest.raises(ValueError):
+            count_pairs(V1, V2, 2.0**-12, 1024.0, pair_type=3)
+        with pytest.raises(ValueError):
+            count_pairs(V1, V2, 0.3, 1024.0)
 
     def test_count_matches_stream(self):
         V1, V2, delta, c0 = self.small_config()

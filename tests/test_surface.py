@@ -133,7 +133,7 @@ def test_dyadic_scales_match_divisor_formulas(kind, k):
     for a, b in zip(got, divisor_tv_values(m, x, y, x2, y2)):
         assert np.array_equal(a, b)
     for car in (Carrier(0.0, 0.5, -0.25, 1.0),
-                Carrier(0.125, 2.0**-10, 1.0, 2.0**-5, (0.0, 0.0, -1.0))):
+                Carrier(0.125, 2.0**-10, 1.0, 2.0**-5, (0.0, 1.0, 0.0))):
         y_n, _, sy, hy, _ = _y_nodes(TestFunction(car), fam, (64.0, 64.0, 64.0),
                                      QuadratureSpec())
         assert np.array_equal(hy, sy * y_n + y_n**3 / (3.0 * m))

@@ -15,10 +15,8 @@ from hypwhitney.geometry import (
     AdmissiblePair,
     DyadicInterval,
     Strip,
-    _canonical_contains,
-    _long_member,
+    _pair_boxes,
     _sample_pairs,
-    _small_member,
     _steps,
     _type1_rows,
     make_type1_pair,
@@ -433,7 +431,7 @@ class TestContainmentScan:
             # rows reaching past x = +-1 cover no point outside the strip product
             for t in tables if V1.contains(z1) and V2.contains(z2) else []:
                 zs, zl = (z1, z2) if t.pair_type == 1 else (z2, z1)
-                hits = _canonical_contains(t.cx1, t.cy1, t.ct2, t.cy2, RHO, t.delta, *zs, *zl)
+                hits = box_hits((t.cx1, t.cy1, t.ct2, t.cy2), RHO, t.delta, *zs, *zl)
                 want[t.pair_type - 1].extend(t[int(k)] for k in np.flatnonzero(hits))
             got = tuple([p for p in grp if p.delta in d.scales]
                         for grp in containing_pairs(z1, z2, V1, V2, C0))
@@ -556,12 +554,19 @@ class TestContainmentScan:
         assert calls == []
 
 
+def box_hits(arrays, rho, delta, xs, ys, xl, yl):
+    """Whether the small and long boxes of the canonical columns contain the
+    canonical samples (xs, ys) and (xl, yl); broadcasts."""
+    small, long = _pair_boxes(*arrays, rho, delta)
+    return small.contains(xs, ys) & long.contains(xl, yl)
+
+
 def dense_containment_counts(arrays, rho, delta, xs, ys, xl, yl):
     """Every sample against every pair: the oracle of `_containment_counts`."""
     counts = np.zeros(xs.size, dtype=np.int64)
     for lo in range(0, arrays[0].size, 1024):
-        chunk = (v[lo:lo + 1024, None] for v in arrays)
-        counts += _canonical_contains(*chunk, rho, delta, xs, ys, xl, yl).sum(axis=0)
+        chunk = tuple(v[lo:lo + 1024, None] for v in arrays)
+        counts += box_hits(chunk, rho, delta, xs, ys, xl, yl).sum(axis=0)
     return counts
 
 
@@ -574,12 +579,13 @@ def edge_samples(table, V1, V2, rng, n_members=1500, n_uniform=500):
     rows at edge offsets with every coordinate nudged by -2..2 ulps, then
     uniform points of the canonical strip product widened by g in x."""
     rho, delta = table.rho, table.delta
-    h, g = _steps(rho, delta)
+    g = _steps(rho, delta)[1]
     Vs, Vl = (V1, V2) if table.pair_type == 1 else (V2, V1)
     k = rng.integers(len(table), size=n_members)
     u1, v1, u2, v2 = rng.choice(EDGE_OFFSETS, size=(4, n_members))
-    members = np.array([*_small_member(table.cx1[k], table.cy1[k], h, g, u1, v1),
-                        *_long_member(table.ct2[k], table.cy1[k], table.cy2[k], rho, g, u2, v2)])
+    small, long = _pair_boxes(*(c[k] for c in (table.cx1, table.cy1, table.ct2, table.cy2)),
+                              rho, delta)
+    members = np.array([*small.member(u1, v1), *long.member(u2, v2)])
     members += rng.integers(-2, 3, size=members.shape) * np.abs(np.spacing(members))
     uniform = np.array([rng.uniform(-1.0 - g, 1.0 + g, n_uniform),
                         Vs.interval.left + rng.random(n_uniform) * rho,
@@ -651,22 +657,21 @@ class TestBucketedContainment:
         rng = np.random.default_rng(53)
         left = 0
         for table in table_pair:
-            rho, (h, g) = table.rho, _steps(table.rho, 1.0)
+            rho, g = table.rho, _steps(table.rho, 1.0)[1]
             cx1 = np.where(np.arange(len(table)) % 2, np.nextafter(table.cx1 + g, -np.inf), table.cx1)
             arrays = (cx1, table.cy1, table.ct2, table.cy2)
             k = rng.integers(len(table), size=50000)
-            cy1 = table.cy1[k]
-            ys = cy1 + rng.random(k.size) * h
-            xs = cx1[k] + rng.integers(0, 2, k.size) * g - cy1 * (ys - cy1)
+            small, long = _pair_boxes(*(a[k] for a in arrays), rho, 1.0)
+            v = rng.random(k.size)
+            xs, ys = small.member(rng.integers(0, 2, k.size), v)
             xs += rng.integers(-3, 4, k.size) * np.spacing(np.abs(xs))
-            xl, yl = _long_member(table.ct2[k], cy1, table.cy2[k], rho, g,
-                                  *rng.random((2, k.size)) * OPEN_SCALE)
+            xl, yl = long.member(*rng.random((2, k.size)) * OPEN_SCALE)
             want = dense_containment_counts(arrays, rho, 1.0, xs, ys, xl, yl)
             assert np.array_equal(_containment_counts(arrays, rho, 1.0, xs, ys, xl, yl), want)
-            # samples in their own box whose sheared column lies left of the box's
-            inside = _canonical_contains(*(a[k] for a in arrays), rho, 1.0, xs, ys, xl, yl)
-            r = np.floor(ys / h) * h
-            left += (inside & (np.floor((xs + r * (ys - r)) / g) < np.floor(cx1[k] / g))).sum()
+            # samples in their own box whose snapped column lies left of the box's
+            inside = small.contains(xs, ys) & long.contains(xl, yl)
+            column = whitney._snap((xs, ys), (xl, yl), rho, 1.0)[0]
+            left += (inside & (np.floor(column / g) < np.floor(small.u0 / g))).sum()
         assert left > 0
 
 
