@@ -194,9 +194,9 @@ class TestMemberMap:
                     car = pair.carrier(slot)
                     # slot 1 is the small box of a type-1 pair, the long box of a type-2 pair
                     assert car.dy == (pair.h if (slot == 1) == (pair_type == 1) else pair.rho)
-                    du, dv = car.coords(*z)
-                    assert np.abs(du / car.du - u).max() <= 1e-9
-                    assert np.abs(dv / car.dy - v).max() <= 1e-9
+                    cu, cv = car.coords(*z)
+                    assert np.abs(cu / car.du - u).max() <= 1e-9
+                    assert np.abs(cv / car.dy - v).max() <= 1e-9
                 assert pair.contains_many(*z1, *z2).all()
                 checked += 1
         assert checked >= 40
