@@ -25,7 +25,6 @@ from .extension import (
     SUMSET_CUBES_DELTA_MAX,
     SUMSET_X_DELTA_MAX,
     QuadratureSpec,
-    TestFunction,
     _positive,
     audit_sumset_x,
     bilinear_field,
@@ -469,8 +468,7 @@ def run_scaling_law(config: ExperimentConfig, regime: str = "prototype") -> dict
         work = []
         for delta in grid:
             scene = prototype(delta, config.c0, delta, 1.0)
-            f, g = TestFunction(scene.carrier(1)), TestFunction(scene.carrier(2))
-            work.append((delta, 1.0, scene, f, g, scene.family, quad))
+            work.append((delta, 1.0, scene, scene.family, quad))
     elif regime == "straight":
         grid = config.straight_delta_grid
         if len(grid) < 2:
@@ -480,19 +478,16 @@ def run_scaling_law(config: ExperimentConfig, regime: str = "prototype") -> dict
         theory = 2.0 * (1.0 - 1.0 / p - 1.0 / q)
         R = config.straight_truncation
         quad = dataclasses.replace(config.quad, truncation=(R, R, R))
-        work = []
-        for delta in grid:
-            pair = _matched_straight_pair(config, delta)
-            f, g = TestFunction(pair.carrier(1)), TestFunction(pair.carrier(2))
-            work.append((delta, config.straight_rho, pair, f, g, BASE, quad))
+        work = [(delta, config.straight_rho, _matched_straight_pair(config, delta), BASE, quad)
+                for delta in grid]
     else:
         raise ValueError(f"unknown regime {regime!r}")
 
     def one(job):
-        delta, rho, carrier_owner, f, g, family, quad_ = job
-        field = bilinear_field(carrier_owner, f, g, family, quad_)
-        est = lp_norm(field, p)
-        ratio = est.value / (f.norm(q) * g.norm(q))
+        delta, rho, owner, family, quad_ = job
+        est = lp_norm(bilinear_field(owner, family, quad_), p)
+        area1, area2 = owner.carrier(1).area, owner.carrier(2).area
+        ratio = est.value / (area1 ** (1.0 / q) * area2 ** (1.0 / q))  # the indicators' q-norms
         return {
             "delta": delta,
             "rho": rho,

@@ -1,15 +1,18 @@
 """Numerical Fourier extension over box carriers, truncated Lp norms of
 bilinear products, and the sumset / almost-orthogonality audits.
 
-The extension of f over a carrier U is int_U f(z) exp(-i(xi1*x + xi2*y +
-xi3*phi(z))) dz.  Every carrier is a sheared box (`geometry.Carrier`): in coordinates
-(u, y) with x = u + s(y) for a quadratic shear s, the carrier is an axis
-rectangle and the Jacobian is 1.  The quadrature reads s through its
-expanded coefficients (`Carrier._coefficients`), and the sumset audits
-draw their members from the pairs' boxes (`geometry._pair_boxes`).  For the
-indicator-type test functions the u-integral against a pure exponential has
-a closed form, so quadrature is only needed along y: Gauss-Legendre panels
-sized so the phase varies by at most pi/2 per panel.
+The test functions are the indicators of the boxes of a transversal pair,
+so the kernels take the box itself: the extension over a carrier U is
+int_U exp(-i(xi1*x + xi2*y + xi3*phi(z))) dz, and `bilinear_field` takes the
+pair and multiplies the extensions of its two boxes.  Every carrier is a
+sheared box (`geometry.Carrier`): in coordinates (u, y) with x = u + s(y)
+for a quadratic shear s, the carrier is an axis rectangle and the Jacobian
+is 1.  The quadrature reads s through its expanded coefficients
+(`Carrier._coefficients`), and the sumset audits draw their members from
+the pairs' boxes (`geometry._pair_boxes`).  The u-integral of an indicator
+against a pure exponential has a closed form, so quadrature is only needed
+along y: Gauss-Legendre panels sized so the phase varies by at most pi/2
+per panel.
 
 On the tensor frequency grid of `extend_grid`, xi2 enters the integrand only
 through exp(-i xi2 y), so one complex matrix product with w(y) exp(-i xi2 y)
@@ -43,7 +46,6 @@ from .reports import AuditReport
 from .surface import BASE, PhaseFamily, phase_eval
 
 __all__ = [
-    "TestFunction",
     "QuadratureSpec",
     "NormEstimate",
     "FrequencyField",
@@ -60,26 +62,6 @@ __all__ = [
 
 class UnresolvedOscillation(RuntimeError):
     """The phase oscillates faster than the panel budget can resolve."""
-
-
-# ---------------------------------------------------------------------------
-# Test functions
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """amplitude * exp(i lam.z) * indicator(carrier); closed-form norms."""
-
-    __test__ = False  # not a pytest item despite the name
-
-    carrier: Carrier
-    modulation: tuple = (0.0, 0.0)
-    amplitude: complex = 1.0
-
-    def norm(self, q: float) -> float:
-        if q < 1:
-            raise ValueError("norm exponent must be >= 1")
-        return abs(self.amplitude) * self.carrier.area ** (1.0 / q)
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +118,8 @@ def _leggauss(n: int):
 GRID_BLOCK = 2**16
 
 
-def _y_panels(f: TestFunction, family: PhaseFamily, xi_max, quad: QuadratureSpec) -> int:
+def _y_panels(car: Carrier, family: PhaseFamily, xi_max, quad: QuadratureSpec) -> int:
     """Panels needed so the phase varies <= max_panel_phase per panel."""
-    car = f.carrier
     s0, s1, s2 = car._coefficients
     ys = (car.y0, car.y0 + car.dy)
     # d/dy of the y-only phase block: xi1*s'(y) + xi2 + xi3*(q(y) + u_mid),
@@ -162,12 +143,11 @@ def _y_panels(f: TestFunction, family: PhaseFamily, xi_max, quad: QuadratureSpec
     return panels
 
 
-def _y_nodes(f: TestFunction, family: PhaseFamily, xi_max, quad: QuadratureSpec):
+def _y_nodes(car: Carrier, family: PhaseFamily, xi_max, quad: QuadratureSpec):
     """Gauss-Legendre y-nodes y and weights w on the panels `_y_panels` sets
     at the frequency bound xi_max, with the shear s(y), the y-only phase
     h(y) = s(y) y + c y^3/3 and the u-midpoint of the carrier."""
-    car = f.carrier
-    panels = _y_panels(f, family, xi_max, quad)
+    panels = _y_panels(car, family, xi_max, quad)
     base, wts = _leggauss(quad.nodes_per_panel)
     width = car.dy / panels
     starts = car.y0 + width * np.arange(panels)
@@ -179,8 +159,9 @@ def _y_nodes(f: TestFunction, family: PhaseFamily, xi_max, quad: QuadratureSpec)
     return y, w, sy, hy, car.u0 + car.du / 2.0
 
 
-def extend_points(f: TestFunction, family: PhaseFamily, xis, quad: QuadratureSpec = QuadratureSpec()):
-    """Extension of f at each row of xis (n, 3); complex array of length n.
+def extend_points(car: Carrier, family: PhaseFamily, xis, quad: QuadratureSpec = QuadratureSpec()):
+    """Extension of the indicator of car at each row of xis (n, 3); complex
+    array of length n.
 
     The u-integral of the indicator against exp(-i u (xi1 + xi3 y)) is exact;
     Gauss-Legendre panels discretize y only, with the panel count set by the
@@ -192,14 +173,10 @@ def extend_points(f: TestFunction, family: PhaseFamily, xis, quad: QuadratureSpe
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     if xis.shape[1] != 3:
         raise ValueError("frequencies must be 3-vectors")
-    car = f.carrier
-    lam1, lam2 = f.modulation
-    k1 = xis[:, 0] - lam1
-    k2 = xis[:, 1] - lam2
-    k3 = xis[:, 2]
+    k1, k2, k3 = xis.T
     xi_max = (np.abs(k1).max(initial=0.0), np.abs(k2).max(initial=0.0),
               np.abs(k3).max(initial=0.0))
-    y, w, sy, hy, u_mid = _y_nodes(f, family, xi_max, quad)
+    y, w, sy, hy, u_mid = _y_nodes(car, family, xi_max, quad)
 
     out = np.empty(len(xis), dtype=complex)
     chunk = max(1, GRID_BLOCK // y.size)
@@ -211,7 +188,7 @@ def extend_points(f: TestFunction, family: PhaseFamily, xis, quad: QuadratureSpe
         phase = a1 * sy[None, :] + a2 * y[None, :] + a3 * hy[None, :] + om * u_mid
         vals = np.exp(-1j * phase) * np.sinc(om * (car.du / (2.0 * math.pi)))
         out[lo:lo + chunk] = vals @ w
-    return f.amplitude * car.du * out
+    return car.du * out
 
 
 # ---------------------------------------------------------------------------
@@ -242,26 +219,21 @@ def _grid_axes(quad: QuadratureSpec) -> tuple:
     return tuple(axes)
 
 
-def extend_grid(f: TestFunction, family: PhaseFamily, quad: QuadratureSpec = QuadratureSpec()) -> FrequencyField:
-    """Extension of f on the midpoint grid of quad, separably in xi2 (see
-    the module docstring).  With om = k1 + k3 y the phase splits as
-    k1 (s(y) + u_mid) + k3 (h(y) + y u_mid), so its exponential is the
-    product of an (n1, ny) and an (n3, ny) table: n1*ny + n3*ny complex
-    exponentials and n1*n3*ny sines per field.  Blocks of at most
-    GRID_BLOCK (xi1, xi3, y) elements, or one (xi1, xi3) pair where ny is
-    larger, multiply the tables and the sinc, and one complex matrix product
-    per block sums over y for every xi2.  With k = xi - modulation, the
-    panel count, nodes and weights are those `extend_points` uses on the
-    same grid points.
+def extend_grid(car: Carrier, family: PhaseFamily, quad: QuadratureSpec = QuadratureSpec()) -> FrequencyField:
+    """Extension of the indicator of car on the midpoint grid (k1, k2, k3)
+    of quad, separably in xi2 (see the module docstring).  With
+    om = k1 + k3 y the phase splits as k1 (s(y) + u_mid) + k3 (h(y) + y u_mid),
+    so its exponential is the product of an (n1, ny) and an (n3, ny) table:
+    n1*ny + n3*ny complex exponentials and n1*n3*ny sines per field.  Blocks
+    of at most GRID_BLOCK (xi1, xi3, y) elements, or one (xi1, xi3) pair
+    where ny is larger, multiply the tables and the sinc, and one complex
+    matrix product per block sums over y for every xi2.  The panel count,
+    nodes and weights are those `extend_points` uses on the same grid
+    points.
     """
-    axes = _grid_axes(quad)
-    car = f.carrier
-    lam1, lam2 = f.modulation
-    k1 = axes[0] - lam1
-    k2 = axes[1] - lam2
-    k3 = axes[2]
+    k1, k2, k3 = axes = _grid_axes(quad)
     xi_max = (np.abs(k1).max(), np.abs(k2).max(), np.abs(k3).max())
-    y, w, sy, hy, u_mid = _y_nodes(f, family, xi_max, quad)
+    y, w, sy, hy, u_mid = _y_nodes(car, family, xi_max, quad)
 
     xi2_factor = w[:, None] * np.exp(-1j * (y[:, None] * k2[None, :]))
     e1 = np.exp(-1j * (k1[:, None] * (sy + u_mid)[None, :]))
@@ -283,7 +255,7 @@ def extend_grid(f: TestFunction, family: PhaseFamily, quad: QuadratureSpec = Qua
             block *= sinc
             out = (block.reshape(-1, y.size) @ xi2_factor).reshape(-1, block.shape[1], n2)
             vals[lo:lo + rows, :, c0:c0 + cols] = out.transpose(0, 2, 1)
-    return FrequencyField(axes, f.amplitude * car.du * vals, quad.truncation)
+    return FrequencyField(axes, car.du * vals, quad.truncation)
 
 
 def lp_norm(field: FrequencyField, p: float) -> NormEstimate:
@@ -305,19 +277,12 @@ def lp_norm(field: FrequencyField, p: float) -> NormEstimate:
     return NormEstimate(value=fine, refinement_delta=delta)
 
 
-def bilinear_field(pair, f: TestFunction, g: TestFunction, family: PhaseFamily,
-                   quad: QuadratureSpec = QuadratureSpec()) -> FrequencyField:
-    """Pointwise product extend_grid(f) * extend_grid(g) on the frequency grid.
-
-    pair may be an admissible pair or a prototype scene; f must be carried
-    on its first box and g on its second.
-    """
-    if not pair.carrier(1).covers(f.carrier):
-        raise ValueError("f is not carried on the first box of the pair")
-    if not pair.carrier(2).covers(g.carrier):
-        raise ValueError("g is not carried on the second box of the pair")
-    ef = extend_grid(f, family, quad)
-    eg = extend_grid(g, family, quad)
+def bilinear_field(pair, family: PhaseFamily, quad: QuadratureSpec = QuadratureSpec()) -> FrequencyField:
+    """Pointwise product of the grid extensions of the indicators of the
+    pair's two boxes, `pair.carrier(1)` and `pair.carrier(2)`; pair may be
+    an admissible pair or a prototype scene."""
+    ef = extend_grid(pair.carrier(1), family, quad)
+    eg = extend_grid(pair.carrier(2), family, quad)
     return FrequencyField(ef.axes, ef.values * eg.values, ef.truncation)
 
 

@@ -7,8 +7,10 @@ U2, constrained so that both endpoint transversality values have a fixed
 dyadic size.
 
 Every box is a `Carrier` with a factored shear; its `member` map and the
-inverse `coords` are the package's only ones.  `_pair_boxes` builds a pair's
-small and long boxes from its parameters or from whole `PairTable` columns.
+inverse `coords` are the package's only ones.  `contains` compares x with
+the left wall that `member` computes, so every member lies in its own box.
+`_pair_boxes` builds a pair's small and long boxes from its parameters or
+from whole `PairTable` columns.
 
 All membership predicates are half-open and evaluated with exact double
 comparisons; every grid quantity here is a power of two, so snapping and
@@ -215,11 +217,16 @@ class Carrier:
         a, b, p = self.shear
         return a * p, b * p - a, -b
 
+    def _left(self, y):
+        """The left wall u0 + s(y) at heights y, as `member` and `contains`
+        both evaluate it."""
+        a, b, p = self.shear
+        return self.u0 - (a + b * y) * (y - p)
+
     def member(self, u, v) -> tuple:
         """The point (x, y) at unit offsets (u, v); broadcasts."""
-        a, b, p = self.shear
         y = self.y0 + v * self.dy
-        return self.u0 - (a + b * y) * (y - p) + u * self.du, y
+        return self._left(y) + u * self.du, y
 
     def coords(self, x, y) -> tuple:
         """Box coordinates (x - u0 - s(y), y - y0) of points (x, y), the
@@ -228,18 +235,13 @@ class Carrier:
         return x - self.u0 + (a + b * y) * (y - p), y - self.y0
 
     def contains(self, x, y):
-        """Half-open membership; elementwise on arrays."""
-        u, v = self.coords(x, y)
-        return (0.0 <= u) & (u < self.du) & (0.0 <= v) & (v < self.dy)
-
-    def covers(self, other: "Carrier") -> bool:
-        if self.shear != other.shear:
-            return False
-        eps = 1e-12 * max(1.0, abs(self.u0), abs(self.y0))
-        return (self.u0 - eps <= other.u0
-                and other.u0 + other.du <= self.u0 + self.du + eps
-                and self.y0 - eps <= other.y0
-                and other.y0 + other.dy <= self.y0 + self.dy + eps)
+        """Half-open membership at the walls of the member map:
+        left <= x < left + du for left = `_left(y)`, and 0 <= y - y0 < dy.
+        `coords` rounds x - left differently and could put a member at
+        offset 0 one ulp outside its own box; elementwise on arrays."""
+        left = self._left(y)
+        v = y - self.y0
+        return (left <= x) & (x < left + self.du) & (0.0 <= v) & (v < self.dy)
 
     def subbox(self, u_range: tuple, y_range: tuple) -> "Carrier":
         """Sub-carrier from fractional offsets (each in [0, 1])."""
@@ -280,16 +282,6 @@ class AdmissiblePair:
     cy2: float
 
     @property
-    def h(self) -> float:
-        """y-width of the small parallelogram."""
-        return _steps(self.rho, self.delta)[0]
-
-    @property
-    def g(self) -> float:
-        """x-width of both boxes (and the snap grid step)."""
-        return _steps(self.rho, self.delta)[1]
-
-    @property
     def _cbase1(self) -> tuple:
         return (self.cx1, self.cy1)
 
@@ -314,13 +306,6 @@ class AdmissiblePair:
     def swapped(self) -> "AdmissiblePair":
         """The same pair viewed from the other type (slots interchanged)."""
         return replace(self, pair_type=3 - self.pair_type)
-
-    def contains_many(self, x1, y1, x2, y2):
-        """Membership of (z1, z2); vectorized over numpy inputs."""
-        return self.carrier(1).contains(x1, y1) & self.carrier(2).contains(x2, y2)
-
-    def contains(self, z1, z2) -> bool:
-        return bool(self.contains_many(z1[0], z1[1], z2[0], z2[1]))
 
     def member_at(self, offsets) -> tuple:
         """Concrete member (z1, z2) from unit offsets (u1, v1, u2, v2)."""

@@ -10,8 +10,9 @@ This module materializes bounded snapshots of that family (decompose: one
 random samples.  One containment scan over point arrays (`_covering`) snaps
 each point onto the grids of the seven scales of that window, for both
 types, and checks each snapped candidate once; locate_pair, containing_pairs
-and the location, overlap and chi audits are views of it; snapping, wall
-tests and containment read `Carrier.coords` of the pairs' boxes.  Scales lie in
+and the location, overlap and chi audits are views of it; snapping and
+wall tests read `Carrier.coords` of the pairs' boxes, containment
+`Carrier.contains`.  Scales lie in
 [2^LOG2_DELTA_FLOOR, the coarsest scale rho^2 delta = 4], and an anchored
 discrepancy below DEGENERATE_TAU_TOL is degenerate: it has no candidate of
 its type (`_anchor_exponents` holds both rules).
@@ -80,16 +81,25 @@ def _class_index(delta: float) -> int:
     return _floor_log2(delta) % 10
 
 
-def _snap(zs, zl, rho, delta):
-    """Grid parameters of the only type-1 pair at this scale that can
-    contain (zs, zl): floor-snap y first, then the sheared x's (box
-    coordinates of the boxes with that y-base and x-base 0); elementwise."""
+def _snap_small(zs, rho, delta):
+    """The small-box columns (cx1, cy1) of the only type-1 pair at this
+    scale whose small box can hold zs: floor-snap y first, then the sheared
+    x (box coordinate of the small box with that y-base and x-base 0);
+    elementwise."""
     h, g = _steps(rho, delta)
     cy1 = h * np.floor(zs[1] / h)
-    small, long = _pair_boxes(0.0, cy1, 0.0, 0.0, rho, delta)
-    cx1 = g * np.floor(small.coords(*zs)[0] / g)
-    ct2 = g * np.floor(long.coords(*zl)[0] / g)
-    return cx1, cy1, ct2, rho * np.floor(zl[1] / rho)
+    small = _pair_boxes(0.0, cy1, 0.0, 0.0, rho, delta)[0]
+    return g * np.floor(small.coords(*zs)[0] / g), cy1
+
+
+def _snap(zs, zl, rho, delta):
+    """Grid parameters of the only type-1 pair at this scale that can
+    contain (zs, zl): the small box's columns (`_snap_small`), then the long
+    box's sheared x and y; elementwise."""
+    cx1, cy1 = _snap_small(zs, rho, delta)
+    g = _steps(rho, delta)[1]
+    long = _pair_boxes(0.0, cy1, 0.0, 0.0, rho, delta)[1]
+    return cx1, cy1, g * np.floor(long.coords(*zl)[0] / g), rho * np.floor(zl[1] / rho)
 
 
 def _anchor_exponents(t, rho, C0, offsets=0):
@@ -344,7 +354,7 @@ def _containment_counts(arrays, rho, delta, xs, ys, xl, yl) -> np.ndarray:
     h is a power of two, so a pair whose small-box base lies on the y-grid,
     cy1 = r*h, can contain a sample only in the row r = floor(ys/h), and
     then only if its column floor(cx1/g) is within -2..+1 of the column of
-    the sample's snapped small box (`_snap`), the margins covering rounding
+    the sample's snapped small box (`_snap_small`), the margins covering rounding
     and bases off the x-grid.  Those pairs are sorted by cell and each
     sample is tested only against the pairs of its four cells; pairs off
     the y-grid are tested against every sample.
@@ -355,7 +365,7 @@ def _containment_counts(arrays, rho, delta, xs, ys, xl, yl) -> np.ndarray:
     on, width = rows * h == cy1, cols.max() - cols.min() + 4
     order = np.flatnonzero(on)[np.argsort((rows * width + cols)[on], kind="stable")]
     keys = (rows * width + cols)[order]
-    sx, sy = _snap((xs, ys), (xl, yl), rho, delta)[:2]
+    sx, sy = _snap_small((xs, ys), rho, delta)
     key = np.floor(sy / h).astype(np.int64) * width + np.floor(sx / g).astype(np.int64)
     i, pos = _in_ranges(np.searchsorted(keys, key - 2), np.searchsorted(keys, key + 1, side="right"))
     off = np.flatnonzero(~on)

@@ -12,7 +12,6 @@ import pytest
 from hypwhitney.cli import ExperimentConfig, run_scaling_law
 from hypwhitney.extension import (
     QuadratureSpec,
-    TestFunction,
     audit_sumset_x,
     extend_points,
     sumset_cube_stability,
@@ -21,6 +20,7 @@ from hypwhitney.geometry import (
     Carrier,
     DyadicInterval,
     Strip,
+    _steps,
     audit_tau_bounds,
     pair_sample,
     sample_members,
@@ -175,7 +175,7 @@ def test_criterion_05_reduction_to_unit_scale():
         lo_a, hi_a = C0 * C0 * wedge / 4.0, 4.0 * C0 * C0 * wedge
         windows_ok &= lo_a <= abs(red.scaled_a) < hi_a
         windows_ok &= C0 / 2.0 <= abs(red.scaled_b) <= C0
-        g, h = canon.g, canon.h
+        h, g = _steps(canon.rho, canon.delta)
         for du in (0.0, g):
             for dy in (0.0, h):
                 y = canon.cy1 + dy
@@ -214,10 +214,9 @@ def test_criterion_07_quadrature_correctness():
         pairs[0].carrier(2),
         prototype(2.0**-3, 2.0**-5, 2.0**-3, 1.0).carrier(2),
     ]
-    e_zero = max(abs(extend_points(TestFunction(c), BASE, (0.0, 0.0, 0.0),
-                                   quad)[0] - c.area) for c in carriers)
+    e_zero = max(abs(extend_points(c, BASE, (0.0, 0.0, 0.0), quad)[0] - c.area) for c in carriers)
     e_refine = 0.0
-    f = TestFunction(carriers[0])
+    f = carriers[0]
     for _ in range(10):
         xi = rng.standard_normal(3)
         xi = tuple(xi / np.linalg.norm(xi) * rng.uniform(1.0, 2.0**6))
@@ -229,9 +228,8 @@ def test_criterion_07_quadrature_correctness():
     e_linear = 0.0
     for _ in range(10):
         xi = tuple(rng.uniform(-64, 64, 3))
-        whole = extend_points(TestFunction(c), BASE, xi, quad)[0]
-        total = sum(extend_points(TestFunction(p), BASE, xi, quad)[0]
-                    for p in parts)
+        whole = extend_points(c, BASE, xi, quad)[0]
+        total = sum(extend_points(p, BASE, xi, quad)[0] for p in parts)
         e_linear = max(e_linear, abs(whole - total))
     ok = e_zero <= 1e-10 and e_refine <= 1e-8 and e_linear <= 1e-12
     report_line(7, ok, f"zero-frequency {e_zero:.1e}, refinement "

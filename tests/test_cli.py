@@ -301,20 +301,20 @@ class TestRunScalingLaw:
         jobs = []
         real = cli.bilinear_field
 
-        def recording(owner, f, g, family, quad):
-            jobs.append((f, g, family, quad))
-            return real(owner, f, g, family, quad)
+        def recording(owner, family, quad):
+            jobs.append((owner, family, quad))
+            return real(owner, family, quad)
 
         monkeypatch.setattr(cli, "bilinear_field", recording)
         for regime in ("prototype", "straight"):
             run_scaling_law(small_config(), regime)
         assert len(jobs) == 4 + 2
-        for f, g, family, quad in jobs:
-            for h in (f, g):
-                field = extend_grid(h, family, quad)
+        for owner, family, quad in jobs:
+            for car in (owner.carrier(1), owner.carrier(2)):
+                field = extend_grid(car, family, quad)
                 mesh = np.meshgrid(*field.axes, indexing="ij")
                 xis = np.column_stack([m.ravel() for m in mesh])
-                dense = extend_points(h, family, xis, quad).reshape(field.values.shape)
+                dense = extend_points(car, family, xis, quad).reshape(field.values.shape)
                 assert np.abs(field.values - dense).max() <= 1e-12 * np.abs(dense).max()
 
     # (ratio, refinement_delta) of the default sweeps from the grid kernel

@@ -27,12 +27,20 @@ from hypwhitney.geometry import (
     _decode,
     _pair_boxes,
     _pairs_before,
+    _steps,
     _type1_rows,
 )
+from hypwhitney.scaling import prototype, reduce
 from hypwhitney.surface import tau
 
 RHO = 2.0**-4
 C0 = 32.0
+
+
+def in_pair(pair, z1, z2):
+    """Whether z1 lies in the pair's slot-1 box and z2 in its slot-2 box;
+    elementwise on coordinate arrays."""
+    return pair.carrier(1).contains(*z1) & pair.carrier(2).contains(*z2)
 
 
 class TestDyadicInterval:
@@ -127,7 +135,7 @@ class TestMakePairs:
         for _ in range(200):
             za = rng.uniform(-1.2, 1.2, 2)
             zb = rng.uniform(-1.2, 1.2, 2)
-            assert p2.contains(za, zb) == p1.contains(zb, za)
+            assert in_pair(p2, za, zb) == in_pair(p1, zb, za)
 
     def test_type2_rejections_propagate(self):
         # the type-2 candidate of these slots is the swapped type-1 one
@@ -138,29 +146,30 @@ class TestMakePairs:
 class TestMembership:
     def test_bases_contained(self):
         pair = worked_pair()
-        assert pair.contains(pair.base1, pair.base2)
+        assert in_pair(pair, pair.base1, pair.base2)
         assert pair.member_at((0.0, 0.0, 0.0, 0.0)) == (pair.base1, pair.base2)
 
     def test_half_open_boundaries(self):
         pair = worked_pair()
-        h, g = pair.h, pair.g
+        h, g = _steps(pair.rho, pair.delta)
         z1_top = (pair.base1[0] - pair.cy1 * h, pair.cy1 + h)  # v1 = 1
-        assert not pair.contains(z1_top, pair.base2)
+        assert not in_pair(pair, z1_top, pair.base2)
         z1_right = (pair.base1[0] + g, pair.base1[1])  # u1 = 1
-        assert not pair.contains(z1_right, pair.base2)
+        assert not in_pair(pair, z1_right, pair.base2)
         # just inside both walls
         z1_in, _ = pair.member_at((1.0 - 1e-9, 1.0 - 1e-9, 0.0, 0.0))
-        assert pair.contains(z1_in, pair.base2)
+        assert in_pair(pair, z1_in, pair.base2)
 
     def test_members_fill_boxes(self):
         pair = worked_pair()
+        h, g = _steps(pair.rho, pair.delta)
         z1, z2 = sample_members(pair, 4000, seed=5)
-        assert pair.contains_many(z1[:, 0], z1[:, 1], z2[:, 0], z2[:, 1]).all()
-        assert np.abs(z1[:, 1] - pair.cy1 - pair.h / 2).max() <= pair.h / 2
+        assert in_pair(pair, z1.T, z2.T).all()
+        assert np.abs(z1[:, 1] - pair.cy1 - h / 2).max() <= h / 2
         assert np.abs(z2[:, 1] - pair.cy2 - pair.rho / 2).max() <= pair.rho / 2
         # shifting either point out of its box breaks membership
-        assert not pair.contains_many(z1[:, 0] + 2 * pair.g, z1[:, 1], z2[:, 0], z2[:, 1]).any()
-        assert not pair.contains_many(z1[:, 0], z1[:, 1], z2[:, 0], z2[:, 1] + pair.rho).any()
+        assert not in_pair(pair, (z1[:, 0] + 2 * g, z1[:, 1]), z2.T).any()
+        assert not in_pair(pair, z1.T, (z2[:, 0], z2[:, 1] + pair.rho)).any()
 
     def test_sampling_deterministic(self):
         pair = worked_pair()
@@ -177,7 +186,7 @@ class TestMembership:
         z1, z2 = sample_members(p2, 100, seed=4)
         # slot 1 carries the long box (y-width rho), slot 2 the small one
         assert z1[:, 1].min() >= 0.75 and z1[:, 1].max() < 0.75 + RHO
-        assert z2[:, 1].min() >= -0.75 and z2[:, 1].max() < -0.75 + p2.h
+        assert z2[:, 1].min() >= -0.75 and z2[:, 1].max() < -0.75 + _steps(RHO, 2.0**-3)[0]
 
 
 class TestMemberMap:
@@ -193,11 +202,12 @@ class TestMemberMap:
                 for slot, z, (u, v) in ((1, z1, offs[:2]), (2, z2, offs[2:])):
                     car = pair.carrier(slot)
                     # slot 1 is the small box of a type-1 pair, the long box of a type-2 pair
-                    assert car.dy == (pair.h if (slot == 1) == (pair_type == 1) else pair.rho)
+                    small = (slot == 1) == (pair_type == 1)
+                    assert car.dy == (_steps(pair.rho, pair.delta)[0] if small else pair.rho)
                     cu, cv = car.coords(*z)
                     assert np.abs(cu / car.du - u).max() <= 1e-9
                     assert np.abs(cv / car.dy - v).max() <= 1e-9
-                assert pair.contains_many(*z1, *z2).all()
+                assert in_pair(pair, z1, z2).all()
                 checked += 1
         assert checked >= 40
 
@@ -221,11 +231,44 @@ class TestBroadcastCarriers:
         points = rng.uniform(-1.0, 1.0, (2, len(table)))
         for slot, boxes in zip((1, 2), by_slot):
             members, coords = boxes.member(u, v), boxes.coords(*points)
+            inside = boxes.contains(*members), boxes.contains(*points)
             for k, pair in enumerate(table):
                 car = pair.carrier(slot)
                 assert car.member(u[k], v[k]) == (members[0][k], members[1][k])
                 assert car.coords(points[0][k], points[1][k]) == (coords[0][k], coords[1][k])
-                assert car.covers(car) and car.covers(car.subbox((0.25, 0.5), (0.5, 1.0)))
+                assert car.contains(members[0][k], members[1][k]) == inside[0][k]
+                assert car.contains(points[0][k], points[1][k]) == inside[1][k]
+
+
+# A unit offset of exactly 0, which puts a member on its box's left or
+# bottom wall, or any offset the samplers draw.
+UNIT_OFFSETS = st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, OPEN_SCALE, exclude_max=True))] * 4)
+
+
+@functools.lru_cache(maxsize=None)
+def audit_strip_table(k, pair_type):
+    """At most 64 pairs of one type at scale 2^k on the default audit strips."""
+    V1, V2 = separated_strip_pair(-12, 12, RHO, C0)
+    return pair_sample(V1, V2, 2.0**k, C0, pair_type=pair_type, max_pairs=64)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(k=st.sampled_from([-8, -6, -4, -2, 0, 1]), pair_type=st.sampled_from([1, 2]),
+       row=st.integers(0, 63), scene_exp=st.integers(1, 8),
+       b=st.sampled_from([1.0, -1.0, 2.0, -1.5]), offsets=UNIT_OFFSETS)
+def test_every_box_contains_its_own_members(k, pair_type, row, scene_exp, b, offsets):
+    # `contains` tests the wall `member` computes, so rounding cannot put a
+    # member outside its own box: the pair slots of both types, a reduced
+    # pair's unit images and the prototype boxes
+    table = audit_strip_table(k, pair_type)
+    pair = table[row % len(table)]
+    assert in_pair(pair, *pair.member_at(offsets))
+    red = reduce(pair)
+    scene = prototype(2.0**-scene_exp, 2.0**-5, 2.0**-scene_exp, b)
+    u1, v1, u2, v2 = offsets
+    for car in (pair.carrier(1), pair.carrier(2), red.image(1), red.image(2),
+                scene.carrier(1), scene.carrier(2)):
+        assert car.contains(*car.member(u1, v1)) and car.contains(*car.member(u2, v2))
 
 
 class TestSerialization:
@@ -574,9 +617,9 @@ class TestEnumerate:
         pairs = list(full_table(V1, V2, delta, c0))[:400]
         keys = [(p.cy1, p.cx1, p.ct2 - p.cx1) for p in pairs]
         assert keys == sorted(keys)
-        first = pairs[0]
-        assert first.params["x1_0"] == -67 * first.g
-        assert first.params["t2_0"] == -3 * first.g
+        g = _steps(pairs[0].rho, delta)[1]
+        assert pairs[0].params["x1_0"] == -67 * g
+        assert pairs[0].params["t2_0"] == -3 * g
 
     def test_large_stream_prefix(self):
         V1, V2 = separated_strip_pair(-12, 12, RHO, C0)
@@ -585,7 +628,7 @@ class TestEnumerate:
         assert len(table) == -(-table.total // table.stride) <= 300
         pairs = list(table)
         assert pairs[0].params["y1_0"] == -0.75
-        assert pairs[0].params["x1_0"] == -2061 * pairs[0].g
+        assert pairs[0].params["x1_0"] == -2061 * _steps(RHO, 2.0**-3)[1]
         assert pairs[0].params["t2_0"] == 0.125
         keys = [(p.cy1, p.cx1, p.ct2 - p.cx1) for p in pairs]
         assert keys == sorted(keys)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hypwhitney.extension import QuadratureSpec, TestFunction, _y_nodes
+from hypwhitney.extension import QuadratureSpec, _y_nodes
 from hypwhitney.geometry import Carrier
 from hypwhitney.surface import (
     BASE,
@@ -134,8 +134,7 @@ def test_dyadic_scales_match_divisor_formulas(kind, k):
         assert np.array_equal(a, b)
     for car in (Carrier(0.0, 0.5, -0.25, 1.0),
                 Carrier(0.125, 2.0**-10, 1.0, 2.0**-5, (0.0, 1.0, 0.0))):
-        y_n, _, sy, hy, _ = _y_nodes(TestFunction(car), fam, (64.0, 64.0, 64.0),
-                                     QuadratureSpec())
+        y_n, _, sy, hy, _ = _y_nodes(car, fam, (64.0, 64.0, 64.0), QuadratureSpec())
         assert np.array_equal(hy, sy * y_n + y_n**3 / (3.0 * m))
 
 

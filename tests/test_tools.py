@@ -1,5 +1,6 @@
 """The A/B benchmark driver records a run that ends badly instead of
-aborting the comparison."""
+aborting the comparison, and the output comparison flags every file, stdout
+and exit status that differs."""
 
 import importlib.util
 import json
@@ -8,10 +9,18 @@ from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "ab_bench.py"
-_spec = importlib.util.spec_from_file_location("ab_bench", _PATH)
-ab_bench = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(ab_bench)
+
+
+def _tool(name):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ab_bench = _tool("ab_bench")
+cmp_outputs = _tool("cmp_outputs")
 
 
 def stub_checkout(root: Path, last_line: str) -> Path:
@@ -92,3 +101,43 @@ def test_verdicts_against_bounds(tmp_path):
     # no completed pair leaves nothing to judge
     broken = [{"base": {"error": "exit 1"}, "head": {"error": "exit 1"}}]
     assert ab_bench._workload_summary(broken, end_to_end)["wall_s"]["verdict"] == "unresolved"
+
+
+def stub_cli(root: Path, decompose_text: str, exit_status: int = 0) -> Path:
+    """A checkout whose `hypwhitney.cli` writes its arguments to out/run.txt,
+    and decompose_text to out/pairs.jsonl on `decompose`."""
+    package = root / "src" / "hypwhitney"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("", encoding="utf-8")
+    (package / "cli.py").write_text(
+        "import sys\n"
+        "from pathlib import Path\n"
+        "args = sys.argv[1:]\n"
+        "out = Path(args[args.index('--out') + 1])\n"
+        "(out / 'sub').mkdir(parents=True)\n"
+        "(out / 'sub' / 'run.txt').write_text(' '.join(args[:-2]))\n"
+        "if args[0] == 'decompose':\n"
+        f"    (out / 'pairs.jsonl').write_text({decompose_text!r})\n"
+        "print('ran', args[0])\n"
+        f"sys.exit({exit_status} if args[0] == 'audit' else 0)\n",
+        encoding="utf-8")
+    return root
+
+
+def test_cmp_outputs_flags_each_difference(tmp_path, capsys):
+    base = stub_cli(tmp_path / "base", "[1]\n")
+    assert cmp_outputs.compare(base, stub_cli(tmp_path / "same", "[1]\n"), tmp_path / "out")
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(cmp_outputs.RUNS) == 6
+    assert all(": identical (" in line for line in lines)
+    assert lines[2] == "decompose: identical (2 files, exit status 0)"
+
+    assert not cmp_outputs.compare(base, stub_cli(tmp_path / "head", "[2]\n", 1), tmp_path / "out")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "audit: DIFFERENT exit status (1 files, exit status 1)"
+    assert lines[2] == "decompose: DIFFERENT pairs.jsonl (2 files, exit status 0)"
+    assert sum("identical" in line for line in lines) == 3
+    # a file on one side only, and stdout
+    one = {"files": {"a": b"x"}, "stdout": b"1", "exit status": 0}
+    two = {"files": {}, "stdout": b"2", "exit status": 0}
+    assert cmp_outputs._differences(one, two) == ["a", "stdout"]
