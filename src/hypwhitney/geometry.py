@@ -22,8 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from itertools import product, zip_longest
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -46,8 +45,8 @@ __all__ = [
     "count_pairs",
 ]
 
-# Sampled offsets are scaled into [0, 1 - 2^-30) so that rounding in the
-# member formulas cannot push a sample onto the excluded upper boundary.
+# Sampled offsets are scaled into [0, 1 - 2^-30); `Carrier.member` also clamps
+# below the excluded walls, onto which an offset near 1 rounds at fine scales.
 OPEN_SCALE = 1.0 - 2.0**-30
 
 # The finest enumerated scale: `pair_sample` gives empty tables below it.
@@ -188,6 +187,12 @@ def _in_ranges(lo, hi) -> tuple:
     return k, np.arange(k.size) - np.repeat(np.cumsum(n) - n - lo, n)
 
 
+def _below(z, wall):
+    """z with its values at or past wall moved to the double just below it;
+    z itself, with no `np.nextafter` call, in the common case that none is."""
+    return z if np.all(z < wall) else np.where(z < wall, z, np.nextafter(wall, -np.inf))[()]
+
+
 @dataclass(frozen=True)
 class Carrier:
     """Sheared box {(u + s(y), y) : u in [u0, u0+du), y in [y0, y0+dy)}
@@ -224,9 +229,10 @@ class Carrier:
         return self.u0 - (a + b * y) * (y - p)
 
     def member(self, u, v) -> tuple:
-        """The point (x, y) at unit offsets (u, v); broadcasts."""
-        y = self.y0 + v * self.dy
-        return self._left(y) + u * self.du, y
+        """The point (x, y) at unit offsets (u, v), kept off the excluded walls; broadcasts."""
+        y = _below(self.y0 + v * self.dy, self.y0 + self.dy)
+        left = self._left(y)
+        return _below(left + u * self.du, left + self.du), y
 
     def coords(self, x, y) -> tuple:
         """Box coordinates (x - u0 - s(y), y - y0) of points (x, y), the
@@ -282,20 +288,17 @@ class AdmissiblePair:
     cy2: float
 
     @property
-    def _cbase1(self) -> tuple:
-        return (self.cx1, self.cy1)
-
-    @property
     def _cbase2(self) -> tuple:
-        return self.carrier(3 - self.pair_type).member(0.0, 0.0)  # the long box's base
+        long = self.carrier(3 - self.pair_type)  # the long box's base, its corner at offset 0
+        return long._left(long.y0), long.y0
 
     @property
     def base1(self) -> tuple:
-        return self._cbase1 if self.pair_type == 1 else self._cbase2
+        return (self.cx1, self.cy1) if self.pair_type == 1 else self._cbase2
 
     @property
     def base2(self) -> tuple:
-        return self._cbase2 if self.pair_type == 1 else self._cbase1
+        return self._cbase2 if self.pair_type == 1 else (self.cx1, self.cy1)
 
     @property
     def params(self) -> dict:
@@ -431,7 +434,7 @@ def audit_tau_bounds(pair: AdmissiblePair, n: int, seed) -> AuditReport:
     t_small, t_long = (t1, t2) if pair.pair_type == 1 else (t2, t1)
     r_small, r_long = np.abs(t_small) / small_scale, np.abs(t_long) / long_scale
     # anchored at the small box's base, which is base1 for type 1 and base2 for type 2
-    base_tau = abs(tau(pair._cbase1, pair.base1, pair.base2))
+    base_tau = abs(tau((pair.cx1, pair.cy1), pair.base1, pair.base2))
     base_ok = small_scale / 4.0 <= base_tau < 4.0 * small_scale
 
     bad = (r_small < 1.0 / 8.0) | (r_small > 8.0) | (r_long < 1.0 / 1000.0) | (r_long > 1000.0)
@@ -452,25 +455,6 @@ def audit_tau_bounds(pair: AdmissiblePair, n: int, seed) -> AuditReport:
         },
         failures=failures,
     )
-
-
-def _long_box_snap_range(y1_0: float, j2: int, rho: float, g: float) -> tuple:
-    """Integer snap range for the long-box x-parameter over one strip.
-
-    The parameter is the floor-snap of the u-coordinate x + y*(y - y1_0) of
-    the long box with x-base 0, for x in [-1, 1] and y running over the
-    strip interval; it is evaluated on the interval endpoints and at the
-    shear's vertex.
-    """
-    ylo, yhi = j2 * rho, (j2 + 1) * rho
-    cand = [ylo, yhi]
-    vertex = y1_0 / 2.0
-    if ylo < vertex < yhi:
-        cand.append(vertex)
-    box = Carrier(0.0, g, ylo, rho, (0.0, 1.0, y1_0))
-    lo = min(box.coords(-1.0, y)[0] for y in cand)
-    hi = max(box.coords(1.0, y)[0] for y in cand)
-    return math.floor(lo / g), math.floor(hi / g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,61 +491,75 @@ class PairTable:
             yield AdmissiblePair(self.pair_type, self.rho, self.delta, self.C0, *params)
 
 
-def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float):
-    """Index the type-1 pair stream without materializing it: one record
-    (y1_0, runs, i_lo, i_hi, t_lo, t_hi, total) per fine-grid row y1_0 with
-    pairs.  Column i of i_lo..i_hi admits the row's offsets d with
-    t_lo <= i + d <= t_hi; runs holds the offsets' runs of consecutive ints
-    as pairs (a_k, b_k), at most 3: window 1's offsets +-[d_lo, d_hi) in
-    window 2, lo2 <= |d*g - s^2| with s = y2_0 - y1_0, by integer floors and
-    ceilings, exact at every scale: s = K*h for an int K, and h^2, g and lo2
-    are int multiples of one power of two.  total is
-    F(i_hi - i_lo + 1) of `_pairs_before`.  The stream runs over the
-    records, then the columns, then the offsets, in order."""
+class _Rows(NamedTuple):
+    """The `_type1_rows` index: one element per fine-grid row with pairs."""
+
+    y1_0: np.ndarray
+    runs: np.ndarray
+    i_lo: np.ndarray
+    i_hi: np.ndarray
+    t_lo: np.ndarray
+    t_hi: np.ndarray
+    total: np.ndarray
+
+
+def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float) -> _Rows:
+    """The type-1 pair stream's index, not the stream: arrays over the
+    fine-grid rows y1_0 with pairs, built with no loop over rows.  Column i
+    of i_lo..i_hi admits the row's offsets d with t_lo <= i + d <= t_hi, the
+    long box's snap range.  The offsets, window 1's +-[d_lo, d_hi) in window
+    2, lo2 <= |d*g - s^2| with s = y2_0 - y1_0, come from integer floors and
+    ceilings, exact at every scale (s = K*h for an int K; h^2, g and lo2 are
+    int multiples of one power of two), as runs of shape (3, 2, rows): three
+    slots (a, b) of consecutive ints, ascending, an empty one being (1, 0).
+    total is F(i_hi - i_lo + 1) of `_pairs_before`; the stream runs over the
+    rows, columns and offsets in turn.  ValueError where s^2 in units or a
+    ramp of `_upto` could pass 2^62 in int64 (streams past it hold > 2^63 pairs)."""
     if V1.rho != V2.rho:
         raise ValueError("strips must share one scale")
     rho = V1.rho
     if _floor_log2(delta) > _coarsest_exponent(rho):
         raise ValueError("delta out of range: rho^2*delta must be <= 4")
     h, g = _steps(rho, delta)
-    rows = []
-    if delta < DELTA_MIN:
-        return rows
-    j1, j2 = V1.j, V2.j
-    y2_0 = j2 * rho
+    m = np.arange(round(rho / h) if delta >= DELTA_MIN else 0)
+    m = m[_separation_ok(V2.j * rho - (V1.j * rho + m * h), h, rho, C0)]
+    y1_0 = V1.j * rho + m * h
     lo1, hi1, lo2 = _windows(rho, delta, C0)
     d_lo, d_hi = math.ceil(lo1 / g), math.ceil(hi1 / g)
-    window1 = ((1 - d_hi, -d_lo), (d_lo, d_hi - 1))
     unit = min(h * h, g, lo2)  # h^2, g and lo2 are powers of two
     hh, gu, lo2u = (round(x / unit) for x in (h * h, g, lo2))
-    k0 = round((y2_0 - j1 * rho) / h)
-    for m in range(round(rho / h)):
-        y1_0 = j1 * rho + m * h
-        s = y2_0 - y1_0
-        if not _separation_ok(s, h, rho, C0):
-            continue
-        s2 = (k0 - m) ** 2 * hh  # s^2 in units, as s = (k0 - m)*h
-        below, above = (s2 - lo2u) // gu, -((-s2 - lo2u) // gu)
-        # window 2's half-lines d <= below and d >= above, clipped to window 1, one interval if
-        # no offset lies between them; in order, as window 2's upper half-line never meets
-        # window 1's lower interval while its lower half-line meets window 1's upper one
-        window2 = (((1 - d_hi, below), (above, d_hi - 1)) if above > below + 1
-                   else ((1 - d_hi, d_hi - 1),))
-        runs = tuple((max(a1, a2), min(b1, b2)) for (a1, b1), (a2, b2) in product(window1, window2)
-                     if max(a1, a2) <= min(b1, b2))
-        i_lo = math.floor((-1.0 - g - abs(y1_0) * h) / g)
-        i_hi = math.floor((1.0 + abs(y1_0) * h) / g)
-        t_lo, t_hi = _long_box_snap_range(y1_0, j2, rho, g)
-        total = _pairs_before(runs, i_lo, t_lo, t_hi, i_hi - i_lo + 1)
-        if total > 0:
-            rows.append((y1_0, runs, i_lo, i_hi, t_lo, t_hi, total))
-    return rows
+    k = round((V2.j - V1.j) * rho / h) - m  # s = k*h
+    i_lo = np.floor((-1.0 - g - np.abs(y1_0) * h) / g).astype(np.int64)
+    i_hi = np.floor((1.0 + np.abs(y1_0) * h) / g).astype(np.int64)
+    # the shear y*(y - y1_0) at the strip ends and at its vertex y1_0/2 if between them
+    ylo, yhi, vertex = V2.j * rho, (V2.j + 1) * rho, y1_0 / 2.0
+    shear = [y * (y - y1_0) for y in (ylo, yhi, np.where((ylo < vertex) & (vertex < yhi), vertex, ylo))]
+    t_lo = np.floor((-1.0 + np.minimum.reduce(shear)) / g).astype(np.int64)
+    t_hi = np.floor((1.0 + np.maximum.reduce(shear)) / g).astype(np.int64)
+    # s^2 and the ramps of `_upto`, at most 2*(d_hi - d_lo)*(|x| + d_hi + 2) for its
+    # arguments x in [t_lo - i_hi - 2, t_hi - i_lo], bounded before they are formed
+    x_max = int(max(np.max(t_hi - i_lo, initial=0), -np.min(t_lo - i_hi - 2, initial=0)))
+    if max(2 * (d_hi - d_lo) * (x_max + d_hi + 2), np.max(np.abs(k), initial=0) ** 2.0 * hh + lo2u) > 2.0**62:
+        raise ValueError(f"delta={delta} at C0={C0}: the pair index would pass 2^62 in int64")
+    s2 = k * k * hh
+    below, above = (s2 - lo2u) // gu, -((-s2 - lo2u) // gu)
+    # window 2's half-lines d <= below and d >= above > 0 (so never in window 1's lower
+    # interval), or the whole line and the empty (1, 0) if no offset lies between them
+    split = above > below + 1
+    lower = (1 - d_hi, np.where(split, below, d_hi - 1))
+    upper = (np.where(split, above, 1), np.where(split, d_hi - 1, 0))
+    runs = np.array([np.broadcast_arrays(np.maximum(a1, a2), np.minimum(b1, b2)) for (a1, b1), (a2, b2)
+                     in (((1 - d_hi, -d_lo), lower), ((d_lo, d_hi - 1), lower), ((d_lo, d_hi - 1), upper))])
+    runs = np.where(runs[:, :1] > runs[:, 1:], np.array([[1], [0]]), runs)
+    total = _pairs_before(runs, i_lo, t_lo, t_hi, i_hi - i_lo + 1)
+    return _Rows(*(v[..., total > 0] for v in (y1_0, runs, i_lo, i_hi, t_lo, t_hi, total)))
 
 
 def _upto(runs, x) -> tuple:
     """#{d <= x} and the sum over y <= x of #{d <= y} for the members d of the
     runs (a, b).  Arguments here and below are all ints (a sampled column) or
-    all broadcasting int64 arrays (the decoder's queries): no numpy calls."""
+    all broadcasting int64 arrays (the index build and the decoder's
+    queries): no numpy calls."""
     n = s = 0
     for a, b in runs:
         m = x - (x > b) * (x - b)
@@ -585,7 +583,7 @@ def _run_member(runs, k):
     return d
 
 
-def _decode(rows, q, y2_0: float, rho: float, delta: float, C0: float) -> tuple:
+def _decode(rows: _Rows, q, y2_0: float, rho: float, delta: float, C0: float) -> tuple:
     """Canonical columns of the pairs at the int64 positions q of the
     `_type1_rows` stream (see `_checked_columns`).  A row's pair count in
     column i = i_lo + c is linear in c between breakpoints, where t_hi - i or
@@ -593,24 +591,23 @@ def _decode(rows, q, y2_0: float, rho: float, delta: float, C0: float) -> tuple:
     [c0, c0 + span) between them, where F(c0 + j) = F(c0) + n0*j +
     beta*j*(j - 1)/2; its column c is c0 + j for the largest j < span with
     F(c0 + j) <= local, its position in its row (float root, then exact int64
-    steps and a check), and its offset the (local - F(c))-th run member >= t_lo - i."""
-    i_lo, i_hi, t_lo, t_hi, total = np.array([row[2:] for row in rows], np.int64).reshape(-1, 5).T[..., None]
-    # each row's runs (a, b) as (rows, 1) arrays, padded with the empty run (1, 0)
-    runs = [np.array(ends, dtype=np.int64).T[..., None]
-            for ends in zip_longest(*(row[1] for row in rows), fillvalue=(1, 0))]
+    steps and a check), and its offset the (local - F(c))-th run member >=
+    t_lo - i.  Only the rows holding a query are broken into pieces."""
+    ends = np.cumsum(rows.total)
+    u = np.unique(np.searchsorted(ends, q, side="right"))
+    i_lo, i_hi, t_lo, t_hi, first = (v[u, None] for v in (*rows[2:6], ends - rows.total))
+    runs = rows.runs[:, :, u, None]
     n_cols = i_hi - i_lo + 1
     crossings = [t - i_lo - e for t in (t_hi, t_lo - 1) for a, b in runs for e in (a - 1, b)]
     breaks = np.concatenate([np.zeros_like(n_cols), n_cols, *crossings], axis=1)
     breaks = np.sort(np.clip(breaks, 0, n_cols), axis=1)
     # the pieces' first positions in stream order; a piece without pairs
     # starts where the next one does, so the search never picks it
-    starts = (np.r_[0, np.cumsum(total)][:-1, None]
-              + _pairs_before(runs, i_lo, t_lo, t_hi, breaks[:, :-1])).ravel()
+    starts = (first + _pairs_before(runs, i_lo, t_lo, t_hi, breaks[:, :-1])).ravel()
     piece = np.searchsorted(starts, q, side="right") - 1
     r, p = np.divmod(piece, breaks.shape[1] - 1)
     c0, span, rest = breaks[r, p], breaks[r, p + 1] - breaks[r, p], q - starts[piece]
-    i_lo, t_lo, t_hi = i_lo[r, 0], t_lo[r, 0], t_hi[r, 0]
-    runs = [(a[r, 0], b[r, 0]) for a, b in runs]
+    i_lo, t_lo, t_hi, runs = i_lo[r, 0], t_lo[r, 0], t_hi[r, 0], runs[:, :, r, 0]
     n0, n1 = (_upto(runs, t_hi - i_lo - c)[0] - _upto(runs, t_lo - 1 - i_lo - c)[0] for c in (c0, c0 + 1))
     beta, half = n1 - n0, (3 * n0 - n1) / 2.0  # half = n0 - beta/2
 
@@ -628,8 +625,7 @@ def _decode(rows, q, y2_0: float, rho: float, delta: float, C0: float) -> tuple:
         raise RuntimeError("column search left an inexact column")
     c = c0 + j
     k = _upto(runs, t_lo - i_lo - c - 1)[0] + rest - before(j)
-    cy1 = np.array([row[0] for row in rows], dtype=np.float64)[r]
-    return _checked_columns(i_lo + c, cy1, _run_member(runs, k), y2_0, rho, delta, C0)
+    return _checked_columns(i_lo + c, rows.y1_0[u[r]], _run_member(runs, k), y2_0, rho, delta, C0)
 
 
 def _checked_columns(i, cy1, d, y2_0: float, rho: float, delta: float, C0: float) -> tuple:
@@ -665,18 +661,18 @@ def pair_sample(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1,
     small-box x-parameter ascending, then the window offset
     d = (t2_0 - x1_0)/g ascending; the type-2 stream is the type-1 stream of
     (V2, V1) with the slots interchanged.  total is the exact stream size and
-    stride = max(1, ceil(total/max_pairs)).  Each fine row's offsets are at
-    most 3 runs in closed form, and each stored position is decoded by one
-    search over the rows' pieces and one quadratic, so the cost grows with
-    rows and max_pairs, not with total (1e8+ members are cheap).  Scales below
-    2^-20 give an empty table; rho^2*delta > 4 is an error, and so is a
-    stream of more than 2^63 - 1 pairs, the int64 maximum, as stream
-    positions are int64 (`count_pairs` counts such streams)."""
+    stride = max(1, ceil(total/max_pairs)).  Each stored position is decoded
+    from the row index in closed form, so the cost grows with rows and
+    max_pairs, not with total (1e8+ members are cheap).  Scales below 2^-20
+    give an empty table; rho^2*delta > 4 is an error, and so are a scale past
+    the index's int64 bound (`_type1_rows`) and a stream of more than
+    2^63 - 1 pairs, as stream positions are int64 (`count_pairs` counts such
+    streams)."""
     if max_pairs < 1:
         raise ValueError("max_pairs must be positive")
     V1, V2, delta, C0, rows = _stream_rows(V1, V2, delta, C0, pair_type)
     rho = float(V1.rho)
-    total = sum(row[-1] for row in rows)
+    total = sum(rows.total.tolist())
     if total > np.iinfo(np.int64).max:
         raise ValueError(f"the stream holds {total} pairs, more than int64 can count")
     stride = max(1, -(-total // max_pairs))
@@ -685,9 +681,9 @@ def pair_sample(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1,
 
 
 def count_pairs(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1) -> int:
-    """Exact size of the pair stream `pair_sample` draws from, as a Python
-    int at any size: the sum of its rows' totals, no pair decoded."""
-    return sum(row[-1] for row in _stream_rows(V1, V2, delta, C0, pair_type)[-1])
+    """Exact size of the pair stream `pair_sample` draws from, as a Python int
+    at any size, no pair decoded; past the index's int64 bound, ValueError."""
+    return sum(_stream_rows(V1, V2, delta, C0, pair_type)[-1].total.tolist())
 
 
 def _sample_pairs(rng, V1: Strip, V2: Strip, C0: float, delta: float, count: int,
@@ -696,23 +692,26 @@ def _sample_pairs(rng, V1: Strip, V2: Strip, C0: float, delta: float, count: int
     total count; with x_band, the small-box column is restricted to
     i in [0, 1/delta] (the N=0 band)."""
     rows = _type1_rows(V1, V2, delta, C0)
-    if not rows:
+    if not rows.total.size:
         raise ValueError("no admissible pairs at this scale")
+    y1_0, i_lo, i_hi, t_lo, t_hi = (v.tolist() for v in (rows.y1_0, *rows[2:6]))
+    # each row's non-empty runs in Python ints: the draws below do plain int arithmetic
+    runs = [[(a, b) for a, b in row if a <= b] for row in rows.runs.transpose(2, 0, 1).tolist()]
     picks, guard = [], 0
     while len(picks) < count:
         guard += 1
         if guard > 200 * count + 1000:
             raise ValueError("sampling stalled; configuration too sparse")
-        y1_0, runs, i_lo, i_hi, t_lo, t_hi, _ = rows[int(rng.integers(len(rows)))]
-        c_lo, c_hi = 0, i_hi - i_lo
+        r = int(rng.integers(len(runs)))
+        c_lo, c_hi = 0, i_hi[r] - i_lo[r]
         if x_band:
-            c_lo, c_hi = max(0, -i_lo), min(c_hi, math.floor(1.0 / delta) - i_lo)
+            c_lo, c_hi = max(0, -i_lo[r]), min(c_hi, math.floor(1.0 / delta) - i_lo[r])
         if c_hi < c_lo:
             continue
-        i = i_lo + int(rng.integers(c_lo, c_hi + 1))
-        lo, hi = _upto(runs, t_lo - i - 1)[0], _upto(runs, t_hi - i)[0]
+        i = i_lo[r] + int(rng.integers(c_lo, c_hi + 1))
+        lo, hi = _upto(runs[r], t_lo[r] - i - 1)[0], _upto(runs[r], t_hi[r] - i)[0]
         if hi > lo:
-            picks.append((i, y1_0, _run_member(runs, lo + int(rng.integers(hi - lo)))))
+            picks.append((i, y1_0[r], _run_member(runs[r], lo + int(rng.integers(hi - lo)))))
     rho = float(V1.rho)
     cols = _checked_columns(*map(np.array, zip(*picks)), V2.j * rho, rho, delta, C0)
     return PairTable(1, rho, delta, float(C0), count, 1, *cols)

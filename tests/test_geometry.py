@@ -241,8 +241,10 @@ class TestBroadcastCarriers:
 
 
 # A unit offset of exactly 0, which puts a member on its box's left or
-# bottom wall, or any offset the samplers draw.
-UNIT_OFFSETS = st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, OPEN_SCALE, exclude_max=True))] * 4)
+# bottom wall, the largest offset the samplers draw, just below OPEN_SCALE,
+# which rounds onto the excluded walls at fine scales, or any offset between.
+UNIT_OFFSETS = st.tuples(*[st.one_of(st.just(0.0), st.just(math.nextafter(OPEN_SCALE, 0.0)),
+                                     st.floats(0.0, OPEN_SCALE, exclude_max=True))] * 4)
 
 
 @functools.lru_cache(maxsize=None)
@@ -253,12 +255,13 @@ def audit_strip_table(k, pair_type):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(k=st.sampled_from([-8, -6, -4, -2, 0, 1]), pair_type=st.sampled_from([1, 2]),
+@given(k=st.sampled_from([-20, -17, -15, -8, -6, -4, -2, 0, 1]), pair_type=st.sampled_from([1, 2]),
        row=st.integers(0, 63), scene_exp=st.integers(1, 8),
        b=st.sampled_from([1.0, -1.0, 2.0, -1.5]), offsets=UNIT_OFFSETS)
 def test_every_box_contains_its_own_members(k, pair_type, row, scene_exp, b, offsets):
-    # `contains` tests the wall `member` computes, so rounding cannot put a
-    # member outside its own box: the pair slots of both types, a reduced
+    # `contains` tests the wall `member` computes, and `member` clamps below
+    # the excluded walls, so rounding cannot put a member outside its own
+    # box, down to DELTA_MIN = 2^-20: the pair slots of both types, a reduced
     # pair's unit images and the prototype boxes
     table = audit_strip_table(k, pair_type)
     pair = table[row % len(table)]
@@ -331,16 +334,26 @@ class TestAuditTauBounds:
 
 
 def run_offsets(runs):
-    """The offsets of a `_type1_rows` record's runs [a_k, b_k], ascending."""
+    """The offsets of a row's runs [a_k, b_k], ascending; an empty slot
+    (1, 0) adds none."""
     return np.concatenate([np.arange(a, b + 1) for a, b in runs])
 
 
+def records(rows, sel=slice(None)):
+    """The rows sel of a `_type1_rows` index as tuples (y1_0, runs, i_lo,
+    i_hi, t_lo, t_hi, total) of Python numbers, without the empty run slots."""
+    runs = [tuple((a, b) for a, b in row if a <= b) for row in rows.runs[..., sel].transpose(2, 0, 1).tolist()]
+    return list(zip(rows.y1_0[sel].tolist(), runs, *(v[sel].tolist() for v in rows[2:])))
+
+
 def rows_oracle(V1, V2, delta, c0, ms=None):
-    """The masked row builder that the closed form replaced: every window-1
-    offset of each fine row (only the rows m in ms, if given) masked by
-    window 2, and the runs read off the surviving offsets.  Window 2 keeps
-    the upper bound hi2 that `_windows` dropped, so a match shows that it
-    never binds."""
+    """The masked row builder that the closed form replaced, one row at a
+    time as `records`: every window-1 offset of each fine row (only the rows
+    m in ms, if given) masked by window 2, and the runs read off the
+    surviving offsets.  Window 2 keeps the upper bound hi2 that `_windows`
+    dropped, so a match shows that it never binds.  The snap range is the
+    floor-snap of the long box's u = x + y*(y - y1_0) over x in [-1, 1] at
+    the strip ends and at the shear's vertex, if it lies between them."""
     rho = V1.rho
     h, g = geometry._steps(rho, delta)
     y2_0 = V2.j * rho
@@ -361,7 +374,11 @@ def rows_oracle(V1, V2, delta, c0, ms=None):
         runs = tuple(zip(d_valid[np.r_[0, cut + 1]].tolist(), d_valid[np.r_[cut, -1]].tolist()))
         i_lo = math.floor((-1.0 - g - abs(y1_0) * h) / g)
         i_hi = math.floor((1.0 + abs(y1_0) * h) / g)
-        t_lo, t_hi = geometry._long_box_snap_range(y1_0, V2.j, rho, g)
+        ylo, yhi = V2.j * rho, (V2.j + 1) * rho
+        ys = [ylo, yhi] + ([y1_0 / 2.0] if ylo < y1_0 / 2.0 < yhi else [])
+        box = geometry.Carrier(0.0, g, ylo, rho, (0.0, 1.0, y1_0))
+        t_lo = math.floor(min(box.coords(-1.0, y)[0] for y in ys) / g)
+        t_hi = math.floor(max(box.coords(1.0, y)[0] for y in ys) / g)
         total = _pairs_before(runs, i_lo, t_lo, t_hi, i_hi - i_lo + 1)
         if total > 0:
             rows.append((y1_0, runs, i_lo, i_hi, t_lo, t_hi, total))
@@ -374,6 +391,7 @@ def decode_oracle(rows, q, y2_0, rho, delta, c0):
     searches over the expanded offsets, and each query's column by a search
     over their running count."""
     q = np.asarray(q, dtype=np.int64)
+    rows = records(rows)
     row_pos = np.cumsum([0] + [row[-1] for row in rows])
     r = np.searchsorted(row_pos, q, side="right") - 1
     local = q - row_pos[r]
@@ -401,13 +419,33 @@ def decode_oracle(rows, q, y2_0, rho, delta, c0):
 SEPARATED = [(2.0**-4, 32.0, -12, 12), (2.0**-4, 32.0, -16, 1),
              (2.0**-3, 16.0, -6, 6), (2.0**-3, 16.0, -7, 3), (2.0**-3, 16.0, -6, 7)]
 C0_256 = (2.0**-7, 256.0, -96, 96)
-# every scale from 2^-8 to the coarsest, rho^2*delta = 4
-ROW_CASES = [(strips, k) for strips in SEPARATED + [C0_256]
-             for k in range(-8, geometry._coarsest_exponent(strips[0]) + 1)]
+# every scale from 2^-8 to the coarsest, rho^2*delta = 4, and 2^-12, 2^-16
+# and DELTA_MIN = 2^-20 on the default strips and the C0 = 256 pair
+ROW_CASES = ([(strips, k) for strips in SEPARATED + [C0_256]
+              for k in range(-8, geometry._coarsest_exponent(strips[0]) + 1)]
+             + [(strips, k) for strips in (SEPARATED[0], C0_256) for k in (-12, -16, -20)])
 # 2^-8 to 2 for the C0 <= 32 pairs, and from 2^-3 at C0 = 256: the oracle
 # expands every row, about 2^21 columns in all at 2^-3 and 2^31 at 2^-8
 DECODE_CASES = ([(strips, k) for strips in SEPARATED for k in range(-8, 2)]
                 + [(C0_256, k) for k in range(-3, 2)])
+
+# test_rows_match_oracle reads the rows m in [first, first + n) with
+# first <= 2^10 and n <= 2^22/(8*C0^2), C0 >= 16: all below this bound
+ORACLE_ROWS = 2**10 + 2**22 // (8 * 16 * 16)
+
+
+@functools.lru_cache(maxsize=None)
+def strip_index(strips, k, swap):
+    """The `_type1_rows` index of strips (rho, C0, j1, j2) at scale 2^k,
+    j1 and j2 interchanged if swap, as its stream size and the index cut to
+    its first ORACLE_ROWS rows.  Cached, as each index at 2^-20 takes about
+    0.6 s, and cut, as it holds 100 MB."""
+    rho, c0, j1, j2 = strips
+    if swap:
+        j1, j2 = j2, j1
+    rows = _type1_rows(*separated_strip_pair(j1, j2, rho, c0), 2.0**k, c0)
+    return sum(rows.total.tolist()), rows._make(v[..., :ORACLE_ROWS] for v in rows)
+
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -417,6 +455,8 @@ DECODE_CASES = ([(strips, k) for strips in SEPARATED for k in range(-8, 2)]
 @example(case=(SEPARATED[4], 1), swap=True, first=0)  # ..84 and 85.. merged
 @example(case=(C0_256, -8), swap=False, first=252)
 @example(case=(C0_256, 0), swap=True, first=0)  # 3 runs
+@example(case=(SEPARATED[0], -20), swap=False, first=2**10)
+@example(case=(C0_256, -20), swap=True, first=77)
 def test_rows_match_oracle(case, swap, first):
     # the rows m in [first, first + n) of the strip, n set so the oracle
     # masks at most 2^22 offsets: every row for C0 <= 32, 8 for C0 = 256
@@ -429,8 +469,9 @@ def test_rows_match_oracle(case, swap, first):
     n_rows = round(rho / h)
     first %= n_rows
     ms = range(first, min(n_rows, first + 2**22 // int(8 * c0 * c0)))
-    ys = {V1.j * rho + m * h for m in ms}
-    got = [row for row in _type1_rows(V1, V2, delta, c0) if row[0] in ys]
+    assert ms.stop <= ORACLE_ROWS
+    rows = strip_index(*case, swap)[1]
+    got = records(rows, np.isin(rows.y1_0, [V1.j * rho + m * h for m in ms]))
     assert got == rows_oracle(V1, V2, delta, c0, ms)
 
 
@@ -439,7 +480,7 @@ def breakpoint_positions(rows):
     every row: its ends and each c at which t_hi - i or t_lo - 1 - i, with
     i = i_lo + c, crosses a run end; clipped to the stream."""
     pos, start = [], 0
-    for _, runs, i_lo, i_hi, t_lo, t_hi, total in rows:
+    for _, runs, i_lo, i_hi, t_lo, t_hi, total in records(rows):
         n_cols = i_hi - i_lo + 1
         ends = {t - i_lo - e for t in (t_hi, t_lo - 1) for a, b in runs for e in (a - 1, b)}
         for c in {0, n_cols} | {min(max(c, 0), n_cols) for c in ends}:
@@ -461,8 +502,8 @@ def decode_case(case, swap):
         j1, j2 = j2, j1
     V1, V2 = separated_strip_pair(j1, j2, rho, c0)
     rows = _type1_rows(V1, V2, 2.0**k, c0)
-    assert rows
-    row_pos = np.cumsum([0] + [row[-1] for row in rows])
+    assert rows.total.size
+    row_pos = np.cumsum([0, *rows.total.tolist()])
     q = np.concatenate([[0, row_pos[-1] - 1], (row_pos[1:-1, None] + [-1, 0, 1]).ravel(),
                         breakpoint_positions(rows)])
     return rows, q, decode_oracle(rows, q, j2 * rho, rho, 2.0**k, c0)
@@ -475,17 +516,19 @@ def decode_case(case, swap):
 @example(case=(SEPARATED[0], -8), swap=False, draws=[])  # the default config's finest
 @example(case=(C0_256, -3), swap=True, draws=[])
 def test_decode_matches_oracle(case, swap, draws):
-    # the case's fixed queries and random draws in one call; delta >= 2^-3
-    # reaches rows of 3 runs, delta = 2 rows of 270 columns against 8,190
-    # offsets, and the first explicit example rows of 2 and 3 runs in one
-    # table, so the decoder pads the shorter rows
+    # the case's fixed queries and random draws in one call, then the draws
+    # alone, which leave most rows unqueried; delta >= 2^-3 reaches rows of
+    # 3 runs, delta = 2 rows of 270 columns against 8,190 offsets, and the
+    # first explicit example rows of 2 and 3 runs in one table
     rows, q_fixed, want = decode_case(case, swap)
     (rho, c0, j1, j2), k = case
     y2_0, delta = (j1 if swap else j2) * rho, 2.0**k
-    q = np.array(draws, dtype=np.int64) % sum(row[-1] for row in rows)
+    q = np.array(draws, dtype=np.int64) % sum(rows.total.tolist())
+    drawn = decode_oracle(rows, q, y2_0, rho, delta, c0)
     got = _decode(rows, np.concatenate([q_fixed, q]), y2_0, rho, delta, c0)
-    want = [np.concatenate(pair) for pair in zip(want, decode_oracle(rows, q, y2_0, rho, delta, c0))]
-    for column, expected in zip(got, want):
+    for column, expected in zip(got, [np.concatenate(pair) for pair in zip(want, drawn)]):
+        assert np.array_equal(column, expected)
+    for column, expected in zip(_decode(rows, q, y2_0, rho, delta, c0), drawn):
         assert np.array_equal(column, expected)
 
 
@@ -573,7 +616,7 @@ class TestEnumerate:
         g = RHO * RHO * delta
         y2_0 = V2.j * RHO
         d_max = int(4 * c0 * c0) + 1
-        rows = _type1_rows(V1, V2, delta, c0)
+        rows = records(_type1_rows(V1, V2, delta, c0))
         assert rows
         for y1_0, runs, i_lo, i_hi, *_ in rows:
             listed = set(run_offsets(runs).tolist())
@@ -591,8 +634,7 @@ class TestEnumerate:
         # the separation window)
         V1, V2, delta, c0 = self.small_config()
         rows = _type1_rows(V1, V2, delta, c0)
-        y1_0, *rest = rows[0]
-        broken = [(y1_0 + 0.5, *rest)] + rows[1:]
+        broken = rows._replace(y1_0=rows.y1_0 + 0.5)  # the config's one row
         monkeypatch.setattr(geometry, "_type1_rows", lambda *args: broken)
         with pytest.raises(RuntimeError, match="indexed candidate failed validation"):
             pair_sample(V1, V2, delta, c0)
@@ -602,12 +644,13 @@ class TestEnumerate:
         # window 1 rejects; the row's total counts the extra pairs, so the
         # full table decodes them and the decoder raises
         V1, V2, delta, c0 = self.small_config()
-        (y1_0, runs, i_lo, i_hi, t_lo, t_hi, total), = _type1_rows(V1, V2, delta, c0)
-        assert runs == ((-1023, -64), (64, 1023))
-        runs = ((-1023, -63), (64, 1023))
-        grown = _pairs_before(runs, i_lo, t_lo, t_hi, i_hi - i_lo + 1)
-        assert grown > total
-        broken = [(y1_0, runs, i_lo, i_hi, t_lo, t_hi, grown)]
+        rows = _type1_rows(V1, V2, delta, c0)
+        assert rows.runs.transpose(2, 0, 1).tolist() == [[[-1023, -64], [1, 0], [64, 1023]]]
+        runs = rows.runs.copy()
+        runs[0, 1] = -63
+        grown = _pairs_before(runs, rows.i_lo, rows.t_lo, rows.t_hi, rows.i_hi - rows.i_lo + 1)
+        assert grown > rows.total
+        broken = rows._replace(runs=runs, total=grown)
         monkeypatch.setattr(geometry, "_type1_rows", lambda *args: broken)
         with pytest.raises(RuntimeError, match="indexed candidate failed validation"):
             pair_sample(V1, V2, delta, c0, max_pairs=10**6)
@@ -681,6 +724,34 @@ class TestEnumerate:
             count_pairs(V1, V2, 2.0**-12, 1024.0, pair_type=3)
         with pytest.raises(ValueError):
             count_pairs(V1, V2, 0.3, 1024.0)
+
+    @pytest.mark.parametrize("strips, k, counts", [
+        (SEPARATED[0], -16, (7586633251560960, 8361795240591360)),
+        (SEPARATED[0], -18, (121386095786073600, 133788612113203200)),
+        (SEPARATED[0], -20, (1942177387621916160, 2140617346866216960)),
+        (C0_256, -17, (121462085042559221760, 123079165000726609920)),
+        (C0_256, -20, (7773573269550678835200, 7877066038723373629440)),
+    ])
+    def test_fine_scale_counts(self, strips, k, counts):
+        # type-1 and type-2 stream sizes down to DELTA_MIN, as the per-row
+        # loop that built the index before it took Python ints counted them;
+        # count_pairs is this sum of row totals, the type-2 one over the
+        # interchanged strips (test_count_matches_stream)
+        assert (strip_index(strips, k, False)[0], strip_index(strips, k, True)[0]) == counts
+
+    @pytest.mark.parametrize("c0, j, k, count", [(1024.0, 384, -19, 496263533234619655127040),
+                                                 (2048.0, 768, -15, 31003500806583091200000)])
+    def test_index_int64_bound(self, c0, j, k, count):
+        # the last scale whose index stays within 2^62 in int64 (its count
+        # checked against the row totals in Python ints), and the first past
+        # it, which raises; both streams hold more than 2^63 pairs
+        V1, V2 = separated_strip_pair(-j, j, 2.0 / c0, c0)
+        assert count_pairs(V1, V2, 2.0**k, c0) == count
+        for pair_type in (1, 2):
+            with pytest.raises(ValueError, match=r"would pass 2\^62 in int64"):
+                count_pairs(V1, V2, 2.0**(k - 1), c0, pair_type)
+        with pytest.raises(ValueError, match=r"would pass 2\^62 in int64"):
+            pair_sample(V1, V2, 2.0**(k - 1), c0)
 
     def test_count_matches_stream(self):
         V1, V2, delta, c0 = self.small_config()

@@ -124,7 +124,12 @@ class TestReduce:
         pair = pair_at(2.0**-3)
         red = reduce(pair)
         wedge = min(1.0, pair.delta)
-        corner, _ = pair.member_at((1.0, 1.0, 0.0, 0.0))
+        # the small box's excluded corner, on its top and right walls; `member`
+        # clamps offsets 1 below those walls
+        small = pair.carrier(1)
+        top = small.y0 + small.dy
+        corner = (small._left(top) + small.du, top)
+        assert small.contains(*small.member(1.0, 1.0)) and not small.contains(*corner)
         mapped = red.map.apply(corner)
         assert mapped[0] == wedge and mapped[1] == wedge
         # the corner itself is excluded by half-openness

@@ -70,9 +70,11 @@ def stream_oracle(V1, V2, delta, c0):
     `_type1_rows` index in order, listed by a mask per column rather than by
     the decoder's search, each validated by make_type1_pair."""
     rho, g = V1.rho, V1.rho * V1.rho * delta
+    rows = _type1_rows(V1, V2, delta, c0)
     out = []
-    for y1_0, runs, i_lo, i_hi, t_lo, t_hi, total in _type1_rows(V1, V2, delta, c0):
-        d_valid = np.concatenate([np.arange(a, b + 1) for a, b in runs])
+    for r, y1_0 in enumerate(rows.y1_0.tolist()):
+        i_lo, i_hi, t_lo, t_hi, total = (int(v[r]) for v in rows[2:])
+        d_valid = np.concatenate([np.arange(a, b + 1) for a, b in rows.runs[..., r]])
         row = [(i, int(d)) for i in range(i_lo, i_hi + 1)
                for d in d_valid[(t_lo <= i + d_valid) & (i + d_valid <= t_hi)]]
         assert len(row) == total
@@ -242,7 +244,8 @@ class TestDecompose:
         rng = np.random.default_rng(5)
         want = []
         while len(want) < 60:
-            y1_0, _, i_lo, i_hi = rows[int(rng.integers(len(rows)))][:4]
+            r = int(rng.integers(rows.total.size))
+            y1_0, i_lo, i_hi = rows.y1_0[r].item(), int(rows.i_lo[r]), int(rows.i_hi[r])
             if x_band:
                 c_lo, c_hi = max(0, -i_lo), min(i_hi - i_lo, math.floor(1.0 / delta) - i_lo)
                 if c_hi < c_lo:
