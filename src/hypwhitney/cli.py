@@ -25,7 +25,6 @@ from .extension import (
     SUMSET_CUBES_DELTA_MAX,
     SUMSET_X_DELTA_MAX,
     QuadratureSpec,
-    _positive,
     audit_sumset_x,
     bilinear_field,
     lp_norm,
@@ -35,9 +34,10 @@ from .geometry import (
     AdmissiblePair,
     _dyadic_label,
     _floor_log2,
+    _require_count,
+    _require_dyadic,
     _steps,
     audit_tau_bounds,
-    is_dyadic,
     make_type1_pair,
     pair_sample,
     sample_members,
@@ -52,7 +52,7 @@ from .scaling import (
     prototype_tv_stability,
     reduce,
 )
-from .surface import BASE, PhaseFamily, gamma2, grad_hess, tau
+from .surface import BASE, PhaseFamily, _require_finite, gamma2, grad_hess, tau
 from .whitney import (
     audit_chi,
     audit_disjoint,
@@ -74,17 +74,6 @@ SWEEP_HEADER = "delta,rho,p,q,ratio,truncation,refinement_delta"
 # The scale grids of ExperimentConfig, each a tuple of powers of two.
 GRID_FIELDS = ("rho_grid", "delta_grid", "scaling_delta_grid",
                "straight_delta_grid", "tv_delta_grid")
-
-
-def _finite_real(v) -> bool:
-    """v is a real number within the float range (bools, infinities, nan and
-    ints too large for a float excluded)."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
-def _dyadic(v) -> bool:
-    """v is a real power of two (bools excluded)."""
-    return _finite_real(v) and is_dyadic(v)
 
 
 @dataclass
@@ -117,24 +106,19 @@ class ExperimentConfig:
     whitney_cap: int = 4096
 
     def __post_init__(self):
-        for name in ("p", "q", "exponent_tolerance"):
-            if not _finite_real(getattr(self, name)):
-                raise ValueError(f"{name}={getattr(self, name)!r} must be a finite number")
+        _require_finite(p=self.p, q=self.q, exponent_tolerance=self.exponent_tolerance)
         if not self.p > 5.0 / 3.0:
             raise ValueError(f"p={self.p} must exceed 5/3")
         if not self.q >= 2.0:
             raise ValueError(f"q={self.q} must be at least 2")
-        for name in ("C0", "c0", "straight_rho", "straight_truncation"):
-            if not _dyadic(getattr(self, name)):
-                raise ValueError(f"{name} must be a positive power of two")
+        _require_dyadic(C0=self.C0, c0=self.c0, straight_rho=self.straight_rho,
+                        straight_truncation=self.straight_truncation)
         for name in GRID_FIELDS:
             grid = getattr(self, name)
-            if not isinstance(grid, (tuple, list)) or not all(_dyadic(v) for v in grid):
-                raise ValueError(f"{name} must be a sequence of powers of two")
-            setattr(self, name, tuple(float(v) for v in grid))
-        for name in ("samples", "threads", "whitney_cap"):
-            if not _positive(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer of at least 1")
+            if not isinstance(grid, (tuple, list)):
+                raise ValueError(f"{name} must be a sequence of powers of two, got {grid!r:.40}")
+            setattr(self, name, tuple(_require_dyadic(**{f"{name}[{k}]": v}) for k, v in enumerate(grid)))
+        _require_count(samples=self.samples, threads=self.threads, whitney_cap=self.whitney_cap)
         seed = self.seed
         if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
             raise ValueError(f"seed={self.seed!r} must be a non-negative integer")
@@ -147,8 +131,10 @@ class ExperimentConfig:
         if not self.exponent_tolerance >= 0.0:
             raise ValueError(f"exponent_tolerance={self.exponent_tolerance} must be >= 0")
         band = self.straight_band
-        if not (isinstance(band, (tuple, list)) and len(band) == 2
-                and all(_finite_real(v) for v in band) and band[0] <= band[1]):
+        if not (isinstance(band, (tuple, list)) and len(band) == 2):
+            raise ValueError(f"straight_band={band!r:.40} must be two finite numbers lo <= hi")
+        lo, hi = _require_finite(**{"straight_band[0]": band[0], "straight_band[1]": band[1]})
+        if lo > hi:
             raise ValueError(f"straight_band={band!r} must be two finite numbers lo <= hi")
         self.straight_band = tuple(band)
         for rho in (*self.rho_grid, self.straight_rho):

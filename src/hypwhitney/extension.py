@@ -28,8 +28,6 @@ and is the oracle the grid kernel is tested against.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,10 +38,12 @@ from .geometry import (
     Strip,
     _check_strips,
     _pair_boxes,
+    _require_count,
+    _require_dyadic,
     _sample_pairs,
 )
 from .reports import AuditReport
-from .surface import BASE, PhaseFamily, phase_eval
+from .surface import BASE, PhaseFamily, _finite_real, _require_positive, phase_eval
 
 __all__ = [
     "QuadratureSpec",
@@ -68,12 +68,6 @@ class UnresolvedOscillation(RuntimeError):
 # Quadrature
 
 
-def _positive(v, kind) -> bool:
-    """v is a positive number of the given numbers ABC within the float range
-    (bools excluded); an int too large for a float is not."""
-    return isinstance(v, kind) and not isinstance(v, bool) and 0 < v <= sys.float_info.max
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Panel controls, frequency truncation box, and evaluation grid."""
@@ -86,16 +80,14 @@ class QuadratureSpec:
     refinement: int = 1
 
     def __post_init__(self):
-        for name in ("nodes_per_panel", "refinement", "node_budget"):
-            if not _positive(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer of at least 1")
-        if not _positive(self.max_panel_phase, numbers.Real):
-            raise ValueError("max_panel_phase must be positive and finite")
-        for name, kind, what in (("freq_grid", numbers.Integral, "integer entries of at least 1"),
-                                 ("truncation", numbers.Real, "positive finite entries")):
+        _require_count(nodes_per_panel=self.nodes_per_panel, refinement=self.refinement,
+                       node_budget=self.node_budget)
+        _require_positive(max_panel_phase=self.max_panel_phase)
+        for name, require in (("freq_grid", _require_count), ("truncation", _require_positive)):
             v = getattr(self, name)
-            if not isinstance(v, (tuple, list)) or len(v) != 3 or not all(_positive(x, kind) for x in v):
-                raise ValueError(f"{name} needs exactly 3 {what}")
+            if not isinstance(v, (tuple, list)) or len(v) != 3:
+                raise ValueError(f"{name} needs exactly 3 entries, got {v!r:.40}")
+            require(**{f"{name}[{k}]": x for k, x in enumerate(v)})
             object.__setattr__(self, name, tuple(v))
 
     def refine(self) -> "QuadratureSpec":
@@ -106,10 +98,6 @@ class QuadratureSpec:
 class NormEstimate:
     value: float
     refinement_delta: float
-
-
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
 
 
 # Elements of one block of (frequency, y) values in `extend_points` and of
@@ -148,7 +136,7 @@ def _y_nodes(car: Carrier, family: PhaseFamily, xi_max, quad: QuadratureSpec):
     at the frequency bound xi_max, with the shear s(y), the y-only phase
     h(y) = s(y) y + c y^3/3 and the u-midpoint of the carrier."""
     panels = _y_panels(car, family, xi_max, quad)
-    base, wts = _leggauss(quad.nodes_per_panel)
+    base, wts = np.polynomial.legendre.leggauss(quad.nodes_per_panel)
     width = car.dy / panels
     starts = car.y0 + width * np.arange(panels)
     y = (starts[:, None] + width / 2.0 * (base[None, :] + 1.0)).ravel()
@@ -266,8 +254,8 @@ def lp_norm(field: FrequencyField, p: float) -> NormEstimate:
     each coarse cell stands for n_i / len(axis_i[::2]) fine cells per axis,
     which is 2 on even axes.
     """
-    if p < 1:
-        raise ValueError("norm exponent must be >= 1")
+    if not (_finite_real(p) and p >= 1):
+        raise ValueError(f"norm exponent must be a finite number >= 1, got {p!r:.40}")
     absv = np.abs(field.values)
     fine = float((absv ** p).sum() * field.cell_volume) ** (1.0 / p)
     coarse_vals = absv[::2, ::2, ::2]
@@ -294,32 +282,36 @@ def bilinear_field(pair, family: PhaseFamily, quad: QuadratureSpec = QuadratureS
 # in the curved regime, and the cube audit's slabs need delta <= 1/2.
 SUMSET_X_DELTA_MAX = 0.125
 SUMSET_CUBES_DELTA_MAX = 0.5
+# Members drawn per sampled pair (x-sumset) and per tuple (cubes), the
+# sampled points the cube multiplicity is counted at, and the default cube
+# side over delta.
+SUMSET_X_MEMBERS = 8
+SUMSET_CUBE_MEMBERS = 4
+CUBE_MULTIPLICITY_POINTS = 4096
+CUBE_SIDE_FACTOR = 4.0
 
 
 def audit_sumset_x(V1: Strip, V2: Strip, C0, delta, n: int, seed,
-                   window_shrink: float = 1.0, members_per_pair: int = 8) -> AuditReport:
+                   window_shrink: float = 1.0) -> AuditReport:
     """Coordinate sums of admissible-pair members stay in the stated bands.
 
     For members z1 of the small box (column i, so x1 is within [N rho^2,
     (N+1) rho^2] for N = floor(i*delta)) and z2 of the long box:
     x1+x2 must lie in 2N rho^2 +- 10 C0^2 rho^2 and y1+y2 in [0, 2 C0 rho].
     window_shrink divides both window widths (negative-control knob).
-    Each of the n // members_per_pair sampled pairs (at least one) gets
-    min(members_per_pair, n) members, all checked at once as (pair, member)
-    arrays.  n and members_per_pair below 1 raise ValueError.
+    Each of the n // SUMSET_X_MEMBERS sampled pairs (at least one) gets
+    min(SUMSET_X_MEMBERS, n) members, all checked at once as (pair, member)
+    arrays.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if members_per_pair < 1:
-        raise ValueError("need members_per_pair >= 1")
-    C0, delta = float(C0), float(delta)
-    rho = _check_strips(V1, V2, C0)
+    n = _require_count(n=n)
+    rho, C0 = _check_strips(V1, V2, C0)
+    delta, window_shrink = _require_dyadic(delta=delta), _require_positive(window_shrink=window_shrink)
     if delta > SUMSET_X_DELTA_MAX:
         raise ValueError("the x-sumset window applies to the curved regime delta <= 1/8")
     rng = np.random.default_rng(seed)
-    n_pairs = max(1, n // members_per_pair)
+    n_pairs = max(1, n // SUMSET_X_MEMBERS)
     pairs = _sample_pairs(rng, V1, V2, C0, delta, n_pairs)
-    take = min(members_per_pair, n)
+    take = min(SUMSET_X_MEMBERS, n)
     # one draw in C order is the per-pair (4, take) draws back to back
     u1, v1, u2, v2 = (rng.random((n_pairs, 4, take)) * OPEN_SCALE).transpose(1, 0, 2)
     cx1, cy1, ct2, cy2 = (col[:, None] for col in (pairs.cx1, pairs.cy1, pairs.ct2, pairs.cy2))
@@ -397,8 +389,7 @@ def _tuple_draws(rng, count: int, slabs: int, take: int) -> tuple:
 
 
 def audit_sumset_cubes(V1: Strip, V2: Strip, C0, delta, n: int, seed,
-                       side_factor: float = 4.0, members_per_tuple: int = 4,
-                       multiplicity_points: int = 4096) -> AuditReport:
+                       side_factor: float = CUBE_SIDE_FACTOR) -> AuditReport:
     """Anisotropically rescaled 3d surface sums stay in small cubes.
 
     Tuples (i, i', j, k) index an admissible pair in the N=0 column band
@@ -406,29 +397,24 @@ def audit_sumset_cubes(V1: Strip, V2: Strip, C0, delta, n: int, seed,
     surface sum (z1, phi(z1)) + (z2, phi(z2)), after the inverse dilation
     (x/rho^2, y/rho, z/rho^3), must land within the cube of side
     side_factor*delta centered at the image of the base sum of its tuple.
-    The overlap multiplicity of these cubes at the first multiplicity_points
-    sampled points is recorded along with the smallest enclosing side
-    actually observed.  Each of the n // members_per_tuple tuples (at least
-    one) gets min(members_per_tuple, n) members.  n, members_per_tuple and
-    multiplicity_points below 1 raise ValueError.
+    The overlap multiplicity of these cubes at the first
+    CUBE_MULTIPLICITY_POINTS sampled points is recorded along with the
+    smallest enclosing side actually observed.  Each of the
+    n // SUMSET_CUBE_MEMBERS tuples (at least one) gets
+    min(SUMSET_CUBE_MEMBERS, n) members.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if members_per_tuple < 1:
-        raise ValueError("need members_per_tuple >= 1")
-    if multiplicity_points < 1:
-        raise ValueError("need multiplicity_points >= 1")
-    C0, delta = float(C0), float(delta)
-    rho = _check_strips(V1, V2, C0)
-    if not 0.0 < delta <= SUMSET_CUBES_DELTA_MAX:
+    n = _require_count(n=n)
+    rho, C0 = _check_strips(V1, V2, C0)
+    delta, side_factor = _require_dyadic(delta=delta), _require_positive(side_factor=side_factor)
+    if delta > SUMSET_CUBES_DELTA_MAX:
         raise ValueError("slab decomposition needs delta <= 1/2")
     rng = np.random.default_rng(seed)
-    n_tuples = max(1, n // members_per_tuple)
+    n_tuples = max(1, n // SUMSET_CUBE_MEMBERS)
     pairs = _sample_pairs(rng, V1, V2, C0, delta, n_tuples, x_band=True)
     slab = rho * delta
     slabs_per_box = int(round(1.0 / delta))
     half = side_factor * delta / 2.0
-    slab_draws, offsets = _tuple_draws(rng, n_tuples, slabs_per_box, min(members_per_tuple, n))
+    slab_draws, offsets = _tuple_draws(rng, n_tuples, slabs_per_box, min(SUMSET_CUBE_MEMBERS, n))
     u1, v1, u2, v2 = offsets.transpose(1, 0, 2)
 
     k = np.rint(pairs.cy2 / slab) + slab_draws
@@ -456,7 +442,7 @@ def audit_sumset_cubes(V1: Strip, V2: Strip, C0, delta, n: int, seed,
 
     keys = np.stack([pairs.cx1, pairs.cy1, pairs.ct2, k], axis=1)
     first = np.unique(keys, axis=0, return_index=True)[1]
-    pts = w.reshape(-1, 3)[:multiplicity_points]
+    pts = w.reshape(-1, 3)[:CUBE_MULTIPLICITY_POINTS]
     mult = _cube_multiplicity(pts, center[first], half + 1e-12)
     return AuditReport(
         name="sumset_cubes",
@@ -476,15 +462,12 @@ def audit_sumset_cubes(V1: Strip, V2: Strip, C0, delta, n: int, seed,
     )
 
 
-def sumset_cube_stability(V1: Strip, V2: Strip, C0, deltas, n: int, seed,
-                          side_factor: float = 4.0) -> AuditReport:
-    """Cube audit across a scale grid: containment everywhere and overlap
-    multiplicity varying by at most a factor 2 across the grid."""
-    reports = [
-        audit_sumset_cubes(V1, V2, C0, d, n, np.random.default_rng([seed, k]).integers(2**31),
-                           side_factor=side_factor)
-        for k, d in enumerate(deltas)
-    ]
+def sumset_cube_stability(V1: Strip, V2: Strip, C0, deltas, n: int, seed) -> AuditReport:
+    """Cube audit across a scale grid, at the cube side CUBE_SIDE_FACTOR*delta:
+    containment everywhere and overlap multiplicity varying by at most a
+    factor 2 across the grid."""
+    reports = [audit_sumset_cubes(V1, V2, C0, d, n, np.random.default_rng([seed, k]).integers(2**31))
+               for k, d in enumerate(deltas)]
     mults = [r.stats["max_multiplicity"] for r in reports]
     contained = all(r.passed for r in reports)
     stable = max(mults) <= 2 * max(1, min(mults))

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
 from .reports import AuditReport
-from .surface import tau
+from .surface import _checked, _finite_real, _positive, _require_finite, tau
 
 __all__ = [
     "DyadicInterval",
@@ -57,11 +58,9 @@ LOG2_DELTA_FLOOR = -40
 
 
 def is_dyadic(x) -> bool:
-    """True iff x is a (positive) power of two."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        return False
-    return math.frexp(x)[0] == 0.5
+    """True iff x is a real power of two (`_positive`, so never a bool); an
+    int must equal its float.  Never raises."""
+    return _positive(x) and math.frexp(float(x))[0] == 0.5 and float(x) == x
 
 
 def _floor_log2(x):
@@ -82,9 +81,14 @@ def _dyadic_label(x: float) -> str:
 
 
 def _require_dyadic(**kwargs):
-    for name, value in kwargs.items():
-        if not is_dyadic(value):
-            raise ValueError(f"{name} must be a positive power of two, got {value}")
+    """The scales as floats (`_checked`); ValueError unless each is a power of two."""
+    return _checked(is_dyadic, "{} must be a positive power of two, got {!r:.40}", float, kwargs)
+
+
+def _require_count(**kwargs):
+    """The counts as ints (`_checked`); ValueError unless each is an int >= 1."""
+    return _checked(functools.partial(_positive, kind=numbers.Integral),
+                    "need {} >= 1, an int, got {!r:.40}", int, kwargs)
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,10 @@ class DyadicInterval:
     rho: float
 
     def __post_init__(self):
-        _require_dyadic(rho=self.rho)
+        if not (isinstance(self.j, numbers.Integral) and _finite_real(self.j)):
+            raise ValueError(f"j must be an int, got {self.j!r:.40}")
+        object.__setattr__(self, "j", int(self.j))
+        object.__setattr__(self, "rho", _require_dyadic(rho=self.rho))
 
     @property
     def left(self) -> float:
@@ -137,14 +144,14 @@ def separated_strip_pair(j1: int, j2: int, rho, C0) -> tuple:
     Whitney tiling of {y1 != y2} (parents adjacent, intervals not adjacent)
     are closer together and never host any.
     """
-    rho, C0 = float(rho), float(C0)
-    _require_dyadic(rho=rho, C0=C0)
-    dj = abs(j2 - j1)
+    V1, V2 = Strip(DyadicInterval(j1, rho)), Strip(DyadicInterval(j2, rho))
+    rho, C0 = V1.rho, _require_dyadic(C0=C0)
+    dj = abs(V2.j - V1.j)
     if (dj + 1) * rho > C0 * rho or (dj - 1) * rho < C0 * rho / 2.0:
         raise ValueError(
             f"|j2-j1|={dj} does not give member separation in [C0/2, C0]*rho"
         )
-    return Strip(DyadicInterval(j1, rho)), Strip(DyadicInterval(j2, rho))
+    return V1, V2
 
 
 @dataclass(frozen=True)
@@ -381,9 +388,9 @@ def make_type1_pair(x1_0, y1_0, t2_0, y2_0, rho, delta, C0) -> Union[AdmissibleP
     rho^2*delta (off-grid input is an error, not a rejection).  A type-2
     pair is the swapped type-1 pair of its interchanged slots.
     """
-    rho, delta, C0 = float(rho), float(delta), float(C0)
+    rho, delta, C0 = _require_dyadic(rho=rho, delta=delta, C0=C0)
     lo1, hi1, lo2 = _windows(rho, delta, C0)
-    cx1, cy1, ct2, cy2 = float(x1_0), float(y1_0), float(t2_0), float(y2_0)
+    cx1, cy1, ct2, cy2 = _require_finite(x1_0=x1_0, y1_0=y1_0, t2_0=t2_0, y2_0=y2_0)
     h, g = _steps(rho, delta)
     if not _on_grid(cy1, h):
         raise ValueError(f"y-parameter {cy1} is not a multiple of {h}")
@@ -411,10 +418,8 @@ def sample_members(pair: AdmissiblePair, n: int, seed) -> tuple:
 
     Returns (z1, z2) as float arrays of shape (n, 2).
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
     rng = np.random.default_rng(seed)
-    offs = rng.random((4, n)) * OPEN_SCALE
+    offs = rng.random((4, _require_count(n=n))) * OPEN_SCALE
     (x1, y1), (x2, y2) = pair.member_at(offs)
     return np.column_stack([x1, y1]), np.column_stack([x2, y2])
 
@@ -520,8 +525,10 @@ def _type1_rows(V1: Strip, V2: Strip, delta: float, C0: float) -> _Rows:
     rho = V1.rho
     if _floor_log2(delta) > _coarsest_exponent(rho):
         raise ValueError("delta out of range: rho^2*delta must be <= 4")
+    # no row below DELTA_MIN: built at DELTA_MIN, finer steps could underflow
+    m = np.arange(round(1.0 / min(delta, 1.0)) if delta >= DELTA_MIN else 0)
+    delta = max(delta, DELTA_MIN)
     h, g = _steps(rho, delta)
-    m = np.arange(round(rho / h) if delta >= DELTA_MIN else 0)
     m = m[_separation_ok(V2.j * rho - (V1.j * rho + m * h), h, rho, C0)]
     y1_0 = V1.j * rho + m * h
     lo1, hi1, lo2 = _windows(rho, delta, C0)
@@ -643,8 +650,7 @@ def _checked_columns(i, cy1, d, y2_0: float, rho: float, delta: float, C0: float
 def _stream_rows(V1: Strip, V2: Strip, delta, C0, pair_type: int) -> tuple:
     """(V1, V2, delta, C0, rows) of the type-1 stream behind pair_type's:
     strips interchanged for type 2, scales checked, and its `_type1_rows`."""
-    delta, C0 = float(delta), float(C0)
-    _require_dyadic(delta=delta, C0=C0)
+    delta, C0 = _require_dyadic(delta=delta, C0=C0)
     if pair_type not in (1, 2):
         raise ValueError("pair_type must be 1 or 2")
     if pair_type == 2:
@@ -655,7 +661,7 @@ def _stream_rows(V1: Strip, V2: Strip, delta, C0, pair_type: int) -> tuple:
 def pair_sample(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1,
                 max_pairs: int = 4096) -> PairTable:
     """Every stride-th admissible pair of the given type on V1 x V2 at scale
-    delta, as one table of at most max_pairs rows.
+    delta, as one table of at most max_pairs rows (a count: an int >= 1).
 
     The type-1 stream runs over the fine y-parameter ascending, then the
     small-box x-parameter ascending, then the window offset
@@ -668,10 +674,9 @@ def pair_sample(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1,
     the index's int64 bound (`_type1_rows`) and a stream of more than
     2^63 - 1 pairs, as stream positions are int64 (`count_pairs` counts such
     streams)."""
-    if max_pairs < 1:
-        raise ValueError("max_pairs must be positive")
+    max_pairs = _require_count(max_pairs=max_pairs)
     V1, V2, delta, C0, rows = _stream_rows(V1, V2, delta, C0, pair_type)
-    rho = float(V1.rho)
+    rho = V1.rho
     total = sum(rows.total.tolist())
     if total > np.iinfo(np.int64).max:
         raise ValueError(f"the stream holds {total} pairs, more than int64 can count")
@@ -712,14 +717,14 @@ def _sample_pairs(rng, V1: Strip, V2: Strip, C0: float, delta: float, count: int
         lo, hi = _upto(runs[r], t_lo[r] - i - 1)[0], _upto(runs[r], t_hi[r] - i)[0]
         if hi > lo:
             picks.append((i, y1_0[r], _run_member(runs[r], lo + int(rng.integers(hi - lo)))))
-    rho = float(V1.rho)
+    rho = V1.rho
     cols = _checked_columns(*map(np.array, zip(*picks)), V2.j * rho, rho, delta, C0)
-    return PairTable(1, rho, delta, float(C0), count, 1, *cols)
+    return PairTable(1, rho, delta, C0, count, 1, *cols)
 
 
-def _check_strips(V1: Strip, V2: Strip, C0: float) -> float:
-    """The common scale of a separated strip pair; ValueError otherwise."""
+def _check_strips(V1: Strip, V2: Strip, C0) -> tuple:
+    """(rho, C0) as floats for a separated strip pair; ValueError otherwise."""
     if V1.rho != V2.rho:
         raise ValueError("strips must share one scale")
     separated_strip_pair(V1.j, V2.j, V1.rho, C0)
-    return V1.rho
+    return V1.rho, float(C0)

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .surface import _finite_array
+
 __all__ = ["AuditReport", "PowerLawFit", "fit_power_law"]
 
 
@@ -59,9 +61,8 @@ class PowerLawFit:
 
 
 def fit_power_law(x, y) -> PowerLawFit:
-    """OLS fit of a power law through positive samples (x_i, y_i)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """OLS fit of a power law through positive finite samples (x_i, y_i)."""
+    x, y = _finite_array(x=x, y=y)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
     if np.unique(x).size < 2:

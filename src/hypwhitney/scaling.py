@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import OPEN_SCALE, AdmissiblePair, Carrier, sample_members
+from .geometry import OPEN_SCALE, AdmissiblePair, Carrier, _require_count, sample_members
 from .reports import AuditReport, fit_power_law
-from .surface import BASE, PhaseFamily, gamma2, phase_eval, tv_values
+from .surface import (BASE, PhaseFamily, _finite_array, _require_finite, _require_positive, gamma2,
+                      phase_eval, tv_values)
 
 __all__ = [
     "AffineMap2",
@@ -43,6 +44,8 @@ __all__ = [
 DEFAULT_PROTOTYPE_C0 = 2.0**-5
 
 GAMMA_BAND = 64.0
+# The largest ratio of the scaled transversality medians across scenes.
+TV_MEDIAN_BAND = 4.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,11 +56,9 @@ class AffineMap2:
     offset: np.ndarray
 
     def __post_init__(self):
-        lin = np.array(self.linear, dtype=float).reshape(2, 2)
-        off = np.array(self.offset, dtype=float).reshape(2)
-        object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "offset", off)
-        if self.det == 0.0 or not np.isfinite(lin).all() or not np.isfinite(off).all():
+        object.__setattr__(self, "linear", _finite_array(linear=self.linear).reshape(2, 2))
+        object.__setattr__(self, "offset", _finite_array(offset=self.offset).reshape(2))
+        if self.det == 0.0:
             raise ValueError("linear part must be invertible")
 
     @property
@@ -172,17 +173,16 @@ class PrototypeScene:
         """n member pairs of (U1^s, U2^s), shape (2, n) each: members of the
         two carriers with x divided by delta, which is A^-1 (exact for a
         dyadic delta)."""
-        if n < 1:
-            raise ValueError("need n >= 1")
         rng = np.random.default_rng(seed)
-        u1, v1, u2, v2 = rng.random((4, n)) * OPEN_SCALE
+        u1, v1, u2, v2 = rng.random((4, _require_count(n=n))) * OPEN_SCALE
         (x1, y1), (x2, y2) = self.carrier(1).member(u1, v1), self.carrier(2).member(u2, v2)
         return np.stack([x1 / self.delta, y1]), np.stack([x2 / self.delta, y2])
 
 
 def prototype(delta: float, c0: float, a: float, b: float) -> PrototypeScene:
     """Validated prototype scene; rejects parameters outside the windows."""
-    delta, c0, a, b = float(delta), float(c0), float(a), float(b)
+    delta, c0 = _require_positive(delta=delta, c0=c0)
+    a, b = _require_finite(a=a, b=b)
     # The curved-box constructions stay meaningful up to delta = 1/2, which
     # the scaling-law experiments use; the transversality-stability audits
     # themselves only ever run deep in the small-delta regime.
@@ -223,14 +223,14 @@ def audit_prototype_tv(scene: PrototypeScene, n: int, seed) -> AuditReport:
     return AuditReport(name="prototype_tv", passed=bool(passed), samples=n, stats=stats)
 
 
-def prototype_tv_stability(deltas, c0: float, n: int, seed, median_band: float = 4.0) -> AuditReport:
+def prototype_tv_stability(deltas, c0: float, n: int, seed) -> AuditReport:
     """Delta-stability of the scaled transversalities across scenes.
 
-    Medians of |TV1^s| and |TV2^s| must agree within `median_band` across
-    the given scales, while the unscaled |TV1| must scale like delta
+    Medians of |TV1^s| and |TV2^s| must agree within a factor TV_MEDIAN_BAND
+    across the given scales, while the unscaled |TV1| must scale like delta
     (fitted exponent within 0.15 of 1).
     """
-    deltas = [float(d) for d in deltas]
+    deltas = [_require_positive(delta=d) for d in deltas]
     med1, med2, medu = [], [], []
     for k, d in enumerate(deltas):
         scene = prototype(d, c0, a=d, b=1.0)
@@ -241,7 +241,7 @@ def prototype_tv_stability(deltas, c0: float, n: int, seed, median_band: float =
     spread1 = max(med1) / min(med1)
     spread2 = max(med2) / min(med2)
     fit = fit_power_law(np.array(deltas), np.array(medu))
-    passed = spread1 <= median_band and spread2 <= median_band and abs(fit.exponent - 1.0) <= 0.15
+    passed = spread1 <= TV_MEDIAN_BAND and spread2 <= TV_MEDIAN_BAND and abs(fit.exponent - 1.0) <= 0.15
     return AuditReport(
         name="prototype_tv_stability",
         passed=bool(passed),

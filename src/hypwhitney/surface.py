@@ -10,11 +10,15 @@ the whole family is x*y + c*y**3/3, one field per member:
 
 c = 0 is the saddle x*y.  All functionals below accept either scalar points
 or numpy arrays of coordinates and broadcast componentwise.
+
+Every module imports this one, so the package's input checks live here too.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +38,42 @@ __all__ = [
 DEGENERATE_GRADIENT_TOL = 1e-14
 
 
-def _positive_delta(delta) -> float:
-    delta = float(delta)
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"phase needs a finite delta > 0, got {delta}")
-    return delta
+def _finite_real(v) -> bool:
+    """v is a real within the float range: no bool, nan, infinity or int too
+    large for a float."""
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+        return False
+    return abs(int(v)) <= sys.float_info.max if isinstance(v, numbers.Integral) else math.isfinite(v)
+
+
+def _positive(v, kind=numbers.Real) -> bool:
+    """v is a positive `_finite_real` of the given numbers ABC."""
+    return isinstance(v, kind) and _finite_real(v) and v > 0
+
+
+def _finite_array(**kwargs):
+    """The array-likes as float arrays; each entry must be a `_finite_real`."""
+    return _checked(lambda v: all(map(_finite_real, np.asarray(v, dtype=object).flat)),
+                    "{} must hold finite reals only, got {!r:.40}",
+                    lambda v: np.array(v, dtype=float), kwargs)
+
+
+def _checked(test, message: str, cast, kwargs: dict):
+    """The keyword values through cast (a single one bare); ValueError with
+    message, formatted with the name and value, at the first to fail test."""
+    for name, value in kwargs.items():
+        if not test(value):
+            raise ValueError(message.format(name, value))
+    values = tuple(cast(v) for v in kwargs.values())
+    return values if len(values) > 1 else values[0]
+
+
+def _require_positive(**kwargs):
+    return _checked(_positive, "{} must be a positive finite number, got {!r:.40}", float, kwargs)
+
+
+def _require_finite(**kwargs):
+    return _checked(_finite_real, "{} must be a finite number, got {!r:.40}", float, kwargs)
 
 
 @dataclass(frozen=True)
@@ -48,16 +83,15 @@ class PhaseFamily:
     cubic: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.cubic):
-            raise ValueError(f"cubic coefficient must be finite, got {self.cubic}")
+        _require_finite(cubic=self.cubic)
 
     @classmethod
     def rescaled(cls, delta: float) -> "PhaseFamily":
-        return cls(1.0 / max(1.0, _positive_delta(delta)))
+        return cls(1.0 / max(1.0, _require_positive(delta=delta)))
 
     @classmethod
     def prototype(cls, delta: float) -> "PhaseFamily":
-        return cls(1.0 / _positive_delta(delta))
+        return cls(1.0 / _require_positive(delta=delta))
 
 
 BASE = PhaseFamily()
@@ -75,17 +109,11 @@ def _xy(z):
     return x, y
 
 
-def _check_finite(*vals):
-    for v in vals:
-        if not math.isfinite(v):
-            raise ValueError("non-finite coordinate")
-
-
 def phase_eval(family: PhaseFamily, z) -> float:
     """Evaluate the phase at z = (x, y)."""
     x, y = _xy(z)
-    if np.isscalar(x) or isinstance(x, float):
-        _check_finite(float(x), float(y))
+    if not isinstance(x, np.ndarray):
+        _require_finite(x=x, y=y)
     return x * y + family.cubic * y**3 / 3.0
 
 
@@ -95,7 +123,7 @@ def grad_hess(family: PhaseFamily, z) -> GradHess:
     The determinant is identically -1 across the family.
     """
     x, y = _xy(z)
-    _check_finite(float(x), float(y))
+    _require_finite(x=x, y=y)
     c = family.cubic
     grad = np.array([y, x + y * y * c], dtype=float)
     hess = np.array([[0.0, 1.0], [1.0, 2.0 * y * c]], dtype=float)

@@ -41,12 +41,13 @@ from .geometry import (
     _floor_log2,
     _in_ranges,
     _pair_boxes,
+    _require_count,
     _steps,
     make_type1_pair,
     pair_sample,
 )
 from .reports import AuditReport
-from .surface import tau
+from .surface import _require_finite, _require_positive, tau
 
 __all__ = [
     "DegenerateTau",
@@ -170,8 +171,8 @@ def locate_pair(z1, z2, V1: Strip, V2: Strip, C0) -> AdmissiblePair:
     LocationFailed if the candidate is rejected or does not contain the
     point.
     """
-    C0 = float(C0)
-    rho = _check_strips(V1, V2, C0)
+    rho, C0 = _check_strips(V1, V2, C0)
+    _require_finite(x1=z1[0], y1=z1[1], x2=z2[0], y2=z2[1])
     if not (V1.contains(z1) and V2.contains(z2)):
         raise ValueError("points must lie in the strip product")
     t1, t2 = tau(z1, z1, z2), tau(z2, z1, z2)
@@ -191,7 +192,7 @@ def locate_pair(z1, z2, V1: Strip, V2: Strip, C0) -> AdmissiblePair:
         if isinstance(cand, Rejected):
             raise LocationFailed(f"snapped candidate rejected ({cand.which}): {cand.message}")
         raise LocationFailed("snapped candidate does not contain the sample")
-    return AdmissiblePair(1 + swap, float(rho), delta, C0, *cols)
+    return AdmissiblePair(1 + swap, rho, delta, C0, *cols)
 
 
 def containing_pairs(z1, z2, V1: Strip, V2: Strip, C0) -> tuple:
@@ -199,9 +200,9 @@ def containing_pairs(z1, z2, V1: Strip, V2: Strip, C0) -> tuple:
     ascending scale: the admissible, containing rows of the point's
     containment scan.  Points outside the strip product are in no pair.
     """
-    C0 = float(C0)
-    rho = _check_strips(V1, V2, C0)
-    return tuple([AdmissiblePair(t, float(rho), delta, C0, *map(float, _snap(*zs, rho, delta)))
+    rho, C0 = _check_strips(V1, V2, C0)
+    _require_finite(x1=z1[0], y1=z1[1], x2=z2[0], y2=z2[1])
+    return tuple([AdmissiblePair(t, rho, delta, C0, *map(float, _snap(*zs, rho, delta)))
                   for delta in np.ldexp(1.0, ks[ok[:, 0], 0]).tolist()]
                  for t, zs, (ks, ok) in zip((1, 2), ((z1, z2), (z2, z1)), _covering(z1, z2, V1, V2, C0)))
 
@@ -278,17 +279,14 @@ def decompose(V1: Strip, V2: Strip, C0, delta_min, delta_max,
     """Materialize the pair family for every dyadic scale in the range.
 
     The range is clamped to the enumerable window [DELTA_MIN, the coarsest
-    scale rho^2 delta = 4].  A scale whose stream exceeds cap stores
-    an evenly strided subset (full counts stay exact).  An empty range yields
-    an empty decomposition.
+    scale rho^2 delta = 4].  A scale whose stream exceeds cap (a count: an
+    int >= 1) stores an evenly strided subset (full counts stay exact).  The
+    range ends are positive reals; an empty range yields an empty
+    decomposition.
     """
-    C0 = float(C0)
-    rho = _check_strips(V1, V2, C0)
-    delta_min, delta_max = float(delta_min), float(delta_max)
-    if delta_min <= 0 or delta_max <= 0:
-        raise ValueError("scale range must be positive")
-    if cap < 1:
-        raise ValueError("cap must be positive")
+    rho, C0 = _check_strips(V1, V2, C0)
+    delta_min, delta_max = _require_positive(delta_min=delta_min, delta_max=delta_max)
+    cap = _require_count(cap=cap)
     out = WhitneyDecomposition(V1, V2, C0, delta_min, delta_max)
     if delta_min > delta_max:
         return out
@@ -319,9 +317,7 @@ def _interior_samples(rng, V1: Strip, V2: Strip, C0, n: int):
     """n points of V1 x V2, re-drawn while either anchored discrepancy is
     below DEGENERATE_TAU_TOL (the points locate_pair rejects as degenerate)
     or while wall-adjacent at the dyadic scale of either."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    rho = V1.rho
+    n, rho = _require_count(n=n), V1.rho
     out = np.empty((4, n))
     filled = 0
     while filled < n:
@@ -384,8 +380,7 @@ def audit_disjoint(decomp: WhitneyDecomposition, n: int, seed) -> AuditReport:
     products themselves (cycling through all of them) so that containment is
     actually exercised.  Any sample covered twice is a violation.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = _require_count(n=n)
     rng = np.random.default_rng(seed)
     rho = decomp.V1.rho
     failures = []
@@ -459,6 +454,7 @@ def audit_overlap(decomp: WhitneyDecomposition, n: int, seed,
     1/800, scales agree within 2^10, and the joint count is at most
     kappa*C0.
     """
+    kappa = _require_positive(kappa=kappa)
     rng = np.random.default_rng(seed)
     V1, V2, C0 = decomp.V1, decomp.V2, decomp.C0
     samples = _interior_samples(rng, V1, V2, C0, n)
@@ -515,8 +511,7 @@ def audit_locate(V1: Strip, V2: Strip, C0, n: int, seed) -> AuditReport:
     """Location on n interior samples: the anchor type's middle scan row
     must be admissible, contain its sample, and sit in the exact scale
     window.  Failure entries carry locate_pair's error."""
-    C0 = float(C0)
-    rho = _check_strips(V1, V2, C0)
+    rho, C0 = _check_strips(V1, V2, C0)
     rng = np.random.default_rng(seed)
     samples = _interior_samples(rng, V1, V2, C0, n)
     z1, z2 = samples[:2], samples[2:]

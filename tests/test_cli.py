@@ -1,6 +1,7 @@
 """Experiment driver tests: config validation, audit bundles, scaling-law
 sweeps, power-law fitting, and the command-line entry point."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -10,6 +11,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypwhitney import cli
 from hypwhitney.cli import (
@@ -153,6 +156,55 @@ class TestConfig:
         path.write_text(json.dumps({"seed": 9, "samples": 5}))
         cfg = load_config(path)
         assert cfg.seed == 9 and cfg.samples == 5
+
+
+# JSON-like values: scalars of every JSON type (nan and the infinities as
+# Python's json reads them), the edge numbers of the config contract and
+# nested lists and mappings of them.
+EDGE_VALUES = (0, -1, -0.0, 1.5, 2.5, 10**400, -(10**400), 2.0**-1074, 2.0**1023, 1, 2, 4096,
+               2.0**-4, 32.0, 0.15, "", "x")
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+                | st.sampled_from(EDGE_VALUES))
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+CONFIG_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
+QUAD_FIELDS = [f.name for f in dataclasses.fields(QuadratureSpec)]
+
+
+def assert_roundtrips_or_raises(build):
+    """build() gives a config that round-trips through to_json_dict, JSON
+    text and from_json_dict to the same JSON, or raises ValueError."""
+    try:
+        cfg = build()
+    except ValueError:
+        return
+    text = json.dumps(cfg.to_json_dict(), sort_keys=True)
+    back = ExperimentConfig.from_json_dict(json.loads(text))
+    assert json.dumps(back.to_json_dict(), sort_keys=True) == text
+    assert back == cfg
+
+
+class TestConfigContract:
+    """Any one config field, quad field or flag set to any JSON-like value:
+    a config that round-trips exactly, or ValueError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(CONFIG_FIELDS), JSON_VALUES)
+    def test_any_field(self, name, value):
+        assert_roundtrips_or_raises(lambda: ExperimentConfig.from_json_dict({name: value}))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(QUAD_FIELDS), JSON_VALUES)
+    def test_any_quad_field(self, name, value):
+        assert_roundtrips_or_raises(lambda: ExperimentConfig.from_json_dict({"quad": {name: value}}))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.none() | st.integers() | st.sampled_from((10**400, -(10**400))),
+           st.none() | st.text(max_size=5), st.none() | st.integers(), st.booleans())
+    def test_flags(self, seed, out, threads, negative_controls):
+        args = argparse.Namespace(config=None, seed=seed, out=out, threads=threads,
+                                  negative_controls=negative_controls)
+        assert_roundtrips_or_raises(lambda: cli._config_from_args(args))
 
 
 class TestFitPowerLaw:

@@ -440,11 +440,12 @@ class TestSumsetCubes:
         )
 
 
-def loop_sumset_x(V1, V2, C0, delta, n, seed, window_shrink=1.0, members_per_pair=8):
+def loop_sumset_x(V1, V2, C0, delta, n, seed, window_shrink=1.0):
     """One pair at a time, with Python-int column arithmetic: the oracle of
-    the batched `audit_sumset_x`."""
-    C0, delta = float(C0), float(delta)
-    rho = _check_strips(V1, V2, C0)
+    the batched `audit_sumset_x`, at its members per pair."""
+    members_per_pair = extension.SUMSET_X_MEMBERS
+    delta = float(delta)
+    rho, C0 = _check_strips(V1, V2, C0)
     rng = np.random.default_rng(seed)
     n_pairs = max(1, n // members_per_pair)
     pairs = _sample_pairs(rng, V1, V2, C0, delta, n_pairs)
@@ -496,12 +497,14 @@ def loop_sumset_x(V1, V2, C0, delta, n, seed, window_shrink=1.0, members_per_pai
     )
 
 
-def loop_sumset_cubes(V1, V2, C0, delta, n, seed, side_factor=4.0, members_per_tuple=4,
-                      multiplicity_points=4096):
+def loop_sumset_cubes(V1, V2, C0, delta, n, seed, side_factor=4.0):
     """One tuple at a time, with scalar base sums and a set of tuple keys:
-    the oracle of the batched `audit_sumset_cubes`."""
-    C0, delta = float(C0), float(delta)
-    rho = _check_strips(V1, V2, C0)
+    the oracle of the batched `audit_sumset_cubes`, at its members per tuple
+    and multiplicity points."""
+    members_per_tuple = extension.SUMSET_CUBE_MEMBERS
+    multiplicity_points = extension.CUBE_MULTIPLICITY_POINTS
+    delta = float(delta)
+    rho, C0 = _check_strips(V1, V2, C0)
     rng = np.random.default_rng(seed)
     n_tuples = max(1, n // members_per_tuple)
     pairs = _sample_pairs(rng, V1, V2, C0, delta, n_tuples, x_band=True)
@@ -577,22 +580,25 @@ SAMPLE_SIZES = (1, 3, 4, 5, 9, 37, 2000)
 
 class TestBatchedAuditsMatchLoops:
     """The batched sumset audits against the per-pair loops, key for key and
-    bit for bit: both consume the generator in the same order."""
+    bit for bit: both consume the generator in the same order.  The loops
+    read the audits' member and point constants, which the variants patch."""
 
     @pytest.mark.parametrize("n", SAMPLE_SIZES)
     @pytest.mark.parametrize("k", range(3, 7))
-    def test_sumset_x(self, k, n):
-        for seed, kwargs in ((5 * n + k, {}), ([k, n], dict(members_per_pair=3)),
-                             (n, dict(members_per_pair=1, window_shrink=2.0))):
+    def test_sumset_x(self, k, n, monkeypatch):
+        for seed, members, kwargs in ((5 * n + k, 8, {}), ([k, n], 3, {}),
+                                      (n, 1, dict(window_shrink=2.0))):
+            monkeypatch.setattr(extension, "SUMSET_X_MEMBERS", members)
             want = loop_sumset_x(V1, V2, C0, 2.0**-k, n, seed, **kwargs).to_json_dict()
             assert audit_sumset_x(V1, V2, C0, 2.0**-k, n, seed, **kwargs).to_json_dict() == want
 
     @pytest.mark.parametrize("n", SAMPLE_SIZES)
     @pytest.mark.parametrize("k", range(1, 7))
-    def test_sumset_cubes(self, k, n):
-        for seed, kwargs in ((5 * n + k, {}), ([k, n], dict(members_per_tuple=3)),
-                             (n, dict(members_per_tuple=5, multiplicity_points=1003,
-                                      side_factor=64.0))):
+    def test_sumset_cubes(self, k, n, monkeypatch):
+        for seed, members, points, kwargs in ((5 * n + k, 4, 4096, {}), ([k, n], 3, 4096, {}),
+                                              (n, 5, 1003, dict(side_factor=64.0))):
+            monkeypatch.setattr(extension, "SUMSET_CUBE_MEMBERS", members)
+            monkeypatch.setattr(extension, "CUBE_MULTIPLICITY_POINTS", points)
             want = loop_sumset_cubes(V1, V2, C0, 2.0**-k, n, seed, **kwargs).to_json_dict()
             assert audit_sumset_cubes(V1, V2, C0, 2.0**-k, n, seed, **kwargs).to_json_dict() == want
 
@@ -608,8 +614,8 @@ class TestBatchedAuditsMatchLoops:
         assert audit_sumset_cubes(V1, V2, C0, 2.0**-4, 2000, 23).to_json_dict() == want.to_json_dict()
 
     def test_criterion_sized_run(self):
-        want = loop_sumset_cubes(V1, V2, C0, 2.0**-3, 20000, 88, multiplicity_points=4097)
-        got = audit_sumset_cubes(V1, V2, C0, 2.0**-3, 20000, 88, multiplicity_points=4097)
+        want = loop_sumset_cubes(V1, V2, C0, 2.0**-3, 20000, 88)
+        got = audit_sumset_cubes(V1, V2, C0, 2.0**-3, 20000, 88)
         assert got.to_json_dict() == want.to_json_dict()
 
 
@@ -622,24 +628,6 @@ class TestBatchedAuditsMatchLoops:
 def test_sumset_audits_need_a_sample(audit, n):
     with pytest.raises(ValueError, match="need n >= 1"):
         audit(n)
-
-
-@pytest.mark.parametrize("audit, name", [
-    (lambda m: audit_sumset_x(V1, V2, C0, 2.0**-4, 40, 1, members_per_pair=m),
-     "members_per_pair"),
-    (lambda m: audit_sumset_cubes(V1, V2, C0, 2.0**-4, 40, 1, members_per_tuple=m),
-     "members_per_tuple"),
-], ids=["sumset_x", "sumset_cubes"])
-@pytest.mark.parametrize("members", [0, -1])
-def test_sumset_audits_need_a_member(audit, name, members):
-    with pytest.raises(ValueError, match=f"need {name} >= 1"):
-        audit(members)
-
-
-@pytest.mark.parametrize("points", [0, -3])
-def test_cube_multiplicity_needs_a_point(points):
-    with pytest.raises(ValueError, match="need multiplicity_points >= 1"):
-        audit_sumset_cubes(V1, V2, C0, 2.0**-4, 40, 1, multiplicity_points=points)
 
 
 def dense_cube_multiplicity(pts, centers, r):
