@@ -41,21 +41,16 @@ DEGENERATE_GRADIENT_TOL = 1e-14
 def _finite_real(v) -> bool:
     """v is a real within the float range: no bool, nan, infinity or int too
     large for a float."""
-    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+    if isinstance(v, float):  # first, as the checks below cost a microsecond
+        return math.isfinite(v)
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
         return False
     return abs(int(v)) <= sys.float_info.max if isinstance(v, numbers.Integral) else math.isfinite(v)
 
 
 def _positive(v, kind=numbers.Real) -> bool:
     """v is a positive `_finite_real` of the given numbers ABC."""
-    return isinstance(v, kind) and _finite_real(v) and v > 0
-
-
-def _finite_array(**kwargs):
-    """The array-likes as float arrays; each entry must be a `_finite_real`."""
-    return _checked(lambda v: all(map(_finite_real, np.asarray(v, dtype=object).flat)),
-                    "{} must hold finite reals only, got {!r:.40}",
-                    lambda v: np.array(v, dtype=float), kwargs)
+    return _finite_real(v) and v > 0 and (kind is numbers.Real or isinstance(v, kind))
 
 
 def _checked(test, message: str, cast, kwargs: dict):
@@ -64,8 +59,7 @@ def _checked(test, message: str, cast, kwargs: dict):
     for name, value in kwargs.items():
         if not test(value):
             raise ValueError(message.format(name, value))
-    values = tuple(cast(v) for v in kwargs.values())
-    return values if len(values) > 1 else values[0]
+    return cast(value) if len(kwargs) == 1 else tuple(map(cast, kwargs.values()))
 
 
 def _require_positive(**kwargs):
@@ -74,6 +68,13 @@ def _require_positive(**kwargs):
 
 def _require_finite(**kwargs):
     return _checked(_finite_real, "{} must be a finite number, got {!r:.40}", float, kwargs)
+
+
+def _finite_array(**kwargs):
+    """The array-likes as float arrays; each entry must be a `_finite_real`."""
+    return _checked(lambda v: all(map(_finite_real, np.asarray(v, dtype=object).flat)),
+                    "{} must hold finite reals only, got {!r:.40}",
+                    lambda v: np.array(v, dtype=float), kwargs)
 
 
 @dataclass(frozen=True)
