@@ -33,14 +33,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import (
+    _STREAM_BLOCK,
+    _WORD,
     OPEN_SCALE,
     Carrier,
     Strip,
     _check_strips,
+    _lemire,
     _pair_boxes,
     _require_count,
     _require_dyadic,
     _sample_pairs,
+    _Stream,
 )
 from .reports import AuditReport
 from .surface import BASE, PhaseFamily, _finite_real, _require_positive, phase_eval
@@ -109,6 +113,7 @@ GRID_BLOCK = 2**16
 def _y_panels(car: Carrier, family: PhaseFamily, xi_max, quad: QuadratureSpec) -> int:
     """Panels needed so the phase varies <= max_panel_phase per panel."""
     s0, s1, s2 = car._coefficients
+    xi_max = [float(x) for x in xi_max]  # Python floats overflow to inf without a warning
     ys = (car.y0, car.y0 + car.dy)
     # d/dy of the y-only phase block: xi1*s'(y) + xi2 + xi3*(q(y) + u_mid),
     # q(y) = s0 + 2 s1 y + (3 s2 + c) y^2
@@ -123,7 +128,10 @@ def _y_panels(car: Carrier, family: PhaseFamily, xi_max, quad: QuadratureSpec) -
         + xi_max[1]
         + xi_max[2] * (max(cand) + abs(u_mid))
     )
-    panels = max(1, math.ceil(slope * car.dy / quad.max_panel_phase)) * quad.refinement
+    need = slope * car.dy / quad.max_panel_phase
+    if not math.isfinite(need):
+        raise UnresolvedOscillation(f"the phase slope {slope} needs unboundedly many panels")
+    panels = max(1, math.ceil(need)) * quad.refinement
     if panels * quad.nodes_per_panel > quad.node_budget:
         raise UnresolvedOscillation(
             f"{panels * quad.nodes_per_panel} nodes needed, budget {quad.node_budget}"
@@ -376,16 +384,34 @@ def _surface_sum(x1, y1, x2, y2) -> np.ndarray:
 
 
 def _tuple_draws(rng, count: int, slabs: int, take: int) -> tuple:
-    """count slab indices below slabs and count (4, take) unit offsets in
-    [0, 1), as arrays, drawn in the stream's order: each slab index, then
-    its offsets.  The per-draw lists die on return, before the audit's
-    array work, which keeps the audit's peak memory down."""
-    integers, random = rng.integers, rng.random
-    slab_draws, offsets = [], []
-    for _ in range(count):
-        slab_draws.append(integers(slabs))
-        offsets.append(random((4, take)))
-    return np.array(slab_draws), np.array(offsets) * OPEN_SCALE
+    """count slab indices below slabs >= 2 and count (4, take) unit offsets
+    in [0, 1), as arrays, as each tuple's `integers(slabs)` and then
+    `random((4, take))` draw them: an exact replay of rng's stream
+    (`_Stream`).  Without a buffered word, two tuples share one raw output
+    for their slab draws, so a pass reads periods of that output and both
+    tuples' doubles; a buffered word or a rejected draw takes one tuple's
+    scalar draws."""
+    stream, per = _Stream(rng), 4 * take
+    slab_draws, offsets = np.empty(count, np.int64), np.empty((count, per))
+    periods = max(1, _STREAM_BLOCK // 2 // (2 * per + 1))
+    j = 0
+    while j < count:
+        n = t = 0 if stream.has else min(count - j, 2 * periods)
+        if n:
+            raw = stream.peek((n + 1) // 2 * (2 * per + 1)).reshape(-1, 2 * per + 1)
+            words = np.stack([raw[:, 0] & (_WORD - 1), raw[:, 0] >> 32], axis=1).ravel()[:n]
+            slab, _, rejected = _lemire(words, np.arange(n), slabs)
+            t = int(np.argmax(rejected)) if rejected.any() else n
+            slab_draws[j:j + t] = slab[:t]
+            offsets[j:j + t] = stream.unit(raw[:, 1:].reshape(-1, per)[:t])
+            if t:
+                stream.skip(t * per + (t + 1) // 2, t % 2, int(raw[(t - 1) // 2, 0] >> 32))
+            j += t
+        if j < count and (stream.has or t < n):
+            slab_draws[j], offsets[j] = stream.integers(slabs), stream.doubles(per)
+            j += 1
+    stream.close()
+    return slab_draws, offsets.reshape(count, 4, take) * OPEN_SCALE
 
 
 def audit_sumset_cubes(V1: Strip, V2: Strip, C0, delta, n: int, seed,

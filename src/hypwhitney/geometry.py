@@ -651,8 +651,8 @@ def _stream_rows(V1: Strip, V2: Strip, delta, C0, pair_type: int) -> tuple:
     """(V1, V2, delta, C0, rows) of the type-1 stream behind pair_type's:
     strips interchanged for type 2, scales checked, and its `_type1_rows`."""
     delta, C0 = _require_dyadic(delta=delta, C0=C0)
-    if pair_type not in (1, 2):
-        raise ValueError("pair_type must be 1 or 2")
+    if not (_positive(pair_type, numbers.Integral) and pair_type in (1, 2)):
+        raise ValueError(f"pair_type must be the int 1 or 2, got {pair_type!r:.40}")
     if pair_type == 2:
         V1, V2 = V2, V1
     return V1, V2, delta, C0, _type1_rows(V1, V2, delta, C0)
@@ -691,34 +691,188 @@ def count_pairs(V1: Strip, V2: Strip, delta, C0, pair_type: int = 1) -> int:
     return sum(_stream_rows(V1, V2, delta, C0, pair_type)[-1].total.tolist())
 
 
+# Words one pass of a stream replay reads at most (`_sample_pairs` evaluates
+# an attempt at each, `_tuple_draws` reads half as many raw outputs), so a
+# pass's temporaries stay under 2 MB for any draw count.
+_STREAM_BLOCK = 2**13
+_WORD = 2**32
+
+
+class _Stream:
+    """A cursor over a numpy Generator's PCG64 stream that replays its scalar
+    `integers` and `random` draws exactly.
+
+    `integers(n)` for 1 < n < 2^32 takes a 32-bit word w and returns
+    (w*n) >> 32 (Lemire's method), taking another word while (w*n) mod 2^32
+    is below 2^32 mod n.  A word is the low half of a raw 64-bit output, and
+    the high half is buffered as the next word (the bit generator's
+    `has_uint32` and `uinteger`).  n = 1 takes no word and n = 2^32 one
+    plain word.  n > 2^32 takes Lemire's method on fresh raw outputs, and a
+    double of `random` is (raw >> 11)*2^-53 of one; neither reads the
+    buffered half.  Raw outputs come in blocks from `random_raw`; `close`
+    hands back the unread ones, so the bit generator ends where the scalar
+    draws leave it."""
+
+    def __init__(self, rng):
+        self.bits = rng.bit_generator
+        if not isinstance(self.bits, np.random.PCG64):
+            raise TypeError(f"the stream replay needs a PCG64 generator, got {self.bits!r}")
+        state = self.bits.state
+        self.has, self.half = state["has_uint32"], state["uinteger"]
+        self.raw, self.pos = np.empty(0, np.uint64), 0
+
+    def peek(self, k: int) -> np.ndarray:
+        """The next k raw outputs, not read."""
+        if self.pos + k > self.raw.size:
+            self.raw = np.concatenate([self.raw[self.pos:], self.bits.random_raw(self.pos + k - self.raw.size)])
+            self.pos = 0
+        return self.raw[self.pos:self.pos + k]
+
+    def words(self, k: int) -> np.ndarray:
+        """The next k words as uint64, not read, if only words are drawn."""
+        raw = self.peek((k + 1) // 2)
+        w = np.empty(2 * raw.size + self.has, np.uint64)
+        w[:self.has], w[self.has::2], w[self.has + 1::2] = self.half, raw & (_WORD - 1), raw >> 32
+        return w[:k]
+
+    def skip(self, raws: int, has: int, half: int):
+        """Read raws raw outputs; then has, half is the buffered state."""
+        self.pos, self.has, self.half = self.pos + raws, has, half
+
+    def skip_words(self, k: int):
+        """Read the next k words."""
+        if k and self.has:
+            k, self.has = k - 1, 0
+        if k:
+            self.has, self.half = k % 2, int(self.raw[self.pos + (k - 1) // 2] >> 32)
+        self.pos += (k + 1) // 2
+
+    def raw64(self) -> int:
+        r = int(self.peek(1)[0])
+        self.pos += 1
+        return r
+
+    def word(self) -> int:
+        if self.has:
+            self.has = 0
+            return self.half
+        r = self.raw64()
+        self.has, self.half = 1, r >> 32
+        return r & (_WORD - 1)
+
+    def integers(self, n: int) -> int:
+        """Generator.integers(n) for an int n >= 1."""
+        if n == 1:
+            return 0
+        if n == _WORD:
+            return self.word()
+        bits, draw = (32, self.word) if n < _WORD else (64, self.raw64)
+        m = draw() * n
+        while m % 2**bits < 2**bits % n:
+            m = draw() * n
+        return m >> bits
+
+    @staticmethod
+    def unit(raw) -> np.ndarray:
+        """The doubles of `random` from raw outputs."""
+        return (raw >> 11) * 2.0**-53
+
+    def doubles(self, k: int) -> np.ndarray:
+        """Generator.random(k)."""
+        raw = self.peek(k)
+        self.pos += k
+        return self.unit(raw)
+
+    def close(self):
+        self.bits.advance(self.pos - self.raw.size)
+        state = self.bits.state
+        state["has_uint32"], state["uinteger"] = self.has, self.half
+        self.bits.state = state
+
+
+def _lemire(w, q, n) -> tuple:
+    """The draws `integers(n)` makes from the words w[q], as int64 arrays:
+    (values, q past the words taken, scalar).  n <= 1 takes no word; scalar
+    marks a draw the words alone do not settle: a rejected word, or n >= 2^32."""
+    wide = n >= _WORD
+    n = np.where(wide | (n < 1), 1, n).astype(np.uint64)
+    m = w[q] * n
+    return (m >> 32).astype(np.int64), q + (n > 1), wide | ((m & (_WORD - 1)) < _WORD % n)
+
+
 def _sample_pairs(rng, V1: Strip, V2: Strip, C0: float, delta: float, count: int,
                   x_band: bool = False) -> PairTable:
     """count type-1 pairs drawn from the stream index, as a stride-1 table of
     total count; with x_band, the small-box column is restricted to
-    i in [0, 1/delta] (the N=0 band)."""
+    i in [0, 1/delta] (the N=0 band).
+
+    An attempt draws a row (`integers` over the rows), a column of it and
+    one of that column's pairs, and ends early on an empty column range or
+    column.  The draws replay rng's stream exactly (`_Stream`): a pass
+    evaluates an attempt at every word offset of a block at once, a loop
+    follows the chain of actual attempt starts, and an attempt that
+    `_lemire` marks scalar is drawn with scalar draws."""
     rows = _type1_rows(V1, V2, delta, C0)
-    if not rows.total.size:
+    n_rows = rows.total.size
+    if not n_rows:
         raise ValueError("no admissible pairs at this scale")
-    y1_0, i_lo, i_hi, t_lo, t_hi = (v.tolist() for v in (rows.y1_0, *rows[2:6]))
-    # each row's non-empty runs in Python ints: the draws below do plain int arithmetic
-    runs = [[(a, b) for a, b in row if a <= b] for row in rows.runs.transpose(2, 0, 1).tolist()]
-    picks, guard = [], 0
-    while len(picks) < count:
-        guard += 1
-        if guard > 200 * count + 1000:
-            raise ValueError("sampling stalled; configuration too sparse")
-        r = int(rng.integers(len(runs)))
-        c_lo, c_hi = 0, i_hi[r] - i_lo[r]
-        if x_band:
-            c_lo, c_hi = max(0, -i_lo[r]), min(c_hi, math.floor(1.0 / delta) - i_lo[r])
-        if c_hi < c_lo:
-            continue
-        i = i_lo[r] + int(rng.integers(c_lo, c_hi + 1))
-        lo, hi = _upto(runs[r], t_lo[r] - i - 1)[0], _upto(runs[r], t_hi[r] - i)[0]
-        if hi > lo:
-            picks.append((i, y1_0[r], _run_member(runs[r], lo + int(rng.integers(hi - lo)))))
+    i_lo, i_hi, t_lo, t_hi = rows[2:6]
+    c_lo, c_hi = np.zeros_like(i_lo), i_hi - i_lo
+    if x_band:
+        c_lo, c_hi = np.maximum(0, -i_lo), np.minimum(c_hi, math.floor(1.0 / delta) - i_lo)
+    first, n_cols = i_lo + c_lo, c_hi - c_lo + 1
+
+    def column(r, i):  # [lo, hi): the run members of column i of row r
+        return tuple(_upto(rows.runs[..., r], t - i)[0] for t in (t_lo[r] - 1, t_hi[r]))
+
+    def attempts(w):  # at each offset: (words taken, accepted, scalar, i, r, k)
+        p = np.arange(w.size - 2)
+        r, q, scalar_r = _lemire(w, p, n_rows)
+        c, q, scalar_c = _lemire(w, q, n_cols[r])
+        i = first[r] + c
+        lo, hi = column(r, i)
+        k, q, scalar_k = _lemire(w, q, np.where(n_cols[r] >= 1, hi - lo, 0))
+        return q - p, (n_cols[r] >= 1) & (hi > lo), scalar_r | scalar_c | scalar_k, i, r, lo + k
+
+    def attempt(draw):  # one attempt by scalar draws: (i, r, k), or None
+        r = draw(n_rows)
+        if n_cols[r] < 1:
+            return None
+        i = int(first[r]) + draw(int(n_cols[r]))
+        lo, hi = map(int, column(r, i))
+        return (i, r, lo + draw(hi - lo)) if hi > lo else None
+
+    stream, picks, got, tried, size = _Stream(rng), [], 0, 0, _STREAM_BLOCK
+    while got < count:
+        w = stream.words(min(size, 3 * (count - got) + 8))
+        taken, accepted, scalar, *pick = attempts(w)
+        taken, accepted, scalar = taken.tolist(), accepted.tolist(), scalar.tolist()
+        pos, end, chosen = 0, w.size - 2, []
+        while pos < end and got < count:
+            tried += 1
+            if tried > 200 * count + 1000:
+                raise ValueError("sampling stalled; configuration too sparse")
+            if scalar[pos]:
+                break
+            if accepted[pos]:
+                chosen.append(pos)
+                got += 1
+            pos += taken[pos]
+        picks.append([v[chosen] for v in pick])
+        stream.skip_words(pos)
+        size = min(2 * size, _STREAM_BLOCK)
+        if pos < end and got < count:  # the loop stopped at a scalar attempt
+            one = attempt(stream.integers)
+            if one:
+                picks.append([np.array([v]) for v in one])
+                got += 1
+            # scalar attempts can be dense (64-bit column ranges): the next
+            # pass covers twice the words this one used
+            size = 2 * pos + 8
+    stream.close()
+    i, r, k = (np.concatenate(v) for v in zip(*picks))
     rho = V1.rho
-    cols = _checked_columns(*map(np.array, zip(*picks)), V2.j * rho, rho, delta, C0)
+    cols = _checked_columns(i, rows.y1_0[r], _run_member(rows.runs[..., r], k), V2.j * rho, rho, delta, C0)
     return PairTable(1, rho, delta, C0, count, 1, *cols)
 
 

@@ -182,6 +182,12 @@ def test_pinned_cases():
         assert not is_dyadic(value)
     for value in (1, 2**100, 2.0**-1074, np.int64(32), np.float64(0.25), np.float32(8.0)):
         assert is_dyadic(value)
+    # the pair type is a choice, not a number: True and 1.0 are not type 1
+    for pair_type in (True, np.bool_(True), 1.0, 2.0, 0, 3, "1", None):
+        for entry in (pair_sample, count_pairs):
+            with pytest.raises(ValueError, match="pair_type must be the int 1 or 2"):
+                entry(V1, V2, DELTA, C0, pair_type)
+    assert pair_sample(V1, V2, DELTA, C0, np.int64(2), max_pairs=4).pair_type == 2
 
 
 def test_numpy_scalars_and_the_smallest_scale():

@@ -205,6 +205,16 @@ class TestExtendOracles:
         with pytest.raises(UnresolvedOscillation):
             extend_points(f, BASE, (0.0, 0.0, 2.0**25), QUAD)
 
+    @pytest.mark.parametrize("xi", [(math.inf, 0.0, 0.0), (1e308,) * 3])
+    def test_unbounded_slope_is_unresolved(self, xi):
+        # a phase slope past the float range needs unboundedly many panels
+        with pytest.raises(UnresolvedOscillation, match="unboundedly many panels"):
+            extend_points(sample_pair().carrier(2), BASE, [xi], QUAD)
+
+    def test_unbounded_truncation_is_unresolved(self):
+        with pytest.raises(UnresolvedOscillation, match="unboundedly many panels"):
+            extend_grid(sample_pair().carrier(2), BASE, QuadratureSpec(truncation=(1e308,) * 3))
+
     @pytest.mark.parametrize("bad", [
         {"nodes_per_panel": 0},
         {"refinement": 0},
@@ -617,6 +627,47 @@ class TestBatchedAuditsMatchLoops:
         want = loop_sumset_cubes(V1, V2, C0, 2.0**-3, 20000, 88)
         got = audit_sumset_cubes(V1, V2, C0, 2.0**-3, 20000, 88)
         assert got.to_json_dict() == want.to_json_dict()
+
+
+def tuple_draws_oracle(rng, count, slabs, take):
+    """`_tuple_draws` one tuple at a time with scalar `rng.integers` and
+    `rng.random` draws: the loop the stream replay replaced."""
+    slab_draws, offsets = [], []
+    for _ in range(count):
+        slab_draws.append(rng.integers(slabs))
+        offsets.append(rng.random((4, take)))
+    return np.array(slab_draws), np.array(offsets) * OPEN_SCALE
+
+
+class TestTupleDraws:
+    """The replayed `_tuple_draws` against the per-tuple loop: equal arrays,
+    and generators left in one state."""
+
+    def assert_same(self, seed, count, slabs, take, buffered):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:
+            fast.integers(7), slow.integers(7)
+        for got, want in zip(extension._tuple_draws(fast, count, slabs, take),
+                             tuple_draws_oracle(slow, count, slabs, take)):
+            assert np.array_equal(got, want) and (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert fast.bit_generator.state == slow.bit_generator.state
+        assert fast.integers(10**6) == slow.integers(10**6) and fast.random() == slow.random()
+
+    @pytest.mark.parametrize("k", range(3, 7))
+    def test_audit_calls_match_loop(self, k):
+        # the cube audit's draws at each default scale, 5,000 tuples of 4
+        # members in 21 passes, over 20 seeds, every other one buffered
+        for seed in range(20):
+            self.assert_same(seed, 5000, 2**k, 4, buffered=seed % 2)
+
+    @pytest.mark.parametrize("slabs", [2, 3 * 2**30, 2**31 + 1, 2**32 - 1, 2**32, 2**40])
+    def test_odd_counts_and_rejections(self, slabs):
+        # odd counts end a pass on a buffered word; 3*2^30 and 2^31 + 1 reject
+        # about a quarter and a half of their words, 2^32 and above are
+        # drawn one tuple at a time
+        for count in (1, 2, 3, 7, 600):
+            for take in (1, 3):
+                self.assert_same(count + take, count, slabs, take, buffered=count % 3 == 1)
 
 
 @pytest.mark.parametrize("audit", [

@@ -781,3 +781,150 @@ class TestEnumerate:
         for pair in table:
             rebuilt = make_type1_pair(pair.cx1, pair.cy1, pair.ct2, pair.cy2, RHO, 2.0**k, C0)
             assert (rebuilt if pair_type == 1 else rebuilt.swapped()) == pair
+
+
+def sample_pairs_oracle(rng, V1, V2, c0, delta, count, x_band=False):
+    """`_sample_pairs` one attempt at a time with scalar `rng.integers`
+    draws, on Python ints: the loop the stream replay replaced."""
+    rows = geometry._type1_rows(V1, V2, delta, c0)
+    y1_0, i_lo, i_hi, t_lo, t_hi = (v.tolist() for v in (rows.y1_0, *rows[2:6]))
+    runs = [[(a, b) for a, b in row if a <= b] for row in rows.runs.transpose(2, 0, 1).tolist()]
+    picks, guard = [], 0
+    while len(picks) < count:
+        guard += 1
+        if guard > 200 * count + 1000:
+            raise ValueError("sampling stalled; configuration too sparse")
+        r = int(rng.integers(len(runs)))
+        c_lo, c_hi = 0, i_hi[r] - i_lo[r]
+        if x_band:
+            c_lo, c_hi = max(0, -i_lo[r]), min(c_hi, math.floor(1.0 / delta) - i_lo[r])
+        if c_hi < c_lo:
+            continue
+        i = i_lo[r] + int(rng.integers(c_lo, c_hi + 1))
+        lo, hi = geometry._upto(runs[r], t_lo[r] - i - 1)[0], geometry._upto(runs[r], t_hi[r] - i)[0]
+        if hi > lo:
+            picks.append((i, y1_0[r], geometry._run_member(runs[r], lo + int(rng.integers(hi - lo)))))
+    rho = V1.rho
+    return _checked_columns(*map(np.array, zip(*picks)), V2.j * rho, rho, delta, c0)
+
+
+def assert_same_sample(seed, V1, V2, c0, delta, count, x_band=False, buffered=False):
+    """The replayed `_sample_pairs` equals the oracle column for column, and
+    both generators are left in one state: equal state dicts and equal next
+    `integers` and `random` draws.  buffered starts both with a buffered
+    half word."""
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:
+        fast.integers(7), slow.integers(7)
+    table = geometry._sample_pairs(fast, V1, V2, c0, delta, count, x_band=x_band)
+    assert (table.total, table.stride, len(table)) == (count, 1, count)
+    for got, want in zip((table.cx1, table.cy1, table.ct2, table.cy2),
+                         sample_pairs_oracle(slow, V1, V2, c0, delta, count, x_band)):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+    assert fast.bit_generator.state == slow.bit_generator.state
+    assert fast.integers(10**6) == slow.integers(10**6) and fast.random() == slow.random()
+
+
+class TestStreamReplay:
+    # the default audit's strips, and a separation constant whose column
+    # ranges pass 2^32 at delta = 2^-16
+    AUDIT = separated_strip_pair(-12, 12, RHO, C0)
+    WIDE = (*separated_strip_pair(-384, 384, 2.0**-9, 1024.0), 1024.0, 2.0**-16)
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_cursor_replays_scalar_draws(self, buffered):
+        # ranges of 1, small ones, ones rejected about half and a quarter of
+        # the time (2^31 + 1, 3*2^30), 2^32 - 1, 2^32 and 64-bit ones
+        # (2^62 + 1 rejects about a quarter of its outputs), between doubles
+        ranges = [1, 2, 7, 3 * 2**30, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**62 + 1, 2**63 - 1]
+        ops = np.random.default_rng(99).integers(len(ranges) + 1, size=400).tolist()
+        fast, slow = np.random.default_rng(4), np.random.default_rng(4)
+        if buffered:
+            fast.integers(7), slow.integers(7)
+        stream = geometry._Stream(fast)
+        for op in ops:
+            if op == len(ranges):
+                assert np.array_equal(stream.doubles(3), slow.random(3))
+            else:
+                assert stream.integers(ranges[op]) == slow.integers(ranges[op])
+        stream.close()
+        assert fast.bit_generator.state == slow.bit_generator.state
+        assert fast.integers(5) == slow.integers(5) and fast.random() == slow.random()
+
+    def test_cursor_needs_pcg64(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            geometry._Stream(np.random.Generator(np.random.MT19937(0)))
+
+    @pytest.mark.parametrize("k", range(3, 7))
+    @pytest.mark.parametrize("x_band", [False, True])
+    def test_audit_calls_match_loop(self, k, x_band):
+        # every (delta, x_band) the default audit samples at, over 20 seeds,
+        # every other one from a buffered half word; 400 pairs take one to five
+        # passes of the replay
+        for seed in range(20):
+            assert_same_sample(seed, *self.AUDIT, C0, 2.0**-k, 400, x_band, buffered=seed % 2)
+
+    @pytest.mark.parametrize("seed, k, scalar", [(50, -3, [8, 4121, 3880]), (281, -6, [64, 32793, 7680])])
+    def test_pinned_rejections(self, monkeypatch, seed, k, scalar):
+        # seeds whose 2,500-pair sumset_x draw meets a Lemire rejection: that
+        # attempt takes scalar draws, one per range in scalar
+        calls, draw = [], geometry._Stream.integers
+        monkeypatch.setattr(geometry._Stream, "integers", lambda self, n: calls.append(n) or draw(self, n))
+        assert_same_sample(seed, *self.AUDIT, C0, 2.0**k, 2500)
+        assert calls == scalar
+
+    def crafted(self, monkeypatch, rows, **columns):
+        """Make `_type1_rows` return rows with the given columns replaced."""
+        rows = rows._replace(**columns)
+        monkeypatch.setattr(geometry, "_type1_rows", lambda *args: rows)
+
+    def test_range_one_draws_take_nothing(self, monkeypatch):
+        # a one-row index draws no row, a one-column row no column and a
+        # one-member column no member
+        delta = 2.0**-4
+        rows = _type1_rows(*self.AUDIT, delta, C0)
+        # the column and offset of each row's last pair
+        cx1, _, ct2, _ = _decode(rows, np.cumsum(rows.total) - 1, self.AUDIT[1].j * RHO, RHO, delta, C0)
+        last, d = (np.rint(v / _steps(RHO, delta)[1]).astype(np.int64) for v in (cx1, ct2 - cx1))
+        self.crafted(monkeypatch, rows, i_lo=last, i_hi=last)
+        assert_same_sample(3, *self.AUDIT, C0, delta, 300, buffered=True)
+        one = rows._make(v[..., 5:6] for v in rows)
+        self.crafted(monkeypatch, one)
+        assert_same_sample(3, *self.AUDIT, C0, delta, 300)
+        self.crafted(monkeypatch, one, i_lo=last[5:6], i_hi=last[5:6],
+                     runs=np.array([[[d[5]], [d[5]]], [[1], [0]], [[1], [0]]]))
+        for buffered in (False, True):
+            rng = np.random.default_rng(3)
+            if buffered:
+                rng.integers(7)
+            state = rng.bit_generator.state
+            table = geometry._sample_pairs(rng, *self.AUDIT, C0, delta, 50)
+            assert rng.bit_generator.state == state and len(set(table.ct2.tolist())) == 1
+            assert_same_sample(3, *self.AUDIT, C0, delta, 50, buffered=buffered)
+
+    def test_wide_ranges(self, monkeypatch):
+        # column ranges of about 3.4e10 take 64-bit draws; a row cut to 2^32
+        # columns takes plain words
+        V1, V2, c0, delta = self.WIDE
+        rows = _type1_rows(V1, V2, delta, c0)
+        assert (rows.i_hi - rows.i_lo + 1).min() > 2**32
+        for seed in range(3):
+            assert_same_sample(seed, V1, V2, c0, delta, 40, buffered=seed == 2)
+        r = 100
+        mid = np.cumsum(rows.total)[r - 1] + rows.total[r] // 2
+        i = round(_decode(rows, np.array([mid]), V2.j * V2.rho, V2.rho, delta, c0)[0][0]
+                  / _steps(V2.rho, delta)[1])
+        one = rows._make(v[..., r:r + 1] for v in rows)
+        self.crafted(monkeypatch, one, i_lo=np.array([i - 2**31]), i_hi=np.array([i + 2**31 - 1]))
+        assert one.i_lo[0] <= i - 2**31 and i + 2**31 - 1 <= one.i_hi[0]
+        for seed in range(3):
+            assert_same_sample(seed, V1, V2, c0, delta, 40, buffered=seed == 1)
+
+    def test_stall_guard(self, monkeypatch):
+        # a row whose one column holds no pair stalls after 200*count + 1000 attempts
+        rows = _type1_rows(*self.AUDIT, 2.0**-4, C0)
+        one = rows._make(v[..., :1] for v in rows)
+        self.crafted(monkeypatch, one, i_lo=one.i_lo - 10**6, i_hi=one.i_lo - 10**6)
+        for sample in (geometry._sample_pairs, sample_pairs_oracle):
+            with pytest.raises(ValueError, match="sampling stalled"):
+                sample(np.random.default_rng(0), *self.AUDIT, C0, 2.0**-4, 3)

@@ -129,13 +129,14 @@ def test_cmp_outputs_flags_each_difference(tmp_path, capsys):
     base = stub_cli(tmp_path / "base", "[1]\n")
     assert cmp_outputs.compare(base, stub_cli(tmp_path / "same", "[1]\n"), tmp_path / "out")
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(cmp_outputs.RUNS) == 7
+    assert len(lines) == len(cmp_outputs.RUNS) == 8
     assert all(": identical (" in line for line in lines)
     # each side's wall time ends the line
     times = r"; base \d+\.\d\d s, head \d+\.\d\d s\)"
     assert re.fullmatch(r"decompose: identical \(2 files, exit status 0" + times, lines[2])
     assert re.fullmatch(r"decompose --config fine_decompose.json: identical "
                         r"\(2 files, exit status 0" + times, lines[6])
+    assert re.fullmatch(r"audit --seed 1: identical \(1 files, exit status 0" + times, lines[7])
     assert json.loads((base / "fine_decompose.json").read_text())["delta_grid"][0] == 2.0**-20
 
     assert not cmp_outputs.compare(base, stub_cli(tmp_path / "head", "[2]\n", 1), tmp_path / "out")

@@ -8,13 +8,13 @@ The committed files of each revision are extracted with `ab_bench._checkout`.
 Each of the runs
 
     audit, audit --negative-controls, decompose, transversality, sumsets,
-    scaling-law, decompose --config fine_decompose.json
+    scaling-law, decompose --config fine_decompose.json, audit --seed 1
 
 executes in both checkouts, as `python3 -m hypwhitney.cli RUN --out OUT`
 with the checkout's `src` on PYTHONPATH.  The first six use the default
-config; the last decomposes at every scale from 2^-20, the finest the pair
-index enumerates, to 2^-3, from a config file that the script writes into
-each checkout.  OUT is the same path on both sides, because the reports echo
+config; the seventh decomposes at every scale from 2^-20, the finest the
+pair index enumerates, to 2^-3, from a config file that the script writes
+into each checkout; the last repeats the audit on a second random stream.  OUT is the same path on both sides, because the reports echo
 the output directory in their config.  Every output file, the stdout and
 the exit status of a run must be equal on both sides.  One line per run says
 which differ and gives each side's wall time; the script exits 1 if any run
@@ -37,8 +37,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import ab_bench  # noqa: E402
 
 RUNS = (("audit",), ("audit", "--negative-controls"), ("decompose",), ("transversality",),
-        ("sumsets",), ("scaling-law",), ("decompose", "--config", "fine_decompose.json"))
-# The config of the last run, every scale from 2^-20 to 2^-3.
+        ("sumsets",), ("scaling-law",), ("decompose", "--config", "fine_decompose.json"),
+        ("audit", "--seed", "1"))
+# The config of the fine decompose run, every scale from 2^-20 to 2^-3.
 FINE_DECOMPOSE = {"delta_grid": [2.0**k for k in range(-20, -2)]}
 
 
