@@ -329,6 +329,10 @@ class TestChi:
         z2 = (0.5 - 0.78 * (0.78 + 0.72), 0.78)
         assert classes_and_chi(self.decomp, z1, z2) == 1
 
+    def test_signed_sum_table(self):
+        # the sum telescopes to 1 unless both class counts are 0
+        assert np.array_equal(whitney._SIGNED_SUMS, np.add.outer(range(11), range(11)) > 0)
+
     def test_signed_sum_matches_cover_indicator(self):
         rng = np.random.default_rng(32)
         for _ in range(100):
@@ -560,6 +564,93 @@ class TestContainmentScan:
         for i in range(20):
             assert pair in containing_pairs(z1s[i], z2s[i], V1, V2, C0)[0]
         assert calls == []
+
+
+def by_scale_oracle(ks, mask):
+    """The scan's group-by as one full-array pass per exponent: (delta,
+    np.nonzero positions) for each exponent among ks[mask], ascending."""
+    for k in np.unique(ks[mask]):
+        yield math.ldexp(1.0, int(k)), np.nonzero(mask & (ks == k))
+
+
+def shifted_oracle(k0, mask, offsets=(0,)):
+    """by_scale_oracle with `whitney._by_scale`'s arguments."""
+    return by_scale_oracle(np.reshape(np.add.outer(offsets, k0), np.shape(mask)), mask)
+
+
+def assert_same_groups(got, want):
+    got, want = list(got), list(want)
+    assert [delta for delta, _ in got] == [delta for delta, _ in want]
+    for (_, pos), (_, ref) in zip(got, want):
+        assert len(pos) == len(ref)
+        for a, b in zip(pos, ref):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+# anchors about the finest located scale, the coarsest scale of the default
+# strips and unit scale
+ANCHOR_BASES = [geometry.LOG2_DELTA_FLOOR, geometry._coarsest_exponent(RHO), 0]
+
+
+@st.composite
+def anchors_and_mask(draw, rows):
+    """Anchor exponents k0, shape (n,), and a mask of shape (rows, n), or
+    (n,) for one row.  Some anchors lie 2^16 lower: their int16 sort keys
+    wrap onto the others'."""
+    n = draw(st.sampled_from([0, 1, 2]) | st.integers(0, 60))
+    base = draw(st.sampled_from(ANCHOR_BASES))
+    near = st.integers(base - 6, base + 6)
+    k0 = np.array(draw(st.lists(near | near.map(lambda k: k - 2**16), min_size=n, max_size=n)),
+                  dtype=draw(st.sampled_from([np.int32, np.int64])))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=rows * n, max_size=rows * n)), dtype=bool)
+    return k0, mask.reshape((rows, n) if rows > 1 else (n,))
+
+
+class TestByScale:
+    """`whitney._by_scale` against the per-exponent oracle: the same
+    deltas, positions and order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=anchors_and_mask(7))
+    def test_offset_rows(self, case):
+        k0, mask = case
+        ks = k0 + whitney._SCAN_OFFSETS[:, None]
+        assert_same_groups(whitney._by_scale(k0, mask, whitney._SCAN_OFFSETS), by_scale_oracle(ks, mask))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=anchors_and_mask(1))
+    def test_one_row(self, case):
+        k0, mask = case
+        assert_same_groups(whitney._by_scale(k0, mask), by_scale_oracle(k0, mask))
+
+    @pytest.mark.parametrize("n", [0, 1, 50])
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_all_false_mask(self, n, rows):
+        k0 = np.arange(n) - 20
+        mask = np.zeros((rows, n) if rows > 1 else n, dtype=bool)
+        offsets = whitney._SCAN_OFFSETS if rows > 1 else (0,)
+        assert list(whitney._by_scale(k0, mask, offsets)) == []
+
+    def test_rows_must_match_offsets(self):
+        with pytest.raises(ValueError):
+            list(whitney._by_scale(np.zeros(4, dtype=np.int64), np.ones((6, 4), dtype=bool),
+                                   whitney._SCAN_OFFSETS))
+
+    @pytest.mark.parametrize("strips", [(RHO, C0, -12, 12), (2.0**-7, 256.0, -96, 96)],
+                             ids=["default", "C0=256"])
+    def test_scan_equals_oracle_scan(self, monkeypatch, strips):
+        rho, c0, j1, j2 = strips
+        W1, W2 = strip(j1, rho), strip(j2, rho)
+        samples = _interior_samples(np.random.default_rng(45), W1, W2, c0, 20_000)
+        got = whitney._covering(samples[:2], samples[2:], W1, W2, c0)
+        draws = [_interior_samples(np.random.default_rng(s), W1, W2, c0, 2_000) for s in range(3)]
+        monkeypatch.setattr(whitney, "_by_scale", shifted_oracle)
+        want = whitney._covering(samples[:2], samples[2:], W1, W2, c0)
+        for (ks, ok), (ks_ref, ok_ref) in zip(got, want):
+            assert np.array_equal(ks, ks_ref) and np.array_equal(ok, ok_ref)
+            assert ok.any() and not ok.all()
+        for s, draw in enumerate(draws):
+            assert np.array_equal(draw, _interior_samples(np.random.default_rng(s), W1, W2, c0, 2_000))
 
 
 def box_hits(arrays, rho, delta, xs, ys, xl, yl):
